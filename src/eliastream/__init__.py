@@ -40,14 +40,12 @@ from .extractor import (
     run,
     step,
     von_neumann,
+    walk_step,
 )
 from .young import (
     InvalidNodeError,
-    QExtractorState,
-    YoungNode,
     ballot_paths,
     dim,
-    dim_bit,
     hook_dim_oracle,
     path_count,
     q_run,
@@ -61,14 +59,12 @@ __all__ = [
     "ExtractorState",
     "InvalidNodeError",
     "PauseResult",
-    "QExtractorState",
     "RunResult",
     "SourceModel",
     "StepResult",
     "StreamExtractor",
     "TableCapError",
     "TapeLedger",
-    "YoungNode",
     "ballot_paths",
     "bin_layout",
     "bin_of_rank",
@@ -78,7 +74,6 @@ __all__ = [
     "build_table",
     "conditional_bin_entropy",
     "dim",
-    "dim_bit",
     "expected_yield",
     "hook_dim_oracle",
     "initial_state",
@@ -91,6 +86,7 @@ __all__ = [
     "step",
     "type_of",
     "von_neumann",
+    "walk_step",
 ]
 
 __version__ = "0.1.0"

@@ -14,33 +14,23 @@ import argparse
 import sys
 import time
 
+import numpy as np
+
 from . import schursim, verify
-from .extractor import StreamExtractor
+from .extractor import StreamExtractor, pause_mode_run
 
 REPORT_SCHEMA = "eliastream/1"
 
 
 def unpack_bytes(data: bytes) -> list[int]:
     """Bytes to bits, most significant bit of each byte first."""
-    out = []
-    for byte in data:
-        for k in range(7, -1, -1):
-            out.append((byte >> k) & 1)
-    return out
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 def pack_bits(bits) -> tuple[bytes, int]:
     """Bits to bytes (MSB-first); returns (data, zero-pad length)."""
-    bits = list(bits)
-    pad = (-len(bits)) % 8
-    bits = bits + [0] * pad
-    data = bytearray()
-    for i in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[i : i + 8]:
-            byte = (byte << 1) | b
-        data.append(byte)
-    return bytes(data), pad
+    arr = np.fromiter(bits, dtype=np.uint8)
+    return np.packbits(arr).tobytes(), (-len(arr)) % 8
 
 
 def _read_input(path: str) -> bytes:
@@ -76,23 +66,17 @@ def cmd_extract(args) -> int:
         raise ValueError("--demand must be >= 0")
     data = _read_input(args.input)
     bits = unpack_bytes(data)
-    machine = StreamExtractor()
-    produced: list[int] = []
     if args.demand is None:
-        for b in bits:
-            produced.extend(machine.push(b))
-        delivered = produced
+        machine = StreamExtractor()
+        delivered = machine.feed(bits)
+        state = machine.state
         mode = "streaming"
     else:
-        for b in bits:
-            if len(produced) >= args.demand:
-                break
-            produced.extend(machine.push(b))
-        delivered = produced[: args.demand]
+        paused = pause_mode_run(bits, args.demand)
+        delivered, state = paused.output, paused.state
         mode = "on-demand"
     packed, pad = pack_bits(delivered)
     _write_output(args.output, packed)
-    state = machine.state
     # bits_read = bits_emitted + purity_len holds exactly; a multi-bit final
     # move can leave produced-but-undelivered bits, reported as pending.
     write_report(

@@ -24,22 +24,26 @@ emitting step sends b to the output tape and rewrites previously-banked
 zero bits (one per carry) as further outputs; a silent step banks b, erased
 to 0, on the purity tape.  So out_len + purity_len == n after every step.
 
-Two interchangeable engines are provided:
+The move itself lives in one place, ``walk_step``, which sees only three
+node sizes and so runs on any lattice with Pascal's additive recursion
+(binomial coefficients here, Young-diagram dimensions in ``young``).  On
+Pascal's triangle two things drive it:
 
-* ``step``/``run``: reference implementation against the shared binomial
-  table (bounded by the table cap).
-* ``StreamExtractor``: table-free engine that carries two adjacent
+* ``step``/``run``: the reference walk, reading sizes from the shared
+  binomial table (bounded by the table cap).  Tests compare the streaming
+  engine against it.
+* ``StreamExtractor``: the one streaming engine.  It carries two adjacent
   coefficients C(n, t) and C(n, t-1) along the path, updating them with one
-  small multiply/divide per bit.  Input length is unbounded.
-
-They are verified bit-identical against each other in the test suite.
+  small multiply/divide per bit, so input length is unbounded.  ``push``,
+  ``feed`` and the on-demand ``pause_mode_run`` all run on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import math
+from typing import Callable, Iterable, NamedTuple
 
-from .binomial import binom_bit
+from .binomial import shared_table
 from .elias import parse_bits
 
 
@@ -52,6 +56,8 @@ class ExtractorState(NamedTuple):
 
 
 class TapeLedger(NamedTuple):
+    """Tape lengths; conservation gives purity_len = n - l."""
+
     out_len: int
     purity_len: int
 
@@ -72,38 +78,63 @@ def initial_state() -> ExtractorState:
     return ExtractorState(0, 0, 0)
 
 
-def step(state: ExtractorState, b: int) -> StepResult:
-    """Advance one input bit; emit any random bits produced by the move."""
+def walk_step(here: int, hi: int, lo: int, b: int, l: int) -> tuple[tuple[int, ...], int]:
+    """The transition rule: emit test and carry cascade of one move.
+
+    With t' = t + b after the move, the arguments are the node sizes
+    here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice
+    whose sizes X obey here = hi + lo (binomial coefficients, or Young
+    dimensions at valid nodes).  Returns the emitted bits and the new l.
+    """
     if b not in (0, 1):
         raise ValueError("input bit must be 0 or 1")
-    n = state.n + 1
-    t = state.t + b
-    l = state.l
-    emitted = []
-    if binom_bit(n, t, l) == 0 or binom_bit(n - 1, t - 1 + b, l) == 1:
-        emitted.append(b)
+    if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
+        emitted = [b]
         l += 1
-        while binom_bit(n - 1, t, l) != binom_bit(n - 1, t - 1, l):
-            emitted.append(binom_bit(n - 1, t, l))
+        while (hi >> l) & 1 != (lo >> l) & 1:
+            emitted.append((hi >> l) & 1)
             l += 1
-    return StepResult(ExtractorState(n, t, l), tuple(emitted))
+        return tuple(emitted), l
+    return (), l
 
 
-def ledger_of(state: ExtractorState) -> TapeLedger:
-    """Tape ledger implied by a state; conservation gives purity = n - l."""
-    return TapeLedger(state.l, state.n - state.l)
+def step(state: ExtractorState, b: int) -> StepResult:
+    """Advance one input bit; emit any random bits produced by the move."""
+    # t' from the truth of b, so any non-bit reaches walk_step's check
+    n, t = state.n + 1, state.t + (1 if b else 0)
+    c = shared_table(n).value
+    emitted, l = walk_step(c(n, t), c(n - 1, t), c(n - 1, t - 1), b, state.l)
+    return StepResult(ExtractorState(n, t, l), emitted)
+
+
+def fold_steps(
+    move: Callable[[ExtractorState, int], StepResult], bits: Iterable[int]
+) -> tuple[tuple[int, ...], ExtractorState]:
+    """Fold a step function over bits from the apex: (output, final state).
+
+    Checks the tape ledger after every move: the output holds exactly l bits
+    and l <= n, i.e. the purity tape never has to pop a bit it never banked.
+    """
+    state = initial_state()
+    output: list[int] = []
+    for b in bits:
+        state, emitted = move(state, b)
+        output.extend(emitted)
+        if state.l != len(output) or state.l > state.n:
+            raise AssertionError(f"tape ledger violated at {state}")
+    return tuple(output), state
+
+
+def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
+    """Parse bit strings; pass integer iterables through to the walk, which
+    checks every bit as it takes it."""
+    return parse_bits(bits) if isinstance(bits, (str, bytes)) else bits
 
 
 def run(bits: "Iterable[int] | str") -> RunResult:
     """Fold step() over an input string from the apex."""
-    state = initial_state()
-    output: list[int] = []
-    for b in parse_bits(bits):
-        state, emitted = step(state, b)
-        output.extend(emitted)
-        if state.l != len(output) or state.l > state.n:
-            raise AssertionError(f"tape ledger violated at {state}")
-    return RunResult(tuple(output), state, ledger_of(state))
+    output, final = fold_steps(step, _bit_source(bits))
+    return RunResult(output, final, TapeLedger(final.l, final.n - final.l))
 
 
 class PauseResult(NamedTuple):
@@ -125,26 +156,29 @@ def pause_mode_run(
     A single move can emit several bits (carry cascade); bits produced past
     the demand are returned in `pending` so a resumed call is exact, as if
     the machine paused after each individual output.  `satisfied` is False
-    when the input ran dry first.
+    when the input ran dry first.  Input length is unbounded: the walk runs
+    on a StreamExtractor resumed from `state`.
     """
     if demand < 0:
         raise ValueError("demand must be >= 0")
-    if state is None:
-        state = initial_state()
-    out = list(pending[:demand])
-    pend = list(pending[demand:])
+    machine = StreamExtractor(initial_state() if state is None else state)
+    push = machine.push
+    produced = list(pending)
     consumed = 0
-    it = iter(parse_bits(bits))
-    while len(out) < demand:
-        b = next(it, None)
-        if b is None:
-            return PauseResult(tuple(out), consumed, state, tuple(pend), False)
-        state, emitted = step(state, b)
-        consumed += 1
-        room = demand - len(out)
-        out.extend(emitted[:room])
-        pend.extend(emitted[room:])
-    return PauseResult(tuple(out), consumed, state, tuple(pend), True)
+    if len(produced) < demand:
+        for b in _bit_source(bits):
+            produced.extend(push(b))
+            consumed += 1
+            if len(produced) >= demand:
+                break
+    # Only the last move can overshoot the demand.
+    return PauseResult(
+        tuple(produced[:demand]),
+        consumed,
+        machine.state,
+        tuple(produced[demand:]),
+        len(produced) >= demand,
+    )
 
 
 def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
@@ -165,17 +199,22 @@ class StreamExtractor:
 
     State is still just (n, t, l); the two big integers C(n, t) and
     C(n, t-1) are derived values maintained incrementally so that no
-    quadratic table is ever needed.
+    quadratic table is ever needed.  A machine can start from any lattice
+    node, e.g. to resume a paused walk; the apex is the default.
     """
 
     __slots__ = ("n", "t", "l", "_c_here", "_c_left")
 
-    def __init__(self):
-        self.n = 0
-        self.t = 0
-        self.l = 0
-        self._c_here = 1  # C(n, t)
-        self._c_left = 0  # C(n, t-1)
+    def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
+        n, t, l = state
+        c_here = math.comb(n, t) if 0 <= t <= n else 0
+        if l < 0 or not (c_here >> l) & 1:
+            raise ValueError(f"{tuple(state)} is not a lattice node")
+        self.n = n
+        self.t = t
+        self.l = l
+        self._c_here = c_here  # C(n, t)
+        self._c_left = math.comb(n, t - 1) if t else 0  # C(n, t-1)
 
     @property
     def state(self) -> ExtractorState:
@@ -186,42 +225,37 @@ class StreamExtractor:
         return TapeLedger(self.l, self.n - self.l)
 
     def push(self, b: int) -> tuple[int, ...]:
-        """Feed one bit; return the bits emitted by this move."""
+        """Feed one bit; return the bits emitted by this move.
+
+        A value other than 0 or 1 raises ValueError and leaves the state
+        unchanged.
+        """
         n, t = self.n, self.t
         c_here, c_left = self._c_here, self._c_left
         if b:
-            c_up = c_here * (n - t) // (t + 1)  # C(n, t+1)
-            c_new = c_up + c_here               # C(n+1, t+1)
-            c_test = c_up                       # C(n, t'-1+b) with t' = t+1
-            hi, lo = c_up, c_here               # carry pair C(n, t'), C(n, t'-1)
-            next_here = c_new
-            next_left = c_here + c_left         # C(n+1, t)
-            self.t = t + 1
+            hi = c_here * (n - t) // (t + 1)  # C(n, t+1)
+            lo = c_here
+            next_left = c_here + c_left  # C(n+1, t)
+            t += 1
         else:
-            c_new = c_here + c_left             # C(n+1, t)
-            c_test = c_left                     # C(n, t-1)
             hi, lo = c_here, c_left
             c_far = c_left * (t - 1) // (n - t + 2) if t >= 1 else 0  # C(n, t-2)
-            next_here = c_new
-            next_left = c_left + c_far          # C(n+1, t-1)
+            next_left = c_left + c_far  # C(n+1, t-1)
+        here = hi + lo  # C(n+1, t')
+        emitted, self.l = walk_step(here, hi, lo, b, self.l)
         self.n = n + 1
-        self._c_here = next_here
+        self.t = t
+        self._c_here = here
         self._c_left = next_left
-
-        l = self.l
-        emitted: list[int] = []
-        if (c_new >> l) & 1 == 0 or (c_test >> l) & 1 == 1:
-            emitted.append(b)
-            l += 1
-            while (hi >> l) & 1 != (lo >> l) & 1:
-                emitted.append((hi >> l) & 1)
-                l += 1
-        self.l = l
-        return tuple(emitted)
+        return emitted
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:
-        """Feed many bits; return the concatenated output."""
+        """Feed many bits; return the concatenated output.
+
+        A bad bit raises ValueError; the bits before it stay fed.
+        """
         out: list[int] = []
-        for b in parse_bits(bits):
-            out.extend(self.push(b))
+        push = self.push
+        for b in _bit_source(bits):
+            out.extend(push(b))
         return tuple(out)

@@ -15,7 +15,7 @@ Joint states are sparse maps {(alice_label, bob_label): amplitude}.
 Two simulators are provided.  The known-basis one replays the classical
 streaming-extractor transcript coherently (support 2^n, not 4^n).  The
 universal one interleaves a Clebsch-Gordan step with the lattice-walk step
-of young.qstep, so it needs no knowledge of the input basis; it is built as
+of young.q_run, so it needs no knowledge of the input basis; it is built as
 an explicit 2^n x 2^n orthogonal matrix and applied to both parties.
 
 Coupling convention: a diagram with d = n - 2t + 1 states carries spin
@@ -30,16 +30,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .extractor import initial_state, step
-from .young import q_initial_state, qstep
+from .extractor import run
+from .young import q_run
 
 KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 6
 SCHUR_CAP = 10
+# Bound of the per-size caches below: one entry per n (two for
+# schur_transform, whose key also records how cap was passed), so 32
+# entries hold every size up to the largest cap, 16.
+CACHE_SIZE = 32
 
 NORM_TOL = 1e-12
 
@@ -142,7 +146,7 @@ def _cg_branches(n: int, s: int) -> list[tuple[int, int, tuple[int, ...], float]
     return branches
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     """The full n-qubit change of basis into (t, u, path) labels."""
     if n > cap:
@@ -161,59 +165,18 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     return PartyIsometry(n, labels, matrix)
 
 
-def _walk_purity(emissions: Iterable[tuple[int, ...]]) -> tuple[int, int]:
-    """Fold tape bookkeeping over per-move emissions: (purity, seeded).
-
-    A silent move banks one clean qubit; a k-bit emission sends the fresh
-    qubit out and pops k-1 banked ones.  If a pop ever finds the bank empty
-    we seed an ancilla zero and count it (never happens for these walks, but
-    the ledger stays exact if it ever did).
-    """
-    purity = seeded = 0
-    for emitted in emissions:
-        if emitted:
-            pops = len(emitted) - 1
-            if pops > purity:
-                seeded += pops - purity
-                purity = 0
-            else:
-                purity -= pops
-        else:
-            purity += 1
-    return purity, seeded
-
-
-@lru_cache(maxsize=None)
-def _elias_walk(path: tuple[int, ...]) -> tuple[int, int, str, int, int]:
-    """Lattice-walk transcript of a box-add path: (t, l, tape, purity, seeded)."""
-    state = q_initial_state()
-    tape: list[int] = []
-    emissions = []
-    for pbit in path:
-        state, emitted = qstep(state, pbit)
-        tape.extend(emitted)
-        emissions.append(emitted)
-    purity, seeded = _walk_purity(emissions)
-    return state.t, state.l, "".join(map(str, tape)), purity, seeded
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _classical_transcripts(n: int) -> tuple[tuple[int, PartyLabel], ...]:
-    """(weight, label) of the streaming extractor on every n-bit string."""
+    """(weight, label) of the streaming extractor on every n-bit string.
+
+    The purity tape holds n - l clean bits by conservation; run() checks
+    l <= n at every step, so the tape never pops a bit it never banked.
+    """
     out = []
     for s in range(1 << n):
-        state = initial_state()
-        tape: list[int] = []
-        emissions = []
-        for k in range(n):
-            state, emitted = step(state, (s >> (n - 1 - k)) & 1)
-            tape.extend(emitted)
-            emissions.append(emitted)
-        purity, seeded = _walk_purity(emissions)
-        if seeded:
-            raise AssertionError("classical walk popped an empty purity bank")
-        label = PartyLabel(state.t, None, state.l, "".join(map(str, tape)), purity)
-        out.append((state.t, label))
+        output, final, _ = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
+        label = PartyLabel(final.t, None, final.l, "".join(map(str, output)), n - final.l)
+        out.append((final.t, label))
     return tuple(out)
 
 
@@ -255,20 +218,20 @@ def collective_rotation(psi: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     return unitary @ psi @ unitary.T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _universal_isometry(n: int) -> tuple[tuple[PartyLabel, ...], np.ndarray]:
-    """Per-party matrix of the interleaved coupling + lattice-walk transform."""
+    """Per-party matrix of the interleaved coupling + lattice-walk transform.
+
+    As for the classical walk, the purity tape holds n - l clean qubits and
+    q_run() checks l <= n at every step.
+    """
     schur = schur_transform(n, cap=max(SCHUR_CAP, n))
     labels = []
-    seeded_total = 0
     for t, u, path in schur.labels:
-        wt, wl, tape, purity, seeded = _elias_walk(path)
-        if wt != t:
+        tape, final = q_run(path)
+        if final.t != t:
             raise AssertionError("walk endpoint disagrees with coupling label")
-        seeded_total += seeded
-        labels.append(PartyLabel(t, u, wl, tape, purity))
-    if seeded_total:
-        raise AssertionError("universal walk popped an empty purity bank")
+        labels.append(PartyLabel(t, u, final.l, "".join(map(str, tape)), n - final.l))
     if len(set(labels)) != len(labels):
         raise AssertionError("universal register labels collide")
     return tuple(labels), schur.matrix

@@ -221,12 +221,7 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
         raise ValueError("samples must be >= 10^4")
     rng = np.random.default_rng(seed)
     bits = (rng.random(samples) < p).astype(np.uint8)
-    machine = StreamExtractor()
-    out: list[int] = []
-    push = machine.push
-    for b in bits.tolist():
-        out.extend(push(b))
-    arr = np.asarray(out, dtype=np.int8)
+    arr = np.asarray(StreamExtractor().feed(bits.tolist()), dtype=np.int8)
     length = len(arr)
     if length < 2:
         return StatReport(p, seed, samples, length, length / samples, 0.0, 0.0, 0.0)

@@ -5,36 +5,22 @@ validity requires 0 <= t <= n - t.  Its symmetric-group irrep dimension is
 available three independent ways (closed form, literal hook lengths, path
 counting), and the dimensions satisfy the same additive recursion as
 binomial coefficients once invalid nodes count as zero.  That recursion is
-all the streaming extractor ever used, so substituting dimension bits for
-binomial bits gives the same machine on this lattice: qstep().
+all the transition rule ``extractor.walk_step`` ever uses, so handing it
+dimensions in place of binomial coefficients gives the same machine on this
+lattice: qstep(), with the extractor's state and step types.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .binomial import binom
+from .extractor import ExtractorState, StepResult, fold_steps, walk_step
 
 
 class InvalidNodeError(ValueError):
     """A lattice move would put more boxes in row two than row one."""
-
-
-class YoungNode(NamedTuple):
-    n: int
-    t: int
-
-
-class QExtractorState(NamedTuple):
-    n: int
-    t: int
-    l: int
-
-
-class QStepResult(NamedTuple):
-    state: QExtractorState
-    emitted: tuple[int, ...]
 
 
 def is_valid(n: int, t: int) -> bool:
@@ -113,43 +99,19 @@ def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 0, [])
 
 
-def dim_bit(n: int, t: int, l: int) -> int:
-    """Bit l of dim(n, t); zero at invalid nodes."""
-    return (dim(n, t) >> l) & 1
-
-
-def q_initial_state() -> QExtractorState:
-    return QExtractorState(0, 0, 0)
-
-
-def qstep(state: QExtractorState, pbit: int) -> QStepResult:
-    """One lattice move with dimension bits in place of binomial bits.
+def qstep(state: ExtractorState, pbit: int) -> StepResult:
+    """One lattice move with dimensions in place of binomial coefficients.
 
     The caller must only request valid moves; an invalid move signals a bug
     upstream (the coupling transform never produces one).
     """
-    if pbit not in (0, 1):
-        raise ValueError("pbit must be 0 or 1")
-    n = state.n + 1
-    t = state.t + pbit
+    n, t = state.n + 1, state.t + (1 if pbit else 0)
     if not is_valid(n, t):
         raise InvalidNodeError(f"move to ({n}, {t}) violates the row condition")
-    l = state.l
-    emitted = []
-    if dim_bit(n, t, l) == 0 or dim_bit(n - 1, t - 1 + pbit, l) == 1:
-        emitted.append(pbit)
-        l += 1
-        while dim_bit(n - 1, t, l) != dim_bit(n - 1, t - 1, l):
-            emitted.append(dim_bit(n - 1, t, l))
-            l += 1
-    return QStepResult(QExtractorState(n, t, l), tuple(emitted))
+    emitted, l = walk_step(dim(n, t), dim(n - 1, t), dim(n - 1, t - 1), pbit, state.l)
+    return StepResult(ExtractorState(n, t, l), emitted)
 
 
-def q_run(pbits: Iterable[int]) -> tuple[tuple[int, ...], QExtractorState]:
-    """Fold qstep over a box-add sequence from the apex."""
-    state = q_initial_state()
-    out: list[int] = []
-    for pbit in pbits:
-        state, emitted = qstep(state, pbit)
-        out.extend(emitted)
-    return tuple(out), state
+def q_run(pbits: Iterable[int]) -> tuple[tuple[int, ...], ExtractorState]:
+    """Fold qstep over a box-add sequence from the apex, checking the ledger."""
+    return fold_steps(qstep, pbits)

@@ -18,6 +18,18 @@ def test_unpack_msb_first():
     assert unpack_bytes(b"\x01\x80") == [0] * 7 + [1, 1] + [0] * 7
 
 
+@given(st.binary(max_size=64))
+def test_pack_and_unpack_match_bytewise_loops(data):
+    bits = [(byte >> k) & 1 for byte in data for k in range(7, -1, -1)]
+    assert unpack_bytes(data) == bits
+    for cut in (len(bits), max(len(bits) - 3, 0)):
+        padded = bits[:cut] + [0] * ((-cut) % 8)
+        expected = bytes(
+            int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8)
+        )
+        assert pack_bits(bits[:cut]) == (expected, (-cut) % 8)
+
+
 def test_pack_pads_with_zeros():
     data, pad = pack_bits([1, 0, 1])
     assert data == b"\xa0"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from eliastream.binomial import binom_bit
 from eliastream.extractor import (
     ExtractorState,
+    StepResult,
     StreamExtractor,
+    fold_steps,
     initial_state,
     pause_mode_run,
     run,
     step,
     von_neumann,
+    walk_step,
 )
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
@@ -42,8 +46,9 @@ def test_step_hand_traces(state, b, new_state, emitted):
 
 
 def test_step_rejects_non_bits():
-    with pytest.raises(ValueError):
-        step(initial_state(), 2)
+    for bad in (2, -1, 0.5, None):
+        with pytest.raises(ValueError):
+            step(initial_state(), bad)
 
 
 @pytest.mark.parametrize(
@@ -195,3 +200,57 @@ def test_state_is_three_bounded_integers():
     assert all(isinstance(v, int) for v in state)
     assert 0 <= state.t <= state.n
     assert 0 <= state.l <= state.n
+
+
+@pytest.mark.parametrize("bad", [2, -1, None, "1"])
+def test_push_rejects_non_bits_and_keeps_state(bad):
+    engine = StreamExtractor()
+    head = engine.feed([0, 1, 1])
+    before = engine.state
+    with pytest.raises(ValueError):
+        engine.push(bad)
+    assert engine.state == before
+    # the coefficients are untouched too: the walk goes on as if never interrupted
+    assert head + engine.feed([0, 0, 1]) == run([0, 1, 1, 0, 0, 1]).output
+
+
+def test_walk_step_checks_the_bit_first():
+    with pytest.raises(ValueError):
+        walk_step(1, 1, 0, 2, 0)
+
+
+def test_fold_rejects_a_move_that_outruns_the_purity_tape():
+    # two bits out of one bit read would pop a purity bit never banked
+    def greedy(state, b):
+        return StepResult(state._replace(n=state.n + 1, l=state.l + 2), (b, b))
+
+    with pytest.raises(AssertionError):
+        fold_steps(greedy, [1])
+
+
+def test_engine_resumes_only_at_lattice_nodes():
+    assert StreamExtractor(ExtractorState(4, 2, 1)).state == (4, 2, 1)  # C(4,2)=6=0b110
+    for state in [(4, 2, 0), (4, 5, 0), (3, -1, 0), (2, 1, -1)]:
+        with pytest.raises(ValueError):
+            StreamExtractor(ExtractorState(*state))
+
+
+def test_pause_mode_long_stream_matches_streaming_engine():
+    rng = random.Random(6000)
+    bits = [int(rng.random() < 0.3) for _ in range(6000)]
+    full = StreamExtractor().feed(bits)
+    demand = len(full) - 5
+    whole = pause_mode_run(bits, demand)
+    assert whole.satisfied
+    assert whole.output == full[:demand]
+    replay = StreamExtractor()
+    assert replay.feed(bits[: whole.consumed]) == whole.output + whole.pending
+    assert whole.state == replay.state
+    # a resume split in two matches the single run
+    first = pause_mode_run(bits, demand // 3)
+    second = pause_mode_run(
+        bits[first.consumed :], demand - demand // 3, state=first.state, pending=first.pending
+    )
+    assert first.output + second.output == whole.output
+    assert first.consumed + second.consumed == whole.consumed
+    assert (second.state, second.pending) == (whole.state, whole.pending)

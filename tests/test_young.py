@@ -1,16 +1,14 @@
 import pytest
 
 from eliastream.binomial import binom
+from eliastream.extractor import ExtractorState, initial_state
 from eliastream.young import (
     InvalidNodeError,
-    QExtractorState,
     ballot_paths,
     dim,
-    dim_bit,
     hook_dim_oracle,
     is_valid,
     path_count,
-    q_initial_state,
     q_run,
     qstep,
 )
@@ -75,12 +73,12 @@ def test_oracles_reject_invalid_nodes():
 
 
 def test_qstep_apex_moves():
-    state, emitted = qstep(q_initial_state(), 0)
-    assert state == QExtractorState(1, 0, 0)
+    state, emitted = qstep(initial_state(), 0)
+    assert state == ExtractorState(1, 0, 0)
     assert emitted == ()
     # one box in each row: the single-path node (2, 1) emits nothing
-    state, emitted = qstep(QExtractorState(1, 0, 0), 1)
-    assert state == QExtractorState(2, 1, 0)
+    state, emitted = qstep(ExtractorState(1, 0, 0), 1)
+    assert state == ExtractorState(2, 1, 0)
     assert emitted == ()
 
 
@@ -88,24 +86,24 @@ def test_qstep_first_emission_at_three_boxes():
     # the two paths into (3, 1) fuse and emit their distinguishing bit
     out, final = q_run((0, 1, 0))
     assert out == (0,)
-    assert final == QExtractorState(3, 1, 1)
+    assert final == ExtractorState(3, 1, 1)
     out, final = q_run((0, 0, 1))
     assert out == (1,)
-    assert final == QExtractorState(3, 1, 1)
+    assert final == ExtractorState(3, 1, 1)
 
 
 def test_qstep_rejects_invalid_move():
     with pytest.raises(InvalidNodeError):
-        qstep(q_initial_state(), 1)
+        qstep(initial_state(), 1)
     with pytest.raises(InvalidNodeError):
-        qstep(QExtractorState(2, 1, 0), 1)
+        qstep(ExtractorState(2, 1, 0), 1)
 
 
 def test_qstep_node_residency():
     for n in range(1, 11):
         for path in ballot_paths(n):
             _, final = q_run(path)
-            assert dim_bit(final.n, final.t, final.l) == 1
+            assert (dim(final.n, final.t) >> final.l) & 1 == 1
 
 
 def test_qstep_cardinality_and_completeness():
