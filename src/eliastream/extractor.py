@@ -34,8 +34,14 @@ Pascal's triangle two things drive it:
   engine against it.
 * ``StreamExtractor``: the one streaming engine.  It carries two adjacent
   coefficients C(n, t) and C(n, t-1) along the path, updating them with one
-  small multiply/divide per bit, so input length is unbounded.  ``push``,
-  ``feed`` and the on-demand ``pause_mode_run`` all run on it.
+  small multiply/divide per bit, so input length is unbounded.  Exact while
+  they are short, it then keeps only a fixed-width window on them: integer
+  bounds a few dozen bits below position l, from which the rule's inputs
+  (the sizes shifted down by l) are read whenever the bounds agree on them.
+  A move the window cannot decide is redone exactly from ``math.comb``
+  (counted in ``fallbacks``), so the output is exact and each bit costs the
+  same however long the stream.  ``push``, ``feed`` and the on-demand
+  ``pause_mode_run`` all run on it.
 """
 
 from __future__ import annotations
@@ -194,27 +200,56 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-class StreamExtractor:
-    """Unbounded-length engine carrying its own coefficient pair.
+# Measured on a 2-core Xeon: the exact update costs as much per bit as the
+# window's ~2 us near l = 1,000-4,500, and grows linearly beyond; below this
+# l the window saves nothing, so short streams stay exact.
+_CROSSOVER = 4096
+# Window bits kept below the emission position l.  The window never decides
+# a move wrongly; it fails to decide one with odds growing like (bits since
+# the last resync) / 2^_GUARD.  64 gave no fallback on a 10^7-bit stream.
+_GUARD = 64
 
-    State is still just (n, t, l); the two big integers C(n, t) and
-    C(n, t-1) are derived values maintained incrementally so that no
-    quadratic table is ever needed.  A machine can start from any lattice
-    node, e.g. to resume a paused walk; the apex is the default.
+
+class StreamExtractor:
+    """Unbounded-length engine: three counters plus a window on two coefficients.
+
+    State is just (n, t, l); the sizes the rule reads come from C(n, t) and
+    C(n, t-1), carried along the path and updated by one small
+    multiply/divide per bit, so no table is ever needed.  A machine can
+    start from any lattice node, e.g. to resume a paused walk; the apex is
+    the default.
+
+    While l < ``_CROSSOVER`` the two coefficients are exact integers.  From
+    there on the engine keeps only integer bounds [lo, hi] on C/2^s, with
+    floor/ceil rounding, and s trailing l by ``_GUARD`` to ``2 * _GUARD``
+    bits, so each bit costs the same however long the stream.  The rule reads
+    only bits >= l, i.e. the quotients C >> l: where lower and upper bounds
+    give the same quotients, ``walk_step`` runs on them and the move is exact.
+    Otherwise the move is redone from ``math.comb`` and the window restarts
+    from the exact values; ``fallbacks`` counts these resyncs.
     """
 
-    __slots__ = ("n", "t", "l", "_c_here", "_c_left")
+    __slots__ = ("n", "t", "l", "_s", "_here", "_here_up", "_left", "_left_up", "_fallbacks")
 
     def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
         n, t, l = state
         c_here = math.comb(n, t) if 0 <= t <= n else 0
         if l < 0 or not (c_here >> l) & 1:
             raise ValueError(f"{tuple(state)} is not a lattice node")
-        self.n = n
-        self.t = t
-        self.l = l
-        self._c_here = c_here  # C(n, t)
-        self._c_left = math.comb(n, t - 1) if t else 0  # C(n, t-1)
+        self._fallbacks = 0
+        self._load(n, t, l, c_here, math.comb(n, t - 1) if t else 0)
+
+    def _load(self, n: int, t: int, l: int, here: int, left: int) -> None:
+        """Set the node (n, t, l) from the exact C(n, t) and C(n, t-1)."""
+        self.n, self.t, self.l = n, t, l
+        if l < _CROSSOVER:
+            self._s = None
+            self._here, self._left = here, left
+        else:
+            s = max(0, l - _GUARD)
+            self._s = s
+            self._here, self._here_up = here >> s, -(-here >> s)
+            self._left, self._left_up = left >> s, -(-left >> s)
 
     @property
     def state(self) -> ExtractorState:
@@ -224,29 +259,83 @@ class StreamExtractor:
     def ledger(self) -> TapeLedger:
         return TapeLedger(self.l, self.n - self.l)
 
+    @property
+    def fallbacks(self) -> int:
+        """Moves the window could not decide, redone from ``math.comb``."""
+        return self._fallbacks
+
+    @property
+    def window_bits(self) -> int:
+        """Bit length of the widest integer carried: an exact coefficient
+        below the crossover, a window bound after it."""
+        if self._s is None:
+            return max(self._here.bit_length(), self._left.bit_length())
+        return max(self._here_up.bit_length(), self._left_up.bit_length())
+
     def push(self, b: int) -> tuple[int, ...]:
         """Feed one bit; return the bits emitted by this move.
 
         A value other than 0 or 1 raises ValueError and leaves the state
         unchanged.
         """
-        n, t = self.n, self.t
-        c_here, c_left = self._c_here, self._c_left
+        n, t, s = self.n, self.t, self._s
+        if s is None:
+            c_here, c_left = self._here, self._left
+            if b:
+                hi = c_here * (n - t) // (t + 1)  # C(n, t+1)
+                lo = c_here
+                next_left = c_here + c_left  # C(n+1, t)
+                t += 1
+            else:
+                hi, lo = c_here, c_left
+                # C(n, t-2); at t = 0, C(n, t-1) is 0 and so is this
+                c_far = c_left * (t - 1) // (n - t + 2)
+                next_left = c_left + c_far  # C(n+1, t-1)
+            here = hi + lo  # C(n+1, t')
+            emitted, l = walk_step(here, hi, lo, b, self.l)
+            if l < _CROSSOVER:
+                self.n, self.t, self.l = n + 1, t, l
+                self._here, self._left = here, next_left
+            else:
+                self._load(n + 1, t, l, here, next_left)
+            return emitted
+        # The same update on bounds of C/2^s: floor for lower, ceil for upper.
+        c0, c1, d0, d1 = self._here, self._here_up, self._left, self._left_up
         if b:
-            hi = c_here * (n - t) // (t + 1)  # C(n, t+1)
-            lo = c_here
-            next_left = c_here + c_left  # C(n+1, t)
+            hi0, hi1 = c0 * (n - t) // (t + 1), -(-c1 * (n - t) // (t + 1))
+            lo0, lo1 = c0, c1
+            next0, next1 = c0 + d0, c1 + d1
             t += 1
         else:
-            hi, lo = c_here, c_left
-            c_far = c_left * (t - 1) // (n - t + 2) if t >= 1 else 0  # C(n, t-2)
-            next_left = c_left + c_far  # C(n+1, t-1)
-        here = hi + lo  # C(n+1, t')
-        emitted, self.l = walk_step(here, hi, lo, b, self.l)
-        self.n = n + 1
-        self.t = t
-        self._c_here = here
-        self._c_left = next_left
+            hi0, hi1, lo0, lo1 = c0, c1, d0, d1
+            next0 = d0 + d0 * (t - 1) // (n - t + 2)
+            next1 = d1 - (-d1 * (t - 1) // (n - t + 2))
+        here0, here1 = hi0 + lo0, hi1 + lo1
+        l = self.l
+        k = l - s
+        q_here, q_hi, q_lo = here0 >> k, hi0 >> k, lo0 >> k
+        if q_here != here1 >> k or q_hi != hi1 >> k or q_lo != lo1 >> k:
+            return self._resync(b)
+        emitted, moved = walk_step(q_here, q_hi, q_lo, b, 0)
+        l += moved
+        if l - s >= 2 * _GUARD:  # renormalise: s back to l - _GUARD
+            shift = l - _GUARD - s
+            s += shift
+            here0, here1 = here0 >> shift, -(-here1 >> shift)
+            next0, next1 = next0 >> shift, -(-next1 >> shift)
+            self._s = s
+        self.n, self.t, self.l = n + 1, t, l
+        self._here, self._here_up, self._left, self._left_up = here0, here1, next0, next1
+        return emitted
+
+    def _resync(self, b: int) -> tuple[int, ...]:
+        """Make one move on exact coefficients from ``math.comb`` and restart
+        the window from them."""
+        n, t = self.n + 1, self.t + (1 if b else 0)
+        hi, lo = math.comb(n - 1, t), math.comb(n - 1, t - 1) if t else 0
+        emitted, l = walk_step(hi + lo, hi, lo, b, self.l)
+        self._fallbacks += 1
+        self._load(n, t, l, hi + lo, math.comb(n, t - 1) if t else 0)
         return emitted
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:

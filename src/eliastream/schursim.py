@@ -129,9 +129,6 @@ class PartyIsometry(NamedTuple):
     labels: tuple
     matrix: np.ndarray
 
-    def column_gram(self) -> np.ndarray:
-        return self.matrix @ self.matrix.T
-
 
 def _cg_branches(n: int, s: int) -> list[tuple[int, int, tuple[int, ...], float]]:
     """All coupling branches for basis string s: (t, u, path, amplitude)."""

@@ -1,15 +1,19 @@
+import functools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eliastream import extractor
 from eliastream.binomial import binom_bit
 from eliastream.extractor import (
     ExtractorState,
     StepResult,
     StreamExtractor,
+    TapeLedger,
     fold_steps,
     initial_state,
     pause_mode_run,
@@ -254,3 +258,111 @@ def test_pause_mode_long_stream_matches_streaming_engine():
     assert first.output + second.output == whole.output
     assert first.consumed + second.consumed == whole.consumed
     assert (second.state, second.pending) == (whole.state, whole.pending)
+
+
+# The window phase, forced from the apex with narrow guards so that both
+# window-decided moves and exact fallbacks occur on short streams.
+GUARDS = (1, 2, 4, 8, 16)
+
+
+@contextmanager
+def window_from_apex(guard):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extractor, "_CROSSOVER", 0)
+        mp.setattr(extractor, "_GUARD", guard)
+        yield
+
+
+@pytest.fixture(params=GUARDS)
+def windowed(request):
+    with window_from_apex(request.param):
+        yield request.param
+
+
+@functools.cache
+def reference_walks(n):
+    """Every n-bit string with step()'s (emitted, state, ledger) after each move."""
+    walks = []
+    for s in range(1 << n):
+        bits = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+        state, moves = initial_state(), []
+        for b in bits:
+            state, emitted = step(state, b)
+            moves.append((emitted, state, TapeLedger(state.l, state.n - state.l)))
+        walks.append((bits, moves))
+    return walks
+
+
+def test_window_matches_reference_exhaustively(windowed):
+    # every string of length <= 12 is a prefix of one of length 12
+    for bits, moves in reference_walks(12):
+        engine = StreamExtractor()
+        assert [(engine.push(b), engine.state, engine.ledger) for b in bits] == moves
+
+
+@given(
+    st.sampled_from(GUARDS),
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=600),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_matches_reference_on_long_inputs(guard, bits):
+    reference = run(bits)
+    with window_from_apex(guard):
+        engine = StreamExtractor()
+        assert engine.feed(bits) == reference.output
+    assert engine.state == reference.final
+    assert engine.ledger == reference.ledger
+
+
+def test_window_falls_back_to_exact_moves():
+    rng = random.Random(1)
+    bits = [int(rng.random() < 0.3) for _ in range(600)]
+    with window_from_apex(1):
+        narrow = StreamExtractor()
+        assert narrow.feed(bits) == run(bits).output
+    assert narrow.fallbacks > 0
+    exact = StreamExtractor()  # 600 bits stay below the crossover
+    exact.feed(bits)
+    assert exact.fallbacks == 0
+    assert narrow.window_bits < exact.window_bits
+
+
+def test_window_resumes_from_its_own_nodes(windowed):
+    rng = random.Random(windowed)
+    bits = [int(rng.random() < 0.4) for _ in range(500)]
+    first = StreamExtractor()
+    head = first.feed(bits[:300])
+    resumed = StreamExtractor(first.state)
+    tail = resumed.feed(bits[300:])
+    assert head + tail == run(bits).output
+    assert resumed.state == run(bits).final
+    # a demand the input cannot meet makes the on-demand run read it all
+    paused = pause_mode_run(bits[300:], len(tail) + 1, state=first.state)
+    assert paused.output == tail and paused.state == resumed.state
+
+
+@pytest.mark.parametrize("bad", [2, -1, None, "1"])
+def test_window_push_rejects_non_bits_and_keeps_state(windowed, bad):
+    rng = random.Random(3)
+    bits = [int(rng.random() < 0.3) for _ in range(80)]
+    engine = StreamExtractor()
+    head = engine.feed(bits[:40])
+    before = (engine.state, engine.fallbacks, engine.window_bits)
+    with pytest.raises(ValueError):
+        engine.push(bad)
+    assert (engine.state, engine.fallbacks, engine.window_bits) == before
+    assert head + engine.feed(bits[40:]) == run(bits).output
+
+
+def test_window_matches_exact_engine_on_a_long_stream(monkeypatch):
+    rng = random.Random(50_000)
+    bits = [int(rng.random() < 0.3) for _ in range(50_000)]
+    windowed = StreamExtractor()
+    output = windowed.feed(bits)
+    assert windowed.l >= extractor._CROSSOVER  # the window phase was reached
+    assert windowed.window_bits < 3 * extractor._GUARD
+    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
+    exact = StreamExtractor()
+    assert exact.feed(bits) == output
+    assert exact.state == windowed.state
+    assert exact.window_bits > windowed.l
