@@ -104,6 +104,8 @@ def cmd_verify(args) -> int:
     unknown = set(suites) - known
     if unknown:
         raise SystemExit(f"unknown suites: {sorted(unknown)}")
+    if args.max_n < 0:
+        raise ValueError("--max-n must be >= 0")
     fields: dict = {}
     failed = False
     if "equivalence" in suites:

@@ -31,7 +31,8 @@ Pascal's triangle two things drive it:
 
 * ``step``/``run``: the reference walk, reading sizes from the shared
   binomial table (bounded by the table cap).  Tests compare the streaming
-  engine against it.
+  engine against it; ``walk_all`` runs it on every n-bit string for the
+  exhaustive oracles in ``verify`` and ``schursim``.
 * ``StreamExtractor``: the one streaming engine.  It carries two adjacent
   coefficients C(n, t) and C(n, t-1) along the path, updating them with one
   small multiply/divide per bit, so input length is unbounded.  Exact while
@@ -47,7 +48,7 @@ Pascal's triangle two things drive it:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import shared_table
 from .elias import parse_bits
@@ -129,6 +130,30 @@ def fold_steps(
         if state.l != len(output) or state.l > state.n:
             raise AssertionError(f"tape ledger violated at {state}")
     return tuple(output), state
+
+
+def walk_all(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
+    """(final state, output) of step() on every n-bit string, in ascending
+    string order (MSB first).  Depth-first, so each prefix is stepped once;
+    the tape ledger is checked at every node, as in fold_steps.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _walk_tree(n)
+
+
+def _walk_tree(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
+    output: list[int] = []
+    todo = [(initial_state(), (), 0)]  # (node, bits its move emitted, output length before)
+    while todo:
+        state, emitted, keep = todo.pop()
+        output[keep:] = emitted
+        if state.l != len(output) or state.l > state.n:
+            raise AssertionError(f"tape ledger violated at {state}")
+        if state.n < n:
+            todo += (*step(state, 1), len(output)), (*step(state, 0), len(output))  # pops 0 first
+        else:
+            yield state, tuple(output)
 
 
 def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:

@@ -30,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .extractor import run
+from .extractor import walk_all
 from .young import q_run
 
 KNOWN_BASIS_CAP = 16
@@ -163,18 +164,17 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _classical_transcripts(n: int) -> tuple[tuple[int, PartyLabel], ...]:
-    """(weight, label) of the streaming extractor on every n-bit string.
+def _classical_transcripts(n: int) -> tuple[PartyLabel, ...]:
+    """Register labels of the reference walk on every n-bit string, in
+    ascending string order; label.t is the string's Hamming weight.
 
-    The purity tape holds n - l clean bits by conservation; run() checks
-    l <= n at every step, so the tape never pops a bit it never banked.
+    The purity tape holds n - l clean bits by conservation; walk_all() checks
+    l <= n at every node, so the tape never pops a bit it never banked.
     """
-    out = []
-    for s in range(1 << n):
-        output, final, _ = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
-        label = PartyLabel(final.t, None, final.l, "".join(map(str, output)), n - final.l)
-        out.append((final.t, label))
-    return tuple(out)
+    return tuple(
+        PartyLabel(final.t, None, final.l, "".join(map(str, output)), n - final.l)
+        for final, output in walk_all(n)
+    )
 
 
 def simulate_known_basis(p: float, n: int, cap: int = KNOWN_BASIS_CAP) -> JointState:
@@ -188,8 +188,8 @@ def simulate_known_basis(p: float, n: int, cap: int = KNOWN_BASIS_CAP) -> JointS
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     amps: dict = {}
-    for t, label in _classical_transcripts(n):
-        amp = math.sqrt(p ** (n - t) * (1 - p) ** t)
+    for label in _classical_transcripts(n):
+        amp = math.sqrt(p ** (n - label.t) * (1 - p) ** label.t)
         if amp:
             amps[(label, label)] = amps.get((label, label), 0.0) + amp
     state = JointState(n, amps, meta={"mode": "known", "p": p, "seeded": 0})
@@ -284,6 +284,44 @@ def emission_probability(state: JointState, k: int) -> float:
     )
 
 
+def _dense_ids(keys) -> np.ndarray:
+    """Number hashable keys 0, 1, ... in order of first appearance."""
+    ids: dict = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=int)
+
+
+def _pair_amplitudes(state: JointState, k: int, registers: tuple[str, ...] = ()) -> np.ndarray:
+    """Amplitudes of the branches holding pair k as one dense array of shape
+    (pair bits |a b> = 2a + b at tape slot k, register, environment).  The
+    register axis runs over the joint values of the named label fields, the
+    environment axis over the rest of both labels, the tape minus slot k.
+    """
+    if k < 1:
+        raise ValueError("pair index is 1-based")
+    held = [
+        (la, lb, amp)
+        for (la, lb), amp in state.amps.items()
+        if len(la.tape) >= k and len(lb.tape) >= k
+    ]
+    if not held:
+        raise UndefinedPairError(f"pair {k} never exists in this state")
+    alice, bob, amps = zip(*held)
+    pair = np.zeros(len(amps), dtype=int)
+    reg_columns, env_columns = [], []  # one column per label field, Alice's then Bob's
+    for weight, labels in ((2, alice), (1, bob)):
+        columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
+        tapes = columns.pop("tape")
+        pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
+        reg_columns += [columns.pop(name) for name in registers]
+        env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
+    reg = _dense_ids(zip(*reg_columns)) if registers else np.zeros_like(pair)
+    env = _dense_ids(zip(*env_columns))
+    psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
+    # (pair bits, register, environment) rebuilds both labels: one cell per row
+    psi[pair, reg, env] = amps
+    return psi
+
+
 def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
     """Reduced 4x4 state of the k-th (1-based) output pair, and its weight.
 
@@ -291,30 +329,9 @@ def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
     renormalizing; branches without the pair never mix in.  Basis order is
     |a b> for Alice bit a, Bob bit b.
     """
-    if k < 1:
-        raise ValueError("pair index is 1-based")
-    groups: dict = {}
-    prob = 0.0
-    for (la, lb), amp in state.amps.items():
-        if len(la.tape) < k or len(lb.tape) < k:
-            continue
-        prob += abs(amp) ** 2
-        a = int(la.tape[k - 1])
-        b = int(lb.tape[k - 1])
-        env = (
-            la._replace(tape=la.tape[: k - 1] + la.tape[k:]),
-            lb._replace(tape=lb.tape[: k - 1] + lb.tape[k:]),
-        )
-        vec = groups.get(env)
-        if vec is None:
-            vec = groups[env] = np.zeros(4, dtype=complex)
-        vec[2 * a + b] += amp
-    if prob <= 0.0:
-        raise UndefinedPairError(f"pair {k} never exists in this state")
-    rho = np.zeros((4, 4), dtype=complex)
-    for vec in groups.values():
-        rho += np.outer(vec, vec.conj())
-    return rho / prob, prob
+    psi = _pair_amplitudes(state, k).reshape(4, -1)
+    prob = float(np.sum(np.abs(psi) ** 2))
+    return psi @ psi.conj().T / prob, prob
 
 
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
@@ -327,10 +344,12 @@ def pair_fidelity(state: JointState, k: int) -> float:
 
 
 def pair_marginal(state: JointState, k: int, party: int = 0) -> np.ndarray:
-    """Single-party 2x2 reduced state of the k-th output qubit."""
+    """Single-party 2x2 reduced state of the k-th output qubit; 0 is Alice."""
+    if party not in (0, 1):
+        raise ValueError("party must be 0 (Alice) or 1 (Bob)")
     rho, _ = reduced_pair(state, k)
     rho = rho.reshape(2, 2, 2, 2)
-    return np.trace(rho, axis1=1, axis2=3) if party == 0 else np.trace(rho, axis1=0, axis2=2)
+    return np.trace(rho, axis1=1 - party, axis2=3 - party)
 
 
 def pair_memory_product_gap(state: JointState, k: int) -> float:
@@ -339,37 +358,11 @@ def pair_memory_product_gap(state: JointState, k: int) -> float:
     Zero means the emitted pair is exactly uncorrelated with both parties'
     lattice position, which is what makes streaming emission safe.
     """
-    if k < 1:
-        raise ValueError("pair index is 1-based")
-    regs: dict = {}
-    rows = []
-    for (la, lb), amp in state.amps.items():
-        if len(la.tape) < k or len(lb.tape) < k:
-            continue
-        reg = (la.t, la.l, lb.t, lb.l)
-        regs.setdefault(reg, len(regs))
-        rows.append((la, lb, amp, reg))
-    if not rows:
-        raise UndefinedPairError(f"pair {k} never exists in this state")
-    nreg = len(regs)
-    groups: dict = {}
-    prob = 0.0
-    for la, lb, amp, reg in rows:
-        prob += abs(amp) ** 2
-        a = int(la.tape[k - 1])
-        b = int(lb.tape[k - 1])
-        env = (
-            la._replace(tape=la.tape[: k - 1] + la.tape[k:], t=0, l=0),
-            lb._replace(tape=lb.tape[: k - 1] + lb.tape[k:], t=0, l=0),
-        )
-        vec = groups.get(env)
-        if vec is None:
-            vec = groups[env] = np.zeros(4 * nreg, dtype=complex)
-        vec[(2 * a + b) * nreg + regs[reg]] += amp
-    rho = np.zeros((4 * nreg, 4 * nreg), dtype=complex)
-    for vec in groups.values():
-        rho += np.outer(vec, vec.conj())
-    rho /= prob
+    psi = _pair_amplitudes(state, k, registers=("t", "l"))
+    nreg = psi.shape[1]
+    psi = psi.reshape(4 * nreg, -1)
+    rho = psi @ psi.conj().T
+    rho /= np.trace(rho).real
     full = rho.reshape(4, nreg, 4, nreg)
     rho_pair = np.trace(full, axis1=1, axis2=3)
     rho_regs = np.trace(full, axis1=0, axis2=2)
@@ -455,8 +448,7 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
         raise ValueError("pairs must be >= 0")
     amps: dict = {}
     n = 2 * pairs
-    for s in range(1 << n):
-        bits = [(s >> (n - 1 - k)) & 1 for k in range(n)]
+    for bits in product((0, 1), repeat=n):
         t = sum(bits)
         amp = math.sqrt(p ** (n - t) * (1 - p) ** t)
         if not amp:
@@ -477,7 +469,4 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
 
 def nonhalting_amplitude(state: JointState) -> float:
     """Amplitude of the branch family that has emitted nothing."""
-    weight = sum(
-        abs(a) ** 2 for (la, _), a in state.amps.items() if len(la.tape) == 0
-    )
-    return math.sqrt(float(weight))
+    return math.sqrt(tape_length_distribution(state).get(0, 0.0))

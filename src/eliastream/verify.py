@@ -16,7 +16,7 @@ import numpy as np
 
 from .binomial import bin_layout, binom
 from .elias import SourceModel, expected_yield
-from .extractor import ExtractorState, StreamExtractor, initial_state, step
+from .extractor import StreamExtractor, walk_all
 
 EXHAUSTIVE_CAP = 20
 BALANCED_CAP = 14
@@ -81,27 +81,6 @@ class StatReport:
         return abs(self.monobit_z) < 4 and abs(self.serial_z) < 4
 
 
-def _walk_outputs(n: int):
-    """(final_state, output) for all 2^n inputs, sharing prefix states."""
-    results: list[tuple[ExtractorState, tuple[int, ...]]] = []
-    out: list[int] = []
-
-    def rec(state: ExtractorState, depth: int):
-        if state.l != len(out) or state.l > state.n:
-            raise AssertionError(f"conservation violated at {state}")
-        if depth == n:
-            results.append((state, tuple(out)))
-            return
-        for b in (0, 1):
-            nxt, emitted = step(state, b)
-            out.extend(emitted)
-            rec(nxt, depth + 1)
-            del out[len(out) - len(emitted) :]
-
-    rec(initial_state(), 0)
-    return results
-
-
 def exhaustive_equivalence(n: int) -> EquivalenceReport:
     """Check that n-step streaming reproduces the whole-block extraction.
 
@@ -113,7 +92,7 @@ def exhaustive_equivalence(n: int) -> EquivalenceReport:
         raise ValueError(f"n={n} exceeds enumeration cap {EXHAUSTIVE_CAP}")
     report = EquivalenceReport(n)
     by_node: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for state, output in _walk_outputs(n):
+    for state, output in walk_all(n):
         if state.n != n:
             report.violations.append(f"final state {state} has wrong n")
         by_node.setdefault((state.t, state.l), []).append(output)
@@ -157,7 +136,7 @@ def balanced_paths(n: int) -> BalancedReport:
         raise ValueError(f"n={n} exceeds enumeration cap {BALANCED_CAP}")
     report = BalancedReport(n)
     weights: dict[tuple, dict[tuple[int, int], int]] = {}
-    for state, output in _walk_outputs(n):
+    for state, output in walk_all(n):
         mono = (n - state.t, state.t)
         for pos, bit in enumerate(output):
             key = (state.t, state.l, pos, bit)
@@ -190,7 +169,9 @@ def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
 
 
 def yield_bound_sweep(max_n: int, p_values=None) -> YieldBoundReport:
-    """Exact expected yield against the entropy bound for every (n, p)."""
+    """Exact expected yield against the entropy bound for every (n, p), n >= 1."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if p_values is None:
         p_values = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
     p_values = tuple(Fraction(p) for p in p_values)
@@ -217,6 +198,8 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
     Reports monobit and lag-1 serial z-scores of the output stream plus the
     largest within-byte positional bias.
     """
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
     if samples < 10_000:
         raise ValueError("samples must be >= 10^4")
     rng = np.random.default_rng(seed)

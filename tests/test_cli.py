@@ -131,6 +131,24 @@ def test_verify_subcommand_passes(tmp_path):
     assert fields["yield_bound"] == "pass"
 
 
+def test_verify_rejects_negative_max_n(tmp_path, capsys):
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--max-n", "-3", "--report", str(rep)]) == 2
+    assert "--max-n must be >= 0" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_verify_yield_rejects_an_empty_sweep(tmp_path):
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "yield", "--max-n", "0", "--report", str(rep)]) == 2
+    assert not rep.exists()
+
+
+def test_simulate_known_rejects_negative_n(capsys):
+    assert main(["simulate", "--mode", "known", "--n", "-1"]) == 2
+    assert "n must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suites", "nonsense"])

@@ -20,6 +20,7 @@ from eliastream.extractor import (
     run,
     step,
     von_neumann,
+    walk_all,
     walk_step,
 )
 
@@ -186,6 +187,20 @@ def test_stream_engine_matches_reference_exhaustively():
             assert output == reference.output
             assert engine.state == reference.final
             assert engine.ledger == reference.ledger
+
+
+def test_walk_all_equals_run_on_every_string_in_ascending_order():
+    for n in range(11):
+        expected = []
+        for s in range(1 << n):
+            result = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
+            expected.append((result.final, result.output))
+        assert list(walk_all(n)) == expected
+
+
+def test_walk_all_rejects_negative_length():
+    with pytest.raises(ValueError):
+        walk_all(-1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=600))

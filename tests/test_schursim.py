@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from eliastream.extractor import run
 from eliastream.schursim import (
     JointState,
     PartyLabel,
     SimulatorCapError,
     UndefinedPairError,
+    _classical_transcripts,
     certain_pairs,
     cg_step,
     collective_rotation,
@@ -312,6 +314,97 @@ def test_reduced_pair_requires_support():
         reduced_pair(state, 1)
     with pytest.raises(ValueError):
         reduced_pair(state, 0)
+
+
+def test_known_basis_transcripts_equal_per_string_runs():
+    for n in range(11):
+        expected = []
+        for s in range(1 << n):
+            result = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
+            final = result.final
+            tape = "".join(map(str, result.output))
+            expected.append(PartyLabel(final.t, None, final.l, tape, n - final.l))
+        assert list(_classical_transcripts(n)) == expected
+
+
+def test_known_basis_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        simulate_known_basis(0.3, -1)
+
+
+@pytest.mark.parametrize("party", [2, -1])
+def test_pair_marginal_rejects_unknown_party(party):
+    state = simulate_known_basis(0.3, 4)
+    with pytest.raises(ValueError):
+        pair_marginal(state, 1, party)
+
+
+def brute_force_reduced_pair(state, k):
+    """Partial trace by definition: two branches add coherently into the
+    pair's density matrix exactly when everything but slot k agrees."""
+
+    def rest(label):
+        return tuple(
+            label.tape[: k - 1] + label.tape[k:] if name == "tape" else value
+            for name, value in zip(label._fields, label)
+        )
+
+    held = [
+        (2 * int(la.tape[k - 1]) + int(lb.tape[k - 1]), (rest(la), rest(lb)), amp)
+        for (la, lb), amp in state.amps.items()
+        if len(la.tape) >= k and len(lb.tape) >= k
+    ]
+    rho = np.zeros((4, 4), dtype=complex)
+    for i, env_i, amp_i in held:
+        for j, env_j, amp_j in held:
+            if env_i == env_j:
+                rho[i, j] += amp_i * np.conj(amp_j)
+    prob = sum(abs(amp) ** 2 for _, _, amp in held)
+    return rho / prob, prob
+
+
+@pytest.mark.parametrize("n,p,theta", [(4, 0.3, 0.7), (5, 0.9, 2.5)])
+def test_reduced_pair_equals_brute_force_partial_trace_on_universal_states(n, p, theta):
+    state = simulate_universal(n, p=p, theta=theta)
+    assert any(la != lb for la, lb in state.amps)
+    max_len = max(len(la.tape) for (la, _) in state.amps)
+    for k in range(1, max_len + 1):
+        expected, expected_prob = brute_force_reduced_pair(state, k)
+        rho, prob = reduced_pair(state, k)
+        assert prob == pytest.approx(expected_prob, abs=1e-12)
+        assert np.max(np.abs(rho - expected)) < 1e-12
+
+
+def test_reduced_pair_puts_alice_first():
+    alice = PartyLabel(0, None, 1, "0", 0)
+    bob = PartyLabel(1, None, 1, "1", 0)
+    state = JointState(1, {(alice, bob): 1.0})
+    rho, prob = reduced_pair(state, 1)
+    assert prob == 1.0
+    assert np.array_equal(rho, np.diag([0, 1, 0, 0]))  # |a b> = |0 1>
+    assert np.array_equal(pair_marginal(state, 1, party=0), np.diag([1, 0]))
+    assert np.array_equal(pair_marginal(state, 1, party=1), np.diag([0, 1]))
+
+
+def test_memory_gap_detects_a_pair_entangled_with_its_register():
+    # pair bit 0 sits at t = 0 and pair bit 1 at t = 1, on both sides:
+    # (|00>|t=0,0> + |11>|t=1,1>)/sqrt2, so the pair is tied to the lattice
+    # position; a tracing-out environment that tells the branches apart
+    # (purity) leaves the classical mixture instead
+    amp = 1 / math.sqrt(2)
+    zero = PartyLabel(0, None, 1, "0", 0)
+    one = PartyLabel(1, None, 1, "1", 0)
+    coherent = JointState(1, {(zero, zero): amp, (one, one): amp}).validate()
+    # within span{|00,r0>, |11,r1>} rho - rho_pair x rho_reg has eigenvalues
+    # 3/4 and -1/4; the two other product states carry -1/4 each
+    assert pair_memory_product_gap(coherent, 1) == pytest.approx(0.75, abs=1e-12)
+    marked = one._replace(purity=1)
+    mixed = JointState(1, {(zero, zero): amp, (marked, marked): amp}).validate()
+    assert pair_memory_product_gap(mixed, 1) == pytest.approx(0.5, abs=1e-12)
+    # same pair, one register value: a product, so no gap
+    flat = one._replace(t=0)
+    product = JointState(1, {(zero, zero): amp, (flat, flat): amp}).validate()
+    assert pair_memory_product_gap(product, 1) < 1e-12
 
 
 def test_certain_pairs_reports_incubation_boundary():

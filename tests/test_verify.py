@@ -46,6 +46,12 @@ def test_node_populations_consistent_across_sizes():
         assert count == 1 << l
 
 
+@pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
+def test_exhaustive_suites_reject_negative_length(suite):
+    with pytest.raises(ValueError):
+        suite(-1)
+
+
 def test_balanced_two_bits():
     report = balanced_paths(2)
     assert report.ok
@@ -69,11 +75,11 @@ def test_streamed_yield_equals_block_yield_exactly():
     # length by its exact type probability: the mean must be the very same
     # rational the block-side calculator produces
     from eliastream.elias import SourceModel, expected_yield
-    from eliastream.verify import _walk_outputs
+    from eliastream.extractor import walk_all
 
     for n in (1, 4, 9, 13, 16):
         node_counts = {}
-        for state, output in _walk_outputs(n):
+        for state, output in walk_all(n):
             key = (state.t, len(output))
             node_counts[key] = node_counts.get(key, 0) + 1
         for p in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
@@ -95,6 +101,12 @@ def test_yield_bound_sweep_small():
     assert len(report.rows) == 12 * 5
 
 
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_yield_bound_sweep_rejects_an_empty_sweep(max_n):
+    with pytest.raises(ValueError):
+        yield_bound_sweep(max_n)
+
+
 def test_battery_is_deterministic():
     a = statistical_battery(0.4, 20_000, seed=7)
     b = statistical_battery(0.4, 20_000, seed=7)
@@ -113,3 +125,9 @@ def test_battery_smoke():
 def test_battery_rejects_tiny_samples():
     with pytest.raises(ValueError):
         statistical_battery(0.5, 5_000, seed=1)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_battery_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError):
+        statistical_battery(p, 20_000, seed=1)
