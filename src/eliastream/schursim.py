@@ -149,6 +149,8 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     """The full n-qubit change of basis into (t, u, path) labels."""
     if n > cap:
         raise SimulatorCapError(f"n={n} exceeds cap={cap}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     index: dict[SchurLabel, int] = {}
     entries = []
     for s in range(1 << n):

@@ -3,6 +3,8 @@
 The exhaustive and symbolic checks are hard assertions computed by full
 enumeration (they prove the property at the tested size); the statistical
 battery is advisory and only guards the plumbing around seeded sampling.
+mpmath and numpy are imported by the suites that use them (yield bound and
+battery), so the exhaustive suites load neither.
 """
 
 from __future__ import annotations
@@ -10,13 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .binomial import bin_layout, binom
 from .elias import SourceModel, expected_yield
-from .extractor import StreamExtractor, walk_all
+from .extractor import ExtractorState, StreamExtractor, walk_all
+
+if TYPE_CHECKING:
+    import mpmath
+
+# What walk_all(n) yields: (final state, output) per n-bit string.
+Walk = Iterable[tuple[ExtractorState, tuple[int, ...]]]
 
 EXHAUSTIVE_CAP = 20
 BALANCED_CAP = 14
@@ -81,18 +87,20 @@ class StatReport:
         return abs(self.monobit_z) < 4 and abs(self.serial_z) < 4
 
 
-def exhaustive_equivalence(n: int) -> EquivalenceReport:
+def exhaustive_equivalence(n: int, walk: Walk | None = None) -> EquivalenceReport:
     """Check that n-step streaming reproduces the whole-block extraction.
 
     Every reachable final node (n, t, l) must collect exactly 2^l strings
     whose outputs enumerate {0,1}^l, the node sizes of a type must add up to
     C(n, t), and the set of l values must equal the type's bin layout.
+    `walk` is an already enumerated walk_all(n), read once; by default the
+    suite enumerates its own.
     """
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {EXHAUSTIVE_CAP}")
     report = EquivalenceReport(n)
     by_node: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for state, output in walk_all(n):
+    for state, output in walk_all(n) if walk is None else walk:
         if state.n != n:
             report.violations.append(f"final state {state} has wrong n")
         by_node.setdefault((state.t, state.l), []).append(output)
@@ -124,19 +132,24 @@ def exhaustive_equivalence(n: int) -> EquivalenceReport:
     return report
 
 
-def balanced_paths(n: int) -> BalancedReport:
+def balanced_paths(n: int, walk: Walk | None = None) -> BalancedReport:
     """Exact symbolic balance of every output position at every final node.
 
     All strings reaching a node share the monomial p^(n-t) (1-p)^t, so the
     per-value weights are that monomial times an integer count; the check
     compares the coefficient maps {(n-t, t): count} for bit 0 vs bit 1,
-    which is equality of polynomials in p.
+    which is equality of polynomials in p.  `walk` is as in
+    exhaustive_equivalence.
     """
     if n > BALANCED_CAP:
         raise ValueError(f"n={n} exceeds enumeration cap {BALANCED_CAP}")
     report = BalancedReport(n)
     weights: dict[tuple, dict[tuple[int, int], int]] = {}
-    for state, output in walk_all(n):
+    strings = 0
+    for state, output in walk_all(n) if walk is None else walk:
+        strings += 1
+        if state.n != n:
+            report.violations.append(f"final state {state} has wrong n")
         mono = (n - state.t, state.t)
         for pos, bit in enumerate(output):
             key = (state.t, state.l, pos, bit)
@@ -154,11 +167,15 @@ def balanced_paths(n: int) -> BalancedReport:
                     f"node ({n},{t},{l}) position {pos}: "
                     f"weight(0)={zero} != weight(1)={one}"
                 )
+    if strings != 1 << n:
+        report.violations.append(f"walk holds {strings} strings, want 2^{n}")
     return report
 
 
 def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
     """n H(p) - log2(n+1) - 2 at high precision."""
+    import mpmath
+
     with mpmath.workdps(dps):
         if p in (0, 1):
             h = mpmath.mpf(0)
@@ -170,6 +187,8 @@ def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
 
 def yield_bound_sweep(max_n: int, p_values=None) -> YieldBoundReport:
     """Exact expected yield against the entropy bound for every (n, p), n >= 1."""
+    import mpmath
+
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if p_values is None:
@@ -202,6 +221,8 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
         raise ValueError("p must lie in [0, 1]")
     if samples < 10_000:
         raise ValueError("samples must be >= 10^4")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     bits = (rng.random(samples) < p).astype(np.uint8)
     arr = np.asarray(StreamExtractor().feed(bits.tolist()), dtype=np.int8)

@@ -85,6 +85,8 @@ def path_count(n: int, t: int) -> int:
 
 def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
     """All valid box-add sequences of length n (0 = row one, 1 = row two)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
     def rec(m: int, t: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if m == n:
@@ -96,7 +98,7 @@ def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
                 yield from rec(m + 1, t + pbit, prefix)
                 prefix.pop()
 
-    yield from rec(0, 0, [])
+    return rec(0, 0, [])
 
 
 def qstep(state: ExtractorState, pbit: int) -> StepResult:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eliastream.cli import main, pack_bits, unpack_bytes
+from eliastream import verify
+from eliastream.cli import main, pack_bits, unpack_bytes, write_report
 
 
 def read_report(path):
@@ -131,10 +132,74 @@ def test_verify_subcommand_passes(tmp_path):
     assert fields["yield_bound"] == "pass"
 
 
+@pytest.mark.parametrize("max_n, balanced_cap", [(12, verify.BALANCED_CAP), (7, 4)])
+def test_verify_report_equals_one_built_from_per_n_calls(tmp_path, monkeypatch, max_n,
+                                                         balanced_cap):
+    # each suite enumerating its own walk, one suite after the other; a
+    # lowered cap puts n on both sides of it without walking 2^15 strings
+    monkeypatch.setattr(verify, "BALANCED_CAP", balanced_cap)
+    fields = {}
+    for n in range(max_n + 1):
+        ok = verify.exhaustive_equivalence(n).ok
+        fields[f"equivalence[{n}]"] = "pass" if ok else "FAIL"
+    for n in range(min(max_n, verify.BALANCED_CAP) + 1):
+        ok = verify.balanced_paths(n).ok
+        fields[f"balanced[{n}]"] = "pass" if ok else "FAIL"
+    fields["yield_bound"] = "pass" if verify.yield_bound_sweep(max_n).ok else "FAIL"
+    want, got = tmp_path / "want.txt", tmp_path / "got.txt"
+    write_report(fields, str(want))
+    assert main(["verify", "--max-n", str(max_n), "--report", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_verify_report_order_does_not_follow_the_suites_option(tmp_path):
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "balanced,equivalence", "--max-n", "3",
+                 "--report", str(rep)]) == 0
+    keys = list(read_report(rep))[1:]
+    assert keys == [f"equivalence[{n}]" for n in range(4)] + [f"balanced[{n}]" for n in range(4)]
+
+
+@pytest.mark.parametrize("suite, report_type", [
+    ("exhaustive_equivalence", verify.EquivalenceReport),
+    ("balanced_paths", verify.BalancedReport),
+])
+def test_verify_violation_fails_the_run(tmp_path, monkeypatch, suite, report_type):
+    def violated(n, walk=None):
+        return report_type(n, violations=["planted"])
+
+    monkeypatch.setattr(verify, suite, violated)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "equivalence,balanced", "--max-n", "2",
+                 "--report", str(rep)]) == 1
+    fields = read_report(rep)
+    name = "equivalence" if suite == "exhaustive_equivalence" else "balanced"
+    assert [fields[f"{name}[{n}]"] for n in range(3)] == ["FAIL"] * 3
+
+
+def test_verify_balanced_alone_stops_at_its_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "BALANCED_CAP", 4)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "balanced", "--max-n", "7", "--report", str(rep)]) == 0
+    assert list(read_report(rep))[1:] == [f"balanced[{n}]" for n in range(5)]
+
+
 def test_verify_rejects_negative_max_n(tmp_path, capsys):
     rep = tmp_path / "report.txt"
     assert main(["verify", "--max-n", "-3", "--report", str(rep)]) == 2
     assert "--max-n must be >= 0" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_verify_rejects_max_n_over_the_equivalence_cap_before_walking(tmp_path, capsys,
+                                                                     monkeypatch):
+    def walk_all(n):
+        raise AssertionError("walked before the cap check")
+
+    monkeypatch.setattr("eliastream.cli.walk_all", walk_all)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--max-n", "21", "--report", str(rep)]) == 2
+    assert "exceeds the equivalence cap 20" in capsys.readouterr().err
     assert not rep.exists()
 
 

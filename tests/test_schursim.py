@@ -125,6 +125,11 @@ def test_schur_transform_cap():
         schur_transform(11)
 
 
+def test_schur_transform_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        schur_transform(-1)
+
+
 @pytest.mark.parametrize("n,p", [(3, 0.3), (4, 0.5), (5, 0.2)])
 def test_path_register_maximally_mixed_within_each_diagram(n, p):
     # product-state inputs spread uniformly over paths of a fixed diagram

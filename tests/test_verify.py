@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from eliastream.extractor import walk_all
 from eliastream.verify import (
     balanced_paths,
     exhaustive_equivalence,
@@ -68,6 +69,39 @@ def test_balanced_holds_exhaustively(n):
 def test_balanced_cap():
     with pytest.raises(ValueError):
         balanced_paths(15)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_suites_on_a_shared_walk_equal_their_own_enumeration(n):
+    walk = tuple(walk_all(n))
+    assert exhaustive_equivalence(n, walk) == exhaustive_equivalence(n)
+    assert balanced_paths(n, walk) == balanced_paths(n)
+
+
+@pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
+def test_suites_flag_a_walk_of_another_length(suite):
+    report = suite(5, walk_all(4))
+    assert not report.ok
+    assert any("wrong n" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
+def test_suites_flag_a_walk_missing_one_string(suite):
+    walk = tuple(walk_all(6))
+    assert not suite(6, walk[:5] + walk[6:]).ok
+
+
+@pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
+def test_suites_read_a_one_shot_walk_once(suite):
+    walk = walk_all(6)
+    assert suite(6, walk) == suite(6)
+    assert not suite(6, walk).ok  # nothing left to read
+
+
+@pytest.mark.parametrize("suite, cap", [(exhaustive_equivalence, 20), (balanced_paths, 14)])
+def test_suites_keep_their_cap_on_a_shared_walk(suite, cap):
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        suite(cap + 1, ())
 
 
 def test_streamed_yield_equals_block_yield_exactly():

@@ -65,6 +65,16 @@ def test_path_count_matches_literal_enumeration():
             assert path_count(n, t) == counts.get(t, 0)
 
 
+def test_ballot_paths_reject_negative_length():
+    # raised at the call, before any path is asked for
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        ballot_paths(-1)
+
+
+def test_ballot_paths_of_length_zero_is_the_empty_path():
+    assert list(ballot_paths(0)) == [()]
+
+
 def test_oracles_reject_invalid_nodes():
     with pytest.raises(ValueError):
         hook_dim_oracle(2, 2)
