@@ -1,12 +1,14 @@
-"""Exact binomial coefficients: Pascal tables, single-bit queries, bin layouts.
+"""Exact binomial coefficients: single-bit queries and bin layouts.
 
-All arithmetic is arbitrary-precision integer; no floating point ever touches
-a coefficient.  Tables are immutable after construction and safe for
-concurrent reads; growing a table produces a new table value.
+``binom`` is the package's one source of exact lattice sizes: ``math.comb``,
+integer-exact, with no size cap and nothing kept between calls.  No module
+of the package reads the Pascal table below; it stays only because the
+benchmark replay reads ``shared_table().max_n``.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import NamedTuple
 
@@ -98,20 +100,17 @@ def shared_table(min_n: int = 0) -> BinomialTable:
 
 
 def binom(n: int, t: int) -> int:
-    """C(n, t) from the shared table; zero when t is out of range."""
+    """C(n, t) by ``math.comb``; zero when t is out of range."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return shared_table(n).value(n, t)
+    return math.comb(n, t) if 0 <= t <= n else 0
 
 
 def binom_bit(n: int, t: int, l: int) -> int:
-    """Bit l of C(n, t); zero whenever t < 0 or t > n.
-
-    Pure: identical inputs give identical outputs across calls and threads.
-    """
+    """Bit l of C(n, t); zero whenever t < 0 or t > n."""
     if n < 0 or l < 0:
         raise ValueError("n and l must be >= 0")
-    return shared_table(n).bit(n, t, l)
+    return (binom(n, t) >> l) & 1
 
 
 def bin_layout(n: int, t: int) -> BinLayout:
@@ -122,7 +121,6 @@ def bin_layout(n: int, t: int) -> BinLayout:
     if not 0 <= t <= n:
         raise ValueError(f"t={t} out of range for n={n}")
     value = binom(n, t)
-    bins = tuple(
-        l for l in range(value.bit_length() - 1, -1, -1) if (value >> l) & 1
-    )
+    top = value.bit_length() - 1
+    bins = tuple(top - i for i, digit in enumerate(bin(value)[2:]) if digit == "1")
     return BinLayout(n, t, bins)

@@ -120,18 +120,21 @@ def block_codeword(bits: "Bits | str") -> BlockCodeword:
 def expected_yield(n: int, model: SourceModel, cap: int = 24) -> Fraction:
     """Exact expected number of output bits from an n-bit block.
 
-    Computed type-wise: sum_T Pr(T) * sum_L (2^L / C(n, T)) * L.  No 2^n
-    enumeration, so it stays exact and cheap; the default cap just guards
+    sum_T Pr(T) sum_L L 2^L / C(n, T) over the bins of C(n, T).  Pr(T) has
+    the factor C(n, T), so with p0 = a/b the sum is one integer,
+    sum_T a^(n-T) (b-a)^T sum_L L 2^L, over b^n.  The default cap guards
     against accidental huge-n calls and can be raised freely.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > cap:
         raise ValueError(f"n={n} exceeds cap={cap}; pass a larger cap to allow")
-    total = Fraction(0)
+    a, b = model.p0.numerator, model.p0.denominator
+    total = 0
     for t in range(n + 1):
-        c = binom(n, t)
-        mean_l = sum(Fraction(1 << l, c) * l for l in bin_layout(n, t).bins)
-        total += model.type_prob(n, t) * mean_l
-    return total
+        weight = sum(l << l for l in bin_layout(n, t).bins)
+        total += a ** (n - t) * (b - a) ** t * weight
+    return Fraction(total, b**n)
 
 
 def conditional_bin_entropy(n: int, t: int) -> float:

@@ -29,8 +29,8 @@ node sizes and so runs on any lattice with Pascal's additive recursion
 (binomial coefficients here, Young-diagram dimensions in ``young``).  On
 Pascal's triangle two things drive it:
 
-* ``step``/``run``: the reference walk, reading sizes from the shared
-  binomial table (bounded by the table cap).  Tests compare the streaming
+* ``step``/``run``: the reference walk, reading exact sizes from
+  ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
   engine against it; ``walk_all`` runs it on every n-bit string for the
   exhaustive oracles in ``verify`` and ``schursim``.
 * ``StreamExtractor``: the one streaming engine.  It carries two adjacent
@@ -39,18 +39,17 @@ Pascal's triangle two things drive it:
   they are short, it then keeps only a fixed-width window on them: integer
   bounds a few dozen bits below position l, from which the rule's inputs
   (the sizes shifted down by l) are read whenever the bounds agree on them.
-  A move the window cannot decide is redone exactly from ``math.comb``
-  (counted in ``fallbacks``), so the output is exact and each bit costs the
+  A move the window cannot decide is redone by ``step`` itself (counted
+  in ``fallbacks``), so the output is exact and each bit costs the
   same however long the stream.  ``push``, ``feed`` and the on-demand
   ``pause_mode_run`` all run on it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .binomial import shared_table
+from .binomial import binom
 from .elias import parse_bits
 
 
@@ -109,8 +108,7 @@ def step(state: ExtractorState, b: int) -> StepResult:
     """Advance one input bit; emit any random bits produced by the move."""
     # t' from the truth of b, so any non-bit reaches walk_step's check
     n, t = state.n + 1, state.t + (1 if b else 0)
-    c = shared_table(n).value
-    emitted, l = walk_step(c(n, t), c(n - 1, t), c(n - 1, t - 1), b, state.l)
+    emitted, l = walk_step(binom(n, t), binom(n - 1, t), binom(n - 1, t - 1), b, state.l)
     return StepResult(ExtractorState(n, t, l), emitted)
 
 
@@ -250,19 +248,19 @@ class StreamExtractor:
     bits, so each bit costs the same however long the stream.  The rule reads
     only bits >= l, i.e. the quotients C >> l: where lower and upper bounds
     give the same quotients, ``walk_step`` runs on them and the move is exact.
-    Otherwise the move is redone from ``math.comb`` and the window restarts
-    from the exact values; ``fallbacks`` counts these resyncs.
+    Otherwise the move is redone by the reference ``step`` and the window
+    restarts from exact coefficients; ``fallbacks`` counts these resyncs.
     """
 
     __slots__ = ("n", "t", "l", "_s", "_here", "_here_up", "_left", "_left_up", "_fallbacks")
 
     def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
         n, t, l = state
-        c_here = math.comb(n, t) if 0 <= t <= n else 0
+        c_here = binom(n, t)
         if l < 0 or not (c_here >> l) & 1:
             raise ValueError(f"{tuple(state)} is not a lattice node")
         self._fallbacks = 0
-        self._load(n, t, l, c_here, math.comb(n, t - 1) if t else 0)
+        self._load(n, t, l, c_here, binom(n, t - 1))
 
     def _load(self, n: int, t: int, l: int, here: int, left: int) -> None:
         """Set the node (n, t, l) from the exact C(n, t) and C(n, t-1)."""
@@ -286,7 +284,7 @@ class StreamExtractor:
 
     @property
     def fallbacks(self) -> int:
-        """Moves the window could not decide, redone from ``math.comb``."""
+        """Moves the window could not decide, redone by ``step``."""
         return self._fallbacks
 
     @property
@@ -354,13 +352,11 @@ class StreamExtractor:
         return emitted
 
     def _resync(self, b: int) -> tuple[int, ...]:
-        """Make one move on exact coefficients from ``math.comb`` and restart
-        the window from them."""
-        n, t = self.n + 1, self.t + (1 if b else 0)
-        hi, lo = math.comb(n - 1, t), math.comb(n - 1, t - 1) if t else 0
-        emitted, l = walk_step(hi + lo, hi, lo, b, self.l)
+        """Make one move with the reference ``step`` and restart the window
+        from the exact coefficients at the node it reaches."""
+        (n, t, l), emitted = step(self.state, b)
         self._fallbacks += 1
-        self._load(n, t, l, hi + lo, math.comb(n, t - 1) if t else 0)
+        self._load(n, t, l, binom(n, t), binom(n, t - 1))
         return emitted
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:

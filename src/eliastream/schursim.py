@@ -179,14 +179,14 @@ def _classical_transcripts(n: int) -> tuple[PartyLabel, ...]:
     )
 
 
-def simulate_known_basis(p: float, n: int, cap: int = KNOWN_BASIS_CAP) -> JointState:
+def simulate_known_basis(p: float, n: int) -> JointState:
     """Coherent run of the classical machine on sqrt(p)|00> + sqrt(1-p)|11>.
 
     Both parties' transcripts are identical branch by branch, so the joint
     state has one diagonal term per classical string.
     """
-    if n > cap:
-        raise SimulatorCapError(f"n={n} exceeds cap={cap}")
+    if n > KNOWN_BASIS_CAP:
+        raise SimulatorCapError(f"n={n} exceeds cap={KNOWN_BASIS_CAP}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     amps: dict = {}
@@ -241,7 +241,6 @@ def simulate_universal(
     p: float | None = None,
     theta: float = 0.0,
     psi: np.ndarray | None = None,
-    cap: int = UNIVERSAL_CAP,
 ) -> JointState:
     """Fully universal concentration of n copies of a two-qubit pure state.
 
@@ -249,8 +248,8 @@ def simulate_universal(
     The same real isometry V is applied to each party; the joint amplitude
     table is V^T (psi tensor-power) V, tracked exactly up to float error.
     """
-    if n > cap:
-        raise SimulatorCapError(f"n={n} exceeds cap={cap}")
+    if n > UNIVERSAL_CAP:
+        raise SimulatorCapError(f"n={n} exceeds cap={UNIVERSAL_CAP}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if psi is None:
@@ -277,6 +276,8 @@ def simulate_universal(
 
 def emission_probability(state: JointState, k: int) -> float:
     """Probability that both output tapes hold at least k qubits."""
+    if k < 1:
+        raise ValueError("pair index is 1-based")
     return float(
         sum(
             abs(a) ** 2

@@ -74,6 +74,17 @@ def test_c02_yield_meets_entropy_bound():
     )
 
 
+def test_c02_yield_meets_entropy_bound_at_large_n():
+    for n in (100, 1000):
+        for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
+            exact = expected_yield(n, SourceModel(p), cap=n)
+            bound = theorem_bound(n, p, dps=40)
+            with mpmath.workdps(40):
+                value = mpmath.mpf(exact.numerator) / exact.denominator
+                assert value >= bound, (n, p, float(value), float(bound))
+    report("criterion 2 PASS: exact yield >= N H(p) - log2(N+1) - 2 at N = 100 and 1000")
+
+
 def test_c03_bin_entropy_below_two_bits():
     worst = 0.0
     for n in range(65):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eliastream
 from eliastream.binomial import (
     TABLE_CAP,
     TableCapError,
@@ -12,6 +17,8 @@ from eliastream.binomial import (
     binom_bit,
     build_table,
 )
+
+SRC = Path(eliastream.__file__).resolve().parents[1]
 
 
 def addition_row(n):
@@ -132,3 +139,29 @@ def test_table_cap_enforced():
 def test_negative_max_n_rejected():
     with pytest.raises(ValueError):
         build_table(-1)
+
+
+# Drives every reader of exact sizes well past row 64, the shared table's
+# initial size, then prints the rows the table holds.
+NO_TABLE_PROBE = """
+import random
+from fractions import Fraction
+from eliastream import binomial, elias, extractor, young
+rng = random.Random(7)
+extractor.run([int(rng.random() < 0.3) for _ in range(1000)])
+for _ in extractor.walk_all(12):
+    pass
+young.q_run([0, 1] * 100)
+elias.expected_yield(200, elias.SourceModel(Fraction(7, 10)), cap=200)
+print(binomial.shared_table().max_n)
+"""
+
+
+def test_no_walk_or_oracle_grows_the_shared_table():
+    # a fresh interpreter: in-process, another test may already have grown it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_TABLE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["64"]

@@ -138,6 +138,30 @@ def test_expected_yield_cap():
     expected_yield(25, SourceModel(Fraction(1, 2)), cap=25)
 
 
+def test_expected_yield_rejects_negative_length():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        expected_yield(-1, SourceModel(Fraction(1, 2)))
+
+
+def per_type_yield(n, model):
+    """Reference: sum_T Pr(T) * sum_L (2^L / C(n, T)) * L, a Fraction per term."""
+    total = Fraction(0)
+    for t in range(n + 1):
+        c = binom(n, t)
+        mean_l = sum(Fraction(1 << l, c) * l for l in bin_layout(n, t).bins)
+        total += model.type_prob(n, t) * mean_l
+    return total
+
+
+@pytest.mark.parametrize(
+    "p0", [Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]
+)
+def test_expected_yield_integer_sum_equals_per_type_fractions(p0):
+    model = SourceModel(p0)
+    for n in range(25):
+        assert expected_yield(n, model) == per_type_yield(n, model)
+
+
 def test_conditional_bin_entropy_examples():
     assert conditional_bin_entropy(2, 1) == 0.0  # C(2,1)=2, one bin
     expected = -(0.8 * math.log2(0.8) + 0.2 * math.log2(0.2))

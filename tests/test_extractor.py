@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -252,6 +253,19 @@ def test_engine_resumes_only_at_lattice_nodes():
     for state in [(4, 2, 0), (4, 5, 0), (3, -1, 0), (2, 1, -1)]:
         with pytest.raises(ValueError):
             StreamExtractor(ExtractorState(*state))
+
+
+def test_step_beyond_five_thousand_bits_matches_the_engine():
+    # n = 6,000 is past TABLE_CAP, the Pascal table's 5,000 rows
+    n, t = 6000, 1800
+    c = math.comb(n, t)
+    for floor in (3000, extractor._CROSSOVER + 400):  # exact engine, then windowed
+        l = next(l for l in range(floor, c.bit_length()) if (c >> l) & 1)
+        state = ExtractorState(n, t, l)
+        for b in (0, 1):
+            engine = StreamExtractor(state)
+            emitted = engine.push(b)
+            assert step(state, b) == (engine.state, emitted)
 
 
 def test_pause_mode_long_stream_matches_streaming_engine():

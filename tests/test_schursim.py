@@ -200,6 +200,13 @@ def test_known_basis_cap():
         simulate_known_basis(0.5, 17)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_emission_probability_rejects_a_pair_index_below_one(k):
+    state = simulate_known_basis(0.3, 4)
+    with pytest.raises(ValueError, match="pair index is 1-based"):
+        emission_probability(state, k)
+
+
 # -- universal simulation -----------------------------------------------------
 
 

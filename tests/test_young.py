@@ -1,7 +1,7 @@
 import pytest
 
 from eliastream.binomial import binom
-from eliastream.extractor import ExtractorState, initial_state
+from eliastream.extractor import ExtractorState, initial_state, walk_step
 from eliastream.young import (
     InvalidNodeError,
     ballot_paths,
@@ -135,3 +135,23 @@ def test_validity_predicate():
     assert is_valid(4, 2)
     assert not is_valid(3, 2)
     assert not is_valid(2, -1)
+
+
+# Past TABLE_CAP, the Pascal table's 5,000 rows: no size may come from it.
+BEYOND_TABLE = 6000
+
+
+@pytest.mark.parametrize("t", [0, 1, 1500, 2999, 3000])
+def test_dim_beyond_five_thousand_boxes_matches_hook_lengths(t):
+    assert dim(BEYOND_TABLE, t) == hook_dim_oracle(BEYOND_TABLE, t)
+
+
+def test_qstep_beyond_five_thousand_boxes_matches_hook_lengths():
+    n, t = BEYOND_TABLE, 2500
+    size = hook_dim_oracle(n, t)
+    nodes = [l for l in range(size.bit_length() // 2, size.bit_length()) if (size >> l) & 1]
+    for b in (0, 1):
+        hook = (hook_dim_oracle(n + 1, t + b), hook_dim_oracle(n, t + b), hook_dim_oracle(n, t + b - 1))
+        for l in nodes[:8]:
+            emitted, l_next = walk_step(*hook, b, l)
+            assert qstep(ExtractorState(n, t, l), b) == (ExtractorState(n + 1, t + b, l_next), emitted)
