@@ -33,20 +33,17 @@ Pascal's triangle two things drive it:
   ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
   engine against it; ``walk_all`` runs it on every n-bit string for the
   exhaustive oracles in ``verify`` and ``schursim``.
-* ``StreamExtractor``: the one streaming engine.  It carries two adjacent
-  coefficients C(n, t) and C(n, t-1) along the path, updating them with one
-  small multiply/divide per bit, so input length is unbounded.  Exact while
-  they are short, it then keeps only a fixed-width window on them: integer
-  bounds a few dozen bits below position l, from which the rule's inputs
-  (the sizes shifted down by l) are read whenever the bounds agree on them.
-  A move the window cannot decide is redone by ``step`` itself (counted
-  in ``fallbacks``), so the output is exact and each bit costs the
-  same however long the stream.  ``push``, ``feed`` and the on-demand
-  ``pause_mode_run`` all run on it.
+* ``StreamExtractor``: the one streaming engine.  It carries one
+  coefficient, C(n, t), and reads its neighbours from exact ratios, one
+  small multiply/divide per bit; past a crossover it keeps only a
+  fixed-width window on it, with ``step`` itself as the exact fallback.
+  ``push``, ``feed`` and the on-demand ``pause_mode_run`` run one loop.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
@@ -84,16 +81,29 @@ def initial_state() -> ExtractorState:
     return ExtractorState(0, 0, 0)
 
 
+def _as_bit(b) -> int:
+    """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
+    Anything else, floats and strings included, raises ValueError."""
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ValueError("input bit must be 0 or 1") from None
+    if b not in (0, 1):
+        raise ValueError("input bit must be 0 or 1")
+    return b
+
+
 def walk_step(here: int, hi: int, lo: int, b: int, l: int) -> tuple[tuple[int, ...], int]:
     """The transition rule: emit test and carry cascade of one move.
 
     With t' = t + b after the move, the arguments are the node sizes
     here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice
     whose sizes X obey here = hi + lo (binomial coefficients, or Young
-    dimensions at valid nodes).  Returns the emitted bits and the new l.
+    dimensions at valid nodes).  Returns the emitted bits, plain ints, and
+    the new l.  Checks b first (see ``_as_bit``).
     """
-    if b not in (0, 1):
-        raise ValueError("input bit must be 0 or 1")
+    if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
+        b = _as_bit(b)
     if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
         emitted = [b]
         l += 1
@@ -186,28 +196,21 @@ def pause_mode_run(
     the demand are returned in `pending` so a resumed call is exact, as if
     the machine paused after each individual output.  `satisfied` is False
     when the input ran dry first.  Input length is unbounded: the walk runs
-    on a StreamExtractor resumed from `state`.
+    on a StreamExtractor resumed from `state`.  Every argument is checked
+    before any input is read.
     """
-    if demand < 0:
-        raise ValueError("demand must be >= 0")
+    if not isinstance(demand, int) or demand < 0:
+        raise ValueError("demand must be an int >= 0")
     machine = StreamExtractor(initial_state() if state is None else state)
-    push = machine.push
-    produced = list(pending)
-    consumed = 0
+    produced = [_as_bit(b) for b in pending]
+    if len(produced) > machine.l:
+        raise ValueError("more pending bits than the walk has emitted")
+    n = machine.n
     if len(produced) < demand:
-        for b in _bit_source(bits):
-            produced.extend(push(b))
-            consumed += 1
-            if len(produced) >= demand:
-                break
+        produced += machine._walk(bits, demand - len(produced))
     # Only the last move can overshoot the demand.
-    return PauseResult(
-        tuple(produced[:demand]),
-        consumed,
-        machine.state,
-        tuple(produced[demand:]),
-        len(produced) >= demand,
-    )
+    return PauseResult(tuple(produced[:demand]), machine.n - n, machine.state,
+                       tuple(produced[demand:]), len(produced) >= demand)
 
 
 def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
@@ -233,46 +236,43 @@ _CROSSOVER = 4096
 _GUARD = 64
 
 
+def _window(c: int, l: int) -> tuple[int, int, int]:
+    """(s, floor, ceil) of C/2^s for the exact C at emission position l."""
+    s = max(0, l - _GUARD)
+    return s, c >> s, -(-c >> s)
+
+
 class StreamExtractor:
-    """Unbounded-length engine: three counters plus a window on two coefficients.
+    """Unbounded-length engine: three counters plus a window on one coefficient.
 
-    State is just (n, t, l); the sizes the rule reads come from C(n, t) and
-    C(n, t-1), carried along the path and updated by one small
-    multiply/divide per bit, so no table is ever needed.  A machine can
-    start from any lattice node, e.g. to resume a paused walk; the apex is
-    the default.
+    Beyond (n, t, l) it carries only C(n, t); the other size each move reads
+    comes from an exact ratio, C(n, t+1) = C(n, t)(n-t)/(t+1) or
+    C(n, t-1) = C(n, t)t/(n-t+1), so no table is ever needed.  A machine can
+    start from any lattice node, e.g. to resume a paused walk.
 
-    While l < ``_CROSSOVER`` the two coefficients are exact integers.  From
-    there on the engine keeps only integer bounds [lo, hi] on C/2^s, with
-    floor/ceil rounding, and s trailing l by ``_GUARD`` to ``2 * _GUARD``
-    bits, so each bit costs the same however long the stream.  The rule reads
-    only bits >= l, i.e. the quotients C >> l: where lower and upper bounds
-    give the same quotients, ``walk_step`` runs on them and the move is exact.
-    Otherwise the move is redone by the reference ``step`` and the window
-    restarts from exact coefficients; ``fallbacks`` counts these resyncs.
+    While l < ``_CROSSOVER`` the coefficient is exact.  From there on the
+    engine keeps integer bounds on C/2^s, floor for the lower and ceil for
+    the upper bound of every size, with s trailing l by ``_GUARD`` to
+    ``2 * _GUARD`` bits, so each bit costs the same however long the stream.
+    The rule reads only the quotients C >> l: where both bounds give the
+    same quotients, ``walk_step`` runs on them and the move is exact.
+    Otherwise the reference ``step`` makes the move and the window restarts
+    from the exact coefficient; ``fallbacks`` counts these resyncs.
+    ``push``, ``feed`` and ``pause_mode_run`` all run one loop, ``_walk``.
     """
 
-    __slots__ = ("n", "t", "l", "_s", "_here", "_here_up", "_left", "_left_up", "_fallbacks")
+    __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
 
     def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
         n, t, l = state
-        c_here = binom(n, t)
-        if l < 0 or not (c_here >> l) & 1:
+        if not all(isinstance(v, int) for v in state):
+            raise ValueError(f"{tuple(state)} is not three ints")
+        c = binom(n, t)
+        if l < 0 or not (c >> l) & 1:
             raise ValueError(f"{tuple(state)} is not a lattice node")
-        self._fallbacks = 0
-        self._load(n, t, l, c_here, binom(n, t - 1))
-
-    def _load(self, n: int, t: int, l: int, here: int, left: int) -> None:
-        """Set the node (n, t, l) from the exact C(n, t) and C(n, t-1)."""
         self.n, self.t, self.l = n, t, l
-        if l < _CROSSOVER:
-            self._s = None
-            self._here, self._left = here, left
-        else:
-            s = max(0, l - _GUARD)
-            self._s = s
-            self._here, self._here_up = here >> s, -(-here >> s)
-            self._left, self._left_up = left >> s, -(-left >> s)
+        self._fallbacks = 0
+        self._s, self._c, self._c_up = _window(c, l) if l >= _CROSSOVER else (None, c, None)
 
     @property
     def state(self) -> ExtractorState:
@@ -289,83 +289,82 @@ class StreamExtractor:
 
     @property
     def window_bits(self) -> int:
-        """Bit length of the widest integer carried: an exact coefficient
-        below the crossover, a window bound after it."""
-        if self._s is None:
-            return max(self._here.bit_length(), self._left.bit_length())
-        return max(self._here_up.bit_length(), self._left_up.bit_length())
+        """Bit length of the widest integer carried: the exact coefficient
+        below the crossover, the upper window bound after it."""
+        return (self._c if self._s is None else self._c_up).bit_length()
 
     def push(self, b: int) -> tuple[int, ...]:
-        """Feed one bit; return the bits emitted by this move.
-
-        A value other than 0 or 1 raises ValueError and leaves the state
-        unchanged.
-        """
-        n, t, s = self.n, self.t, self._s
-        if s is None:
-            c_here, c_left = self._here, self._left
-            if b:
-                hi = c_here * (n - t) // (t + 1)  # C(n, t+1)
-                lo = c_here
-                next_left = c_here + c_left  # C(n+1, t)
-                t += 1
-            else:
-                hi, lo = c_here, c_left
-                # C(n, t-2); at t = 0, C(n, t-1) is 0 and so is this
-                c_far = c_left * (t - 1) // (n - t + 2)
-                next_left = c_left + c_far  # C(n+1, t-1)
-            here = hi + lo  # C(n+1, t')
-            emitted, l = walk_step(here, hi, lo, b, self.l)
-            if l < _CROSSOVER:
-                self.n, self.t, self.l = n + 1, t, l
-                self._here, self._left = here, next_left
-            else:
-                self._load(n + 1, t, l, here, next_left)
-            return emitted
-        # The same update on bounds of C/2^s: floor for lower, ceil for upper.
-        c0, c1, d0, d1 = self._here, self._here_up, self._left, self._left_up
-        if b:
-            hi0, hi1 = c0 * (n - t) // (t + 1), -(-c1 * (n - t) // (t + 1))
-            lo0, lo1 = c0, c1
-            next0, next1 = c0 + d0, c1 + d1
-            t += 1
-        else:
-            hi0, hi1, lo0, lo1 = c0, c1, d0, d1
-            next0 = d0 + d0 * (t - 1) // (n - t + 2)
-            next1 = d1 - (-d1 * (t - 1) // (n - t + 2))
-        here0, here1 = hi0 + lo0, hi1 + lo1
-        l = self.l
-        k = l - s
-        q_here, q_hi, q_lo = here0 >> k, hi0 >> k, lo0 >> k
-        if q_here != here1 >> k or q_hi != hi1 >> k or q_lo != lo1 >> k:
-            return self._resync(b)
-        emitted, moved = walk_step(q_here, q_hi, q_lo, b, 0)
-        l += moved
-        if l - s >= 2 * _GUARD:  # renormalise: s back to l - _GUARD
-            shift = l - _GUARD - s
-            s += shift
-            here0, here1 = here0 >> shift, -(-here1 >> shift)
-            next0, next1 = next0 >> shift, -(-next1 >> shift)
-            self._s = s
-        self.n, self.t, self.l = n + 1, t, l
-        self._here, self._here_up, self._left, self._left_up = here0, here1, next0, next1
-        return emitted
-
-    def _resync(self, b: int) -> tuple[int, ...]:
-        """Make one move with the reference ``step`` and restart the window
-        from the exact coefficients at the node it reaches."""
-        (n, t, l), emitted = step(self.state, b)
-        self._fallbacks += 1
-        self._load(n, t, l, binom(n, t), binom(n, t - 1))
-        return emitted
+        """Feed one bit; return the bits emitted by this move.  A value
+        other than 0 or 1 raises ValueError and leaves the state unchanged."""
+        return tuple(self._walk((b,)))
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:
-        """Feed many bits; return the concatenated output.
+        """Feed many bits; return the concatenated output.  A bad bit
+        raises ValueError; the bits before it stay fed."""
+        return tuple(self._walk(bits))
 
-        A bad bit raises ValueError; the bits before it stay fed.
-        """
+    def _walk(self, bits: "Iterable[int] | str", demand: float = math.inf) -> list[int]:
+        """The one loop: fold bits through the exact phase, then the window
+        (handing over mid-call), and return what they emit, stopping after the
+        move that brings the output to `demand` bits.  The state lives in
+        locals, written back however the loop ends, so a bad bit raises
+        ValueError with the bits before it fed."""
         out: list[int] = []
-        push = self.push
-        for b in _bit_source(bits):
-            out.extend(push(b))
-        return tuple(out)
+        n, t, l, s, c0, c1 = self.n, self.t, self.l, self._s, self._c, self._c_up
+        stop = l + demand
+        bits = iter(_bit_source(bits))
+        try:
+            if s is None:
+                crossover = _CROSSOVER
+                for b in bits:
+                    if b:  # C(n, t+1) and C(n, t)
+                        hi, lo, t1 = c0 * (n - t) // (t + 1), c0, t + 1
+                    else:  # C(n, t) and C(n, t-1)
+                        hi, lo, t1 = c0, c0 * t // (n - t + 1), t
+                    here = hi + lo
+                    emitted, l = walk_step(here, hi, lo, b, l)
+                    n, t, c0 = n + 1, t1, here
+                    if emitted:
+                        out += emitted
+                        if l >= crossover:
+                            s, c0, c1 = _window(c0, l)
+                            break
+                        if l >= stop:
+                            return out
+                else:
+                    return out
+            guard, k = _GUARD, l - s
+            if l < stop:
+                for b in bits:
+                    # The same sizes on bounds of C/2^s: floor lower, ceil upper.
+                    # (Assignments of at most three names build no tuple.)
+                    if b:
+                        u, t1 = n - t, t + 1
+                        hi0, hi1 = c0 * u // t1, (c1 * u + t) // t1
+                        lo0, lo1 = c0, c1
+                    else:
+                        u, t1 = n - t + 1, t
+                        hi0, hi1 = c0, c1
+                        lo0, lo1 = c0 * t // u, (c1 * t + u - 1) // u
+                    h0, h1 = hi0 + lo0, hi1 + lo1
+                    q_here, q_hi, q_lo = h0 >> k, hi0 >> k, lo0 >> k
+                    if q_here == h1 >> k and q_hi == hi1 >> k and q_lo == lo1 >> k:
+                        emitted, moved = walk_step(q_here, q_hi, q_lo, b, 0)
+                        n, t = n + 1, t1
+                        c0, c1 = h0, h1
+                        if not emitted:
+                            continue
+                        l += moved
+                    else:  # undecided: the reference step makes the move
+                        (n, t, l), emitted = step(ExtractorState(n, t, l), b)
+                        self._fallbacks += 1
+                        s, c0, c1 = _window(binom(n, t), l)
+                    out += emitted
+                    k = l - s
+                    if k >= 2 * guard:  # renormalise: s back to l - guard
+                        s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard
+                    if l >= stop:
+                        break
+            return out
+        finally:
+            self.n, self.t, self.l, self._s, self._c, self._c_up = n, t, l, s, c0, c1

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -267,3 +269,26 @@ def test_usage_errors_exit_two(tmp_path):
 
 def test_missing_input_is_io_error(tmp_path):
     assert main(["extract", "--input", str(tmp_path / "absent.bin")]) == 2
+
+
+# SHA-256 of `extract` outputs on a fixed 16 KiB input, recorded before the
+# streaming engine was rewritten to carry one coefficient; the same digest is
+# checked on the installed console script in CI.
+PINNED_INPUT = b"eliastream pinned extract"
+PINNED = {
+    (): ("8c8223deb25d113c4955388bd5c8a39aa17198c6f07fb7d7e321ad95d54297ec", ("131072", "65523", "131063")),
+    ("--demand", "1000"): ("f6f894963ae45679dc2180f39b3409ecca4a155aae4a6707a67cb5f5e3595c39", ("1007", "482", "1000")),
+}
+
+
+@pytest.mark.parametrize("extra", sorted(PINNED))
+def test_extract_output_is_pinned(tmp_path, extra):
+    # streaming reaches the window phase (l > 4,096); the demand stays exact
+    inp, out, rep = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.txt"
+    inp.write_bytes(hashlib.shake_256(PINNED_INPUT).digest(16 * 1024))
+    argv = ["extract", "--input", str(inp), "--output", str(out), "--report", str(rep), *extra]
+    assert main(argv) == 0
+    digest, ntl = PINNED[extra]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    fields = read_report(rep)
+    assert (fields["n"], fields["t"], fields["l"]) == ntl

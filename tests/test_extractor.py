@@ -395,3 +395,132 @@ def test_window_matches_exact_engine_on_a_long_stream(monkeypatch):
     assert exact.feed(bits) == output
     assert exact.state == windowed.state
     assert exact.window_bits > windowed.l
+
+
+@pytest.mark.parametrize("phase", ["exact", "window"])
+def test_bits_come_out_as_plain_ints_and_floats_are_rejected(phase):
+    crossover = 0 if phase == "window" else extractor._CROSSOVER
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extractor, "_CROSSOVER", crossover)
+        bools = StreamExtractor().feed([False, True, True, False, False, True])
+        assert bools == run([0, 1, 1, 0, 0, 1]).output
+        assert all(type(b) is int for b in bools)
+        for bad in (0.0, 1.0):
+            engine = StreamExtractor()
+            with pytest.raises(ValueError):
+                engine.push(bad)
+            with pytest.raises(ValueError):
+                engine.feed([0, 1, bad])
+            assert engine.state == (2, 1, 1)
+            with pytest.raises(ValueError):
+                pause_mode_run([0, 1, bad], 5)
+            with pytest.raises(ValueError):
+                step(initial_state(), bad)
+            with pytest.raises(ValueError):
+                run([0, 1, bad])
+    reference = run([True, False])
+    assert reference.output == (0,) and type(reference.output[0]) is int
+
+
+def _unread():
+    """An input that fails the test if anything reads it."""
+    pytest.fail("input was read")
+    yield  # pragma: no cover
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"demand": 1.5},
+        {"demand": "3"},
+        {"demand": 3, "pending": (2,), "state": ExtractorState(2, 1, 1)},
+        {"demand": 3, "pending": (1.0,), "state": ExtractorState(2, 1, 1)},
+        {"demand": 3, "pending": (1,)},  # l = 0 at the apex: nothing can be pending
+        {"demand": 3, "pending": (0, 1), "state": ExtractorState(2, 1, 1)},
+        {"demand": 3, "state": ExtractorState(2, 1, 0.5)},
+    ],
+)
+def test_pause_mode_checks_arguments_before_reading_input(kwargs):
+    with pytest.raises(ValueError):
+        pause_mode_run(_unread(), **kwargs)
+
+
+def test_engine_rejects_non_int_state_fields():
+    for state in [(2, 1, 0.5), (2.0, 1, 0), (2, "1", 0), (2, None, 0)]:
+        with pytest.raises(ValueError):
+            StreamExtractor(ExtractorState(*state))
+
+
+# The exact phase hands over to the window inside one call: crossover 40.
+@pytest.fixture(params=GUARDS)
+def handoff(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extractor, "_CROSSOVER", 40)
+        mp.setattr(extractor, "_GUARD", request.param)
+        yield request.param
+
+
+def test_one_feed_across_the_handoff_equals_every_other_driver(handoff):
+    rng = random.Random(handoff)
+    bits = [int(rng.random() < 0.4) for _ in range(600)]
+    fed = StreamExtractor()
+    output = fed.feed(bits)
+    assert fed.l >= 40
+    pushed = StreamExtractor()
+    assert tuple(b for bit in bits for b in pushed.push(bit)) == output
+    assert (pushed.state, pushed.fallbacks, pushed.window_bits) == (
+        fed.state,
+        fed.fallbacks,
+        fed.window_bits,
+    )
+    reference = run(bits)
+    assert (output, fed.state) == (reference.output, reference.final)
+    unmet = pause_mode_run(bits, len(output) + 1)
+    assert unmet == (output, len(bits), fed.state, (), False)
+
+
+@pytest.mark.parametrize("phase", ["exact", "window"])
+def test_bad_bit_mid_feed_keeps_the_state_of_the_bits_before_it(handoff, phase):
+    rng = random.Random(7)
+    bits = [int(rng.random() < 0.4) for _ in range(300)]
+    head = 10 if phase == "exact" else 200
+    engine, before = StreamExtractor(), StreamExtractor()
+    engine.feed(bits[:head])
+    before.feed(bits[: head + 20])
+    assert (before.l < 40) == (phase == "exact")
+    with pytest.raises(ValueError):
+        engine.feed(bits[head : head + 20] + [2] + bits[head + 20 :])
+    assert (engine.state, engine.fallbacks, engine.window_bits) == (
+        before.state,
+        before.fallbacks,
+        before.window_bits,
+    )
+    assert engine.feed(bits[head + 20 :]) == before.feed(bits[head + 20 :])
+    assert engine.state == run(bits).final
+
+
+def test_pause_mode_stops_exactly_at_the_demand_in_the_window(windowed):
+    rng = random.Random(windowed + 100)
+    bits = [int(rng.random() < 0.3) for _ in range(600)]
+    full = StreamExtractor().feed(bits)
+    for demand in range(1, len(full) + 1, 7):
+        paused = pause_mode_run(bits, demand)
+        assert paused.satisfied and paused.output == full[:demand]
+        # the last bit read is the first that brings the output to the demand
+        assert len(StreamExtractor().feed(bits[: paused.consumed - 1])) < demand
+        assert StreamExtractor().feed(bits[: paused.consumed]) == paused.output + paused.pending
+
+
+def test_window_matches_exact_engine_at_benchmark_scale(monkeypatch):
+    # one extract_long-sized stream at the lowest bias the benchmark uses
+    rng = random.Random(131_072)
+    bits = [int(rng.random() < 0.05) for _ in range(131_072)]
+    windowed = StreamExtractor()
+    output = windowed.feed(bits)
+    assert windowed.l >= extractor._CROSSOVER
+    assert windowed.fallbacks == 0
+    assert windowed.window_bits < 3 * extractor._GUARD
+    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
+    exact = StreamExtractor()
+    assert exact.feed(bits) == output
+    assert exact.state == windowed.state
