@@ -34,7 +34,6 @@ from .extractor import (
     RunResult,
     StepResult,
     StreamExtractor,
-    TapeLedger,
     initial_state,
     pause_mode_run,
     run,
@@ -64,7 +63,6 @@ __all__ = [
     "StepResult",
     "StreamExtractor",
     "TableCapError",
-    "TapeLedger",
     "ballot_paths",
     "bin_layout",
     "bin_of_rank",

@@ -107,10 +107,11 @@ def cmd_verify(args) -> int:
     from . import verify
 
     suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-    known = {"equivalence", "balanced", "yield", "stats"}
-    unknown = set(suites) - known
+    if not suites:
+        raise ValueError("--suites names no suite")
+    unknown = set(suites) - {"equivalence", "balanced", "yield", "stats"}
     if unknown:
-        raise SystemExit(f"unknown suites: {sorted(unknown)}")
+        raise ValueError(f"unknown suites: {sorted(unknown)}")
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
     check_eq = "equivalence" in suites

@@ -15,6 +15,7 @@ what the equivalence harness checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -54,23 +55,31 @@ class BlockCodeword(NamedTuple):
     alpha: int
 
 
+def as_bit(b) -> int:
+    """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
+    Anything else, floats and strings included, raises ValueError."""
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ValueError("input bit must be 0 or 1") from None
+    if b not in (0, 1):
+        raise ValueError("input bit must be 0 or 1")
+    return b
+
+
+_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def parse_bits(bits: "Bits | str") -> tuple[int, ...]:
-    """Normalize a bit source ('0110', b'01', or iterable of 0/1) to a tuple."""
-    if isinstance(bits, (str, bytes)):
-        out = []
-        for ch in bits:
-            v = ch if isinstance(ch, int) else ord(ch)
-            if v == 0x30:
-                out.append(0)
-            elif v == 0x31:
-                out.append(1)
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-        return tuple(out)
-    result = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in result):
-        raise ValueError("bits must be 0 or 1")
-    return result
+    """Normalize a bit source ('0110', b'01', or iterable of bits, each
+    checked by ``as_bit``) to a tuple of plain ints."""
+    if isinstance(bits, str):
+        bits = bits.encode("ascii")  # UnicodeEncodeError is a ValueError
+    if isinstance(bits, bytes):
+        if bad := bits.translate(None, b"01"):
+            raise ValueError(f"invalid bit characters {bad[:8]!r}")
+        return tuple(bits.translate(_TEXT_BITS))
+    return tuple(map(as_bit, bits))
 
 
 def type_of(bits: "Bits | str") -> int:

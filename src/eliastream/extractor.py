@@ -22,7 +22,9 @@ while storing only the three counters.
 Bit conservation: every input bit lands on exactly one of two tapes.  An
 emitting step sends b to the output tape and rewrites previously-banked
 zero bits (one per carry) as further outputs; a silent step banks b, erased
-to 0, on the purity tape.  So out_len + purity_len == n after every step.
+to 0, on the purity tape.  So the output tape holds l bits and the purity
+tape the other n - l; ``fold_steps`` and ``walk_all`` check after every move
+the two conditions that can fail, len(output) == l and l <= n.
 
 The move itself lives in one place, ``walk_step``, which sees only three
 node sizes and so runs on any lattice with Pascal's additive recursion
@@ -43,11 +45,10 @@ Pascal's triangle two things drive it:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
-from .elias import parse_bits
+from .elias import as_bit, parse_bits
 
 
 class ExtractorState(NamedTuple):
@@ -58,13 +59,6 @@ class ExtractorState(NamedTuple):
     l: int
 
 
-class TapeLedger(NamedTuple):
-    """Tape lengths; conservation gives purity_len = n - l."""
-
-    out_len: int
-    purity_len: int
-
-
 class StepResult(NamedTuple):
     state: ExtractorState
     emitted: tuple[int, ...]
@@ -73,24 +67,11 @@ class StepResult(NamedTuple):
 class RunResult(NamedTuple):
     output: tuple[int, ...]
     final: ExtractorState
-    ledger: TapeLedger
 
 
 def initial_state() -> ExtractorState:
     """The lattice apex (0, 0, 0)."""
     return ExtractorState(0, 0, 0)
-
-
-def _as_bit(b) -> int:
-    """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
-    Anything else, floats and strings included, raises ValueError."""
-    try:
-        b = operator.index(b)
-    except TypeError:
-        raise ValueError("input bit must be 0 or 1") from None
-    if b not in (0, 1):
-        raise ValueError("input bit must be 0 or 1")
-    return b
 
 
 def walk_step(here: int, hi: int, lo: int, b: int, l: int) -> tuple[tuple[int, ...], int]:
@@ -100,10 +81,10 @@ def walk_step(here: int, hi: int, lo: int, b: int, l: int) -> tuple[tuple[int, .
     here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice
     whose sizes X obey here = hi + lo (binomial coefficients, or Young
     dimensions at valid nodes).  Returns the emitted bits, plain ints, and
-    the new l.  Checks b first (see ``_as_bit``).
+    the new l.  Checks b first (see ``elias.as_bit``).
     """
     if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
-        b = _as_bit(b)
+        b = as_bit(b)
     if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
         emitted = [b]
         l += 1
@@ -122,28 +103,29 @@ def step(state: ExtractorState, b: int) -> StepResult:
     return StepResult(ExtractorState(n, t, l), emitted)
 
 
-def fold_steps(
-    move: Callable[[ExtractorState, int], StepResult], bits: Iterable[int]
-) -> tuple[tuple[int, ...], ExtractorState]:
-    """Fold a step function over bits from the apex: (output, final state).
+def _check_tapes(state: ExtractorState, out_len: int) -> None:
+    """Conservation after a move: the output holds exactly l bits and l <= n,
+    i.e. the purity tape never has to pop a bit it never banked."""
+    if state.l != out_len or state.l > state.n:
+        raise AssertionError(f"bit conservation violated at {state}")
 
-    Checks the tape ledger after every move: the output holds exactly l bits
-    and l <= n, i.e. the purity tape never has to pop a bit it never banked.
-    """
+
+def fold_steps(move: Callable[[ExtractorState, int], StepResult], bits: Iterable[int]) -> RunResult:
+    """Fold a step function over bits from the apex, checking conservation
+    after every move."""
     state = initial_state()
     output: list[int] = []
     for b in bits:
         state, emitted = move(state, b)
         output.extend(emitted)
-        if state.l != len(output) or state.l > state.n:
-            raise AssertionError(f"tape ledger violated at {state}")
-    return tuple(output), state
+        _check_tapes(state, len(output))
+    return RunResult(tuple(output), state)
 
 
 def walk_all(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
     """(final state, output) of step() on every n-bit string, in ascending
     string order (MSB first).  Depth-first, so each prefix is stepped once;
-    the tape ledger is checked at every node, as in fold_steps.
+    conservation is checked at every node, as in fold_steps.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -156,8 +138,7 @@ def _walk_tree(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
     while todo:
         state, emitted, keep = todo.pop()
         output[keep:] = emitted
-        if state.l != len(output) or state.l > state.n:
-            raise AssertionError(f"tape ledger violated at {state}")
+        _check_tapes(state, len(output))
         if state.n < n:
             todo += (*step(state, 1), len(output)), (*step(state, 0), len(output))  # pops 0 first
         else:
@@ -172,8 +153,7 @@ def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
 
 def run(bits: "Iterable[int] | str") -> RunResult:
     """Fold step() over an input string from the apex."""
-    output, final = fold_steps(step, _bit_source(bits))
-    return RunResult(output, final, TapeLedger(final.l, final.n - final.l))
+    return fold_steps(step, _bit_source(bits))
 
 
 class PauseResult(NamedTuple):
@@ -202,7 +182,7 @@ def pause_mode_run(
     if not isinstance(demand, int) or demand < 0:
         raise ValueError("demand must be an int >= 0")
     machine = StreamExtractor(initial_state() if state is None else state)
-    produced = [_as_bit(b) for b in pending]
+    produced = [as_bit(b) for b in pending]
     if len(produced) > machine.l:
         raise ValueError("more pending bits than the walk has emitted")
     n = machine.n
@@ -226,9 +206,12 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon: the exact update costs as much per bit as the
-# window's ~2 us near l = 1,000-4,500, and grows linearly beyond; below this
-# l the window saves nothing, so short streams stay exact.
+# Measured on a 2-core Xeon (feed of 2,000 Bernoulli(0.3) bits from a node at
+# l = 1,000 / 2,000 / 4,000): the exact update costs 2.1 / 2.8 / 3.4 us per bit
+# and grows linearly with l, the window 1.7-2.4 us at any l.  So the window
+# would already pay from l of about 1,000.  The value stays so that streams of
+# a few thousand bits (4,096-bit inputs, say) run exact end to end; moving it
+# is a performance change of its own.
 _CROSSOVER = 4096
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since
@@ -277,10 +260,6 @@ class StreamExtractor:
     @property
     def state(self) -> ExtractorState:
         return ExtractorState(self.n, self.t, self.l)
-
-    @property
-    def ledger(self) -> TapeLedger:
-        return TapeLedger(self.l, self.n - self.l)
 
     @property
     def fallbacks(self) -> int:

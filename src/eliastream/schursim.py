@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .elias import as_bit
 from .extractor import walk_all
 from .young import q_run
 
@@ -99,8 +100,7 @@ def cg_step(n: int, t: int, u: int, qubit: int) -> list[tuple[int, int, int, flo
     branch amplitudes square-sum to 1 and distinct inputs map to orthogonal
     outputs, so the induced register map is an isometry.
     """
-    if qubit not in (0, 1):
-        raise ValueError("qubit must be 0 or 1")
+    qubit = as_bit(qubit)
     d = n - 2 * t + 1
     if not 0 <= 2 * t <= n or not 0 <= u < d:
         raise ValueError(f"invalid register pair (t={t}, u={u}) at n={n}")

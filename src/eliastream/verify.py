@@ -26,6 +26,8 @@ Walk = Iterable[tuple[ExtractorState, tuple[int, ...]]]
 
 EXHAUSTIVE_CAP = 20
 BALANCED_CAP = 14
+# The probabilities p0 of a 0 bit that the yield-bound sweep runs at every n.
+YIELD_P_VALUES = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
 
 
 @dataclass
@@ -185,18 +187,16 @@ def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
         return n * h - mpmath.log(n + 1, 2) - 2
 
 
-def yield_bound_sweep(max_n: int, p_values=None) -> YieldBoundReport:
-    """Exact expected yield against the entropy bound for every (n, p), n >= 1."""
+def yield_bound_sweep(max_n: int) -> YieldBoundReport:
+    """Exact expected yield against the entropy bound for every n >= 1 and
+    every p in ``YIELD_P_VALUES``."""
     import mpmath
 
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if p_values is None:
-        p_values = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
-    p_values = tuple(Fraction(p) for p in p_values)
-    report = YieldBoundReport(max_n, p_values)
+    report = YieldBoundReport(max_n, YIELD_P_VALUES)
     for n in range(1, max_n + 1):
-        for p in p_values:
+        for p in YIELD_P_VALUES:
             exact = expected_yield(n, SourceModel(p), cap=max(24, max_n))
             bound = theorem_bound(n, p)
             report.rows.append((n, p, exact, float(bound)))

@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Iterator
 
 from .binomial import binom
-from .extractor import ExtractorState, StepResult, fold_steps, walk_step
+from .extractor import ExtractorState, RunResult, StepResult, fold_steps, walk_step
 
 
 class InvalidNodeError(ValueError):
@@ -114,6 +114,6 @@ def qstep(state: ExtractorState, pbit: int) -> StepResult:
     return StepResult(ExtractorState(n, t, l), emitted)
 
 
-def q_run(pbits: Iterable[int]) -> tuple[tuple[int, ...], ExtractorState]:
-    """Fold qstep over a box-add sequence from the apex, checking the ledger."""
+def q_run(pbits: Iterable[int]) -> RunResult:
+    """Fold qstep over a box-add sequence from the apex, checking conservation."""
     return fold_steps(qstep, pbits)

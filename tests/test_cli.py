@@ -216,9 +216,20 @@ def test_simulate_known_rejects_negative_n(capsys):
     assert "n must be >= 0" in capsys.readouterr().err
 
 
-def test_verify_rejects_unknown_suite():
-    with pytest.raises(SystemExit):
-        main(["verify", "--suites", "nonsense"])
+def test_verify_rejects_unknown_suite(tmp_path, capsys):
+    rep = tmp_path / "report.txt"
+    for suites in ("nonsense", "equivalence,nonsense"):
+        assert main(["verify", "--suites", suites, "--report", str(rep)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown suites")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("suites", ["", " , "])
+def test_verify_rejects_an_empty_suite_list(suites, tmp_path, capsys):
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", suites, "--report", str(rep)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not rep.exists()
 
 
 def test_simulate_huffman_report(tmp_path):

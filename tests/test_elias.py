@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+import numpy as np
 import pytest
 
 from eliastream.binomial import bin_layout, binom
@@ -13,9 +14,21 @@ from eliastream.elias import (
     block_codeword,
     conditional_bin_entropy,
     expected_yield,
+    parse_bits,
     rank_in_type,
     type_of,
 )
+from eliastream.extractor import (
+    ExtractorState,
+    StreamExtractor,
+    initial_state,
+    pause_mode_run,
+    run,
+    step,
+    von_neumann,
+)
+from eliastream.schursim import cg_step
+from eliastream.young import qstep
 
 
 def strings_of_weight(n, t):
@@ -192,3 +205,53 @@ def test_theorem_bound_reference_value():
         bound = 16 * h - mpmath.log(17, 2) - 2
     exact = expected_yield(16, SourceModel(Fraction(3, 10)))
     assert mpmath.mpf(exact.numerator) / exact.denominator > bound
+
+
+def test_parse_bits_reads_text_bytes_and_integer_bits():
+    assert parse_bits("0110") == parse_bits(b"0110") == parse_bits([0, 1, 1, 0]) == (0, 1, 1, 0)
+    assert parse_bits("") == parse_bits(b"") == parse_bits([]) == ()
+    assert parse_bits([True, False]) == (1, 0)
+    assert parse_bits(np.array([1, 0, 1], dtype=np.uint8)) == (1, 0, 1)
+    assert parse_bits(iter([np.int64(0), np.uint8(1)])) == (0, 1)
+    for bits in ("01", b"01", [True, False], np.array([1, 0])):
+        assert all(type(b) is int for b in parse_bits(bits))
+
+
+@pytest.mark.parametrize("text", ["0120", "01 ", "\u0661", "\uff11", b"\x00", b"\x01", b"0x"])
+def test_parse_bits_rejects_characters_other_than_ascii_0_and_1(text):
+    # "\u0661" (Arabic-Indic one) and "\uff11" (fullwidth one) are digits int() reads as 1
+    with pytest.raises(ValueError):
+        parse_bits(text)
+
+
+BAD_BITS = [0.5, 1.0, "1", None, 2]
+
+
+@pytest.mark.parametrize("bad", BAD_BITS)
+def test_parse_bits_rejects_non_bit_elements(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        parse_bits([0, bad])
+
+
+# Every public entry point that takes bits, fed one bad bit after good ones.
+BIT_ENTRY_POINTS = {
+    "run": lambda bad: run([0, 1, bad]),
+    "feed": lambda bad: StreamExtractor().feed([0, 1, bad]),
+    "push": lambda bad: StreamExtractor().push(bad),
+    "step": lambda bad: step(initial_state(), bad),
+    "qstep": lambda bad: qstep(ExtractorState(1, 0, 0), bad),  # (2, 1) is valid either way
+    "pause_mode_run": lambda bad: pause_mode_run([0, 1, bad], 5),
+    "pause_mode_run_pending": lambda bad: pause_mode_run([], 3, ExtractorState(2, 1, 1), (bad,)),
+    "type_of": lambda bad: type_of([0, bad]),
+    "rank_in_type": lambda bad: rank_in_type([0, bad]),
+    "block_codeword": lambda bad: block_codeword([0, 1, bad]),
+    "von_neumann": lambda bad: von_neumann([0, bad]),
+    "cg_step": lambda bad: cg_step(2, 0, 0, bad),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BITS)
+@pytest.mark.parametrize("entry", BIT_ENTRY_POINTS)
+def test_every_bit_entry_point_rejects_non_bits(entry, bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        BIT_ENTRY_POINTS[entry](bad)

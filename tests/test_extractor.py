@@ -14,7 +14,6 @@ from eliastream.extractor import (
     ExtractorState,
     StepResult,
     StreamExtractor,
-    TapeLedger,
     fold_steps,
     initial_state,
     pause_mode_run,
@@ -72,7 +71,7 @@ def test_run_traces(bits, output, final):
     result = run(bits)
     assert result.output == output
     assert result.final == final
-    assert result.ledger.out_len + result.ledger.purity_len == final.n
+    assert len(result.output) == final.l
 
 
 @given(bit_lists)
@@ -86,7 +85,6 @@ def test_node_residency_and_conservation(bits):
         assert binom_bit(state.n, state.t, state.l) == 1
         assert 0 <= state.t <= state.n
         assert state.l == emitted_total
-        assert state.l + (state.n - state.l) == state.n  # both tape counts >= 0
         assert state.n - state.l >= 0
 
 
@@ -187,7 +185,6 @@ def test_stream_engine_matches_reference_exhaustively():
             output = engine.feed(bits)
             assert output == reference.output
             assert engine.state == reference.final
-            assert engine.ledger == reference.ledger
 
 
 def test_walk_all_equals_run_on_every_string_in_ascending_order():
@@ -310,14 +307,14 @@ def windowed(request):
 
 @functools.cache
 def reference_walks(n):
-    """Every n-bit string with step()'s (emitted, state, ledger) after each move."""
+    """Every n-bit string with step()'s (emitted, state) after each move."""
     walks = []
     for s in range(1 << n):
         bits = [(s >> (n - 1 - k)) & 1 for k in range(n)]
         state, moves = initial_state(), []
         for b in bits:
             state, emitted = step(state, b)
-            moves.append((emitted, state, TapeLedger(state.l, state.n - state.l)))
+            moves.append((emitted, state))
         walks.append((bits, moves))
     return walks
 
@@ -326,7 +323,7 @@ def test_window_matches_reference_exhaustively(windowed):
     # every string of length <= 12 is a prefix of one of length 12
     for bits, moves in reference_walks(12):
         engine = StreamExtractor()
-        assert [(engine.push(b), engine.state, engine.ledger) for b in bits] == moves
+        assert [(engine.push(b), engine.state) for b in bits] == moves
 
 
 @given(
@@ -340,7 +337,6 @@ def test_window_matches_reference_on_long_inputs(guard, bits):
         engine = StreamExtractor()
         assert engine.feed(bits) == reference.output
     assert engine.state == reference.final
-    assert engine.ledger == reference.ledger
 
 
 def test_window_falls_back_to_exact_moves():
