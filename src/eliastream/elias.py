@@ -57,7 +57,9 @@ class BlockCodeword(NamedTuple):
 
 def as_bit(b) -> int:
     """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
-    Anything else, floats and strings included, raises ValueError."""
+    Anything else, floats and strings included, raises ValueError.  So do
+    numpy bools, which have no ``__index__``: a bool array goes in through
+    its ``.tolist()``."""
     try:
         b = operator.index(b)
     except TypeError:
@@ -70,16 +72,22 @@ def as_bit(b) -> int:
 _TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def is_text(bits) -> bool:
+    """Whether a bit source is text, '0'/'1' characters: a str or a bytes-like
+    object (bytes, bytearray, memoryview).  Any other iterable holds bits."""
+    return isinstance(bits, (str, bytes, bytearray, memoryview))
+
+
 def parse_bits(bits: "Bits | str") -> tuple[int, ...]:
-    """Normalize a bit source ('0110', b'01', or iterable of bits, each
-    checked by ``as_bit``) to a tuple of plain ints."""
-    if isinstance(bits, str):
-        bits = bits.encode("ascii")  # UnicodeEncodeError is a ValueError
-    if isinstance(bits, bytes):
-        if bad := bits.translate(None, b"01"):
-            raise ValueError(f"invalid bit characters {bad[:8]!r}")
-        return tuple(bits.translate(_TEXT_BITS))
-    return tuple(map(as_bit, bits))
+    """Normalize a bit source (text such as '0110', see ``is_text``, or an
+    iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
+    if not is_text(bits):
+        return tuple(map(as_bit, bits))
+    # UnicodeEncodeError is a ValueError
+    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
+    if bad := text.translate(None, b"01"):
+        raise ValueError(f"invalid bit characters {bad[:8]!r}")
+    return tuple(text.translate(_TEXT_BITS))
 
 
 def type_of(bits: "Bits | str") -> int:

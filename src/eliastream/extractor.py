@@ -48,7 +48,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
-from .elias import as_bit, parse_bits
+from .elias import as_bit, is_text, parse_bits
 
 
 class ExtractorState(NamedTuple):
@@ -146,9 +146,9 @@ def _walk_tree(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
 
 
 def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
-    """Parse bit strings; pass integer iterables through to the walk, which
-    checks every bit as it takes it."""
-    return parse_bits(bits) if isinstance(bits, (str, bytes)) else bits
+    """Parse text (see ``elias.is_text``); pass integer iterables through to
+    the walk, which checks every bit as it takes it."""
+    return parse_bits(bits) if is_text(bits) else bits
 
 
 def run(bits: "Iterable[int] | str") -> RunResult:

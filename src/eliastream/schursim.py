@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elias import as_bit
-from .extractor import walk_all
+from .extractor import von_neumann, walk_all
 from .young import q_run
 
 KNOWN_BASIS_CAP = 16
@@ -106,8 +106,7 @@ def cg_step(n: int, t: int, u: int, qubit: int) -> list[tuple[int, int, int, flo
         raise ValueError(f"invalid register pair (t={t}, u={u}) at n={n}")
     out = []
     if qubit == 0:
-        if d - u > 0:
-            out.append((t, u, 0, math.sqrt((d - u) / d)))
+        out.append((t, u, 0, math.sqrt((d - u) / d)))
         if u > 0:
             out.append((t + 1, u - 1, 1, -math.sqrt(u / d)))
     else:
@@ -161,8 +160,7 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     matrix = np.zeros((1 << n, len(index)), dtype=float)
     for s, col, amp in entries:
         matrix[s, col] += amp
-    labels = tuple(sorted(index, key=index.get))
-    return PartyIsometry(n, labels, matrix)
+    return PartyIsometry(n, tuple(index), matrix)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -437,13 +435,13 @@ def huffman_counterexample() -> float:
 def simulate_von_neumann(p: float, pairs: int) -> JointState:
     """Coherent pairwise unbiasing on `pairs` two-qubit draws per party.
 
-    Per pair: a controlled-not stores the parity in the second qubit, and on
-    odd parity the first qubit is swapped out onto the output tape.  The
-    residue stays in place, so the map is reversible: an even pair leaves
-    its value over a clean parity cell (kept symbol '0' or '1'), an odd
-    pair leaves a vacated cell over the raised parity (kept symbol '-').
-    Each pair also strands one deterministically clean cell, counted as
-    purity.
+    Per pair: a controlled-not from the second qubit stores the parity in
+    the first, and on odd parity the second qubit is swapped out onto the
+    output tape, as ``extractor.von_neumann`` emits it.  The residue stays in
+    place, so the map is reversible: an even pair leaves its value over a
+    clean parity cell (kept symbol '0' or '1'), an odd pair leaves a
+    vacated cell over the raised parity (kept symbol '-').  Each pair also
+    strands one deterministically clean cell, counted as purity.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
@@ -451,20 +449,14 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
         raise ValueError("pairs must be >= 0")
     amps: dict = {}
     n = 2 * pairs
-    for bits in product((0, 1), repeat=n):
-        t = sum(bits)
+    for bits in map("".join, product("01", repeat=n)):
+        t = bits.count("1")
         amp = math.sqrt(p ** (n - t) * (1 - p) ** t)
         if not amp:
             continue
-        tape = []
-        kept = []
-        for b1, b2 in zip(bits[::2], bits[1::2]):
-            if b1 ^ b2:
-                tape.append(b1)
-                kept.append("-")
-            else:
-                kept.append(str(b1))
-        label = VNLabel("".join(map(str, tape)), "".join(kept), pairs)
+        tape = "".join(map(str, von_neumann(bits)))
+        kept = "".join("-" if b1 != b2 else b1 for b1, b2 in zip(bits[::2], bits[1::2]))
+        label = VNLabel(tape, kept, pairs)
         key = (label, label)
         amps[key] = amps.get(key, 0.0) + amp
     return JointState(n, amps, meta={"mode": "vonneumann", "p": p, "seeded": 0}).validate()

@@ -224,6 +224,34 @@ def test_parse_bits_rejects_characters_other_than_ascii_0_and_1(text):
         parse_bits(text)
 
 
+TEXT = "0110100111010001"
+TEXT_BITS = tuple(map(int, TEXT))
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_bytes_like_sources_are_text_for_every_parser(kind):
+    def source(text):
+        return kind(text.encode("ascii"))
+
+    assert parse_bits(source(TEXT)) == TEXT_BITS
+    assert run(source(TEXT)) == run(TEXT_BITS)
+    assert StreamExtractor().feed(source(TEXT)) == run(TEXT_BITS).output
+    assert pause_mode_run(source(TEXT), 3) == pause_mode_run(TEXT_BITS, 3)
+    # "\x00\x01" is text too: bytearray([0, 1]) no longer passes as integer bits
+    for bad in ("0120", "\x00\x01"):
+        for parse in (parse_bits, run, StreamExtractor().feed):
+            with pytest.raises(ValueError, match="invalid bit characters"):
+                parse(source(bad))
+
+
+def test_numpy_bool_arrays_go_in_through_tolist():
+    flags = np.array(TEXT_BITS, dtype=bool)
+    with pytest.raises(ValueError, match="0 or 1"):
+        StreamExtractor().feed(flags)
+    assert StreamExtractor().feed(flags.tolist()) == StreamExtractor().feed(list(TEXT_BITS))
+    assert run(flags.tolist()) == run(list(TEXT_BITS))
+
+
 BAD_BITS = [0.5, 1.0, "1", None, 2]
 
 

@@ -1,4 +1,5 @@
-"""Each command loads only what it runs, checked in fresh interpreters.
+"""The package and each command load only what they run, checked in fresh
+interpreters.
 
 In-process tests cannot see this: by the time they run, pytest and the
 other test modules have loaded numpy, mpmath and every eliastream module.
@@ -27,18 +28,41 @@ sys.exit(code)
 """
 
 
-def run_fresh(args, tmp_path, probe=True):
+def python_fresh(args, tmp_path):
+    """Run `python <args>` in a new interpreter that imports eliastream from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-c", PROBE] if probe else [sys.executable, "-m", "eliastream.cli"]
-    return subprocess.run([*cmd, *args], cwd=tmp_path, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def run_fresh(args, tmp_path, probe=True):
+    entry = ["-c", PROBE] if probe else ["-m", "eliastream.cli"]
+    return python_fresh([*entry, *args], tmp_path)
 
 
 def loaded(args, tmp_path):
     proc = run_fresh(args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def loaded_submodules(module, tmp_path):
+    """eliastream.* modules a fresh `import <module>` loads, package excluded."""
+    probe = (f"import sys, {module}\n"
+             "print(' '.join(m for m in sys.modules if m.startswith('eliastream.')))")
+    proc = python_fresh(["-c", probe], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert loaded_submodules("eliastream", tmp_path) == set()
+
+
+def test_importing_the_cli_loads_only_the_modules_extract_needs(tmp_path):
+    got = loaded_submodules("eliastream.cli", tmp_path)
+    assert got == {f"eliastream.{m}" for m in ("cli", "extractor", "elias", "binomial")}
 
 
 def test_importing_the_cli_loads_no_oracle_or_numeric_library(tmp_path):
