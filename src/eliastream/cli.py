@@ -170,10 +170,10 @@ def cmd_simulate(args) -> int:
         raise SystemExit(f"unknown mode {args.mode}")
     if args.mode in ("known", "universal", "vonneumann"):
         fields["p"] = args.p
-        max_len = max(len(la.tape) for (la, _) in state.amps)
-        fields["expected_pairs"] = f"{sum(l * pr for l, pr in schursim.tape_length_distribution(state).items()):.6f}"
+        lengths = schursim.tape_length_distribution(state)
+        fields["expected_pairs"] = f"{sum(l * pr for l, pr in lengths.items()):.6f}"
         fields["certain_pairs"] = schursim.certain_pairs(state)
-        for k in range(1, max_len + 1):
+        for k in range(1, max(lengths) + 1):
             prob = schursim.emission_probability(state, k)
             fields[f"emit_prob[{k}]"] = f"{prob:.6f}"
             if prob > 0:

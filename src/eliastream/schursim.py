@@ -10,7 +10,13 @@ labeled registers per party:
     tape    emitted bit values (computational basis labels)
     purity  count of banked clean |0> qubits
 
-Joint states are sparse maps {(alice_label, bob_label): amplitude}.
+Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
+at construction.  Every pair statistic (emission probability, reduced pair,
+fidelity, marginals, memory gap) and every register distribution reads one
+column table per state, built on first use: the amplitudes and, per party,
+tape lengths, tapes as integer codes and dense ids of the other fields.  The
+branches holding pair k are gathered from it with numpy, once per
+(k, registers).
 
 Two simulators are provided.  The known-basis one replays the classical
 streaming-extractor transcript coherently (support 2^n, not 4^n).  The
@@ -28,9 +34,12 @@ parties gives identical fidelities.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +50,7 @@ from .young import q_run
 
 KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 6
+VON_NEUMANN_CAP = 8  # pairs: 4^8 strings
 SCHUR_CAP = 10
 # Bound of the per-size caches below: one entry per n (two for
 # schur_transform, whose key also records how cap was passed), so 32
@@ -74,13 +84,131 @@ class VNLabel(NamedTuple):
     purity: int
 
 
-@dataclass
+# Tapes are gathered as int64 codes, so a tape may hold at most this many
+# qubits; every simulator's cap keeps its tapes far shorter.
+TAPE_BITS_MAX = 62
+
+
+def _pair_index(k) -> int:
+    """A 1-based output-pair index as a plain int; anything else raises
+    ValueError, as ``elias.as_bit`` does for bits."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError("pair index must be an integer") from None
+    if k < 1:
+        raise ValueError("pair index is 1-based")
+    return k
+
+
+def _dense_ids(keys) -> tuple[np.ndarray, list]:
+    """Number hashable keys 0, 1, ... in order of first appearance: the ids
+    as an array, and the distinct keys by id."""
+    ids: dict = {}
+    column = np.fromiter((ids.setdefault(key, len(ids)) for key in keys), dtype=np.int64)
+    return column, list(ids)
+
+
+def _renumber(column: np.ndarray) -> tuple[np.ndarray, int]:
+    """The column's values replaced by their ranks, and the number of ranks."""
+    _, ranks = np.unique(column, return_inverse=True)
+    return ranks, int(ranks.max()) + 1
+
+
+def _first_appearance_ids(columns, rows: int) -> np.ndarray:
+    """Number the distinct rows of nonnegative int64 columns 0, 1, ... in
+    order of first appearance (all zeros when there are no columns)."""
+    key, size = np.zeros(rows, dtype=np.int64), 1
+    for column in columns:
+        span = int(column.max()) + 1
+        if size * span > 1 << 62:  # renumber densely before the key overflows
+            key, size = _renumber(key)
+            column, span = _renumber(column)
+        key, size = key * span + column, size * span
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+class PartyColumns(NamedTuple):
+    """One party's labels as columns, one row per amplitude-map entry."""
+
+    length: np.ndarray  # tape lengths
+    code: np.ndarray  # tapes as MSB-first integers
+    fields: dict  # every other label field: name -> (dense ids, values by id)
+
+    @classmethod
+    def build(cls, labels: tuple) -> "PartyColumns":
+        kinds = set(map(type, labels))
+        kind = kinds.pop()
+        if kinds or "tape" not in getattr(kind, "_fields", ()):
+            raise ValueError("a party's labels must share one label type with a tape field")
+        columns = dict(zip(kind._fields, zip(*labels)))
+        tape_ids, tapes = _dense_ids(columns.pop("tape"))
+        if any(not isinstance(tape, str) or tape.strip("01") for tape in tapes):
+            raise ValueError("a tape must be a string of 0/1 characters")
+        if max(map(len, tapes)) > TAPE_BITS_MAX:
+            raise ValueError(f"a tape may hold at most {TAPE_BITS_MAX} qubits")
+        length = np.array([len(tape) for tape in tapes], dtype=np.int64)[tape_ids]
+        code = np.array([int(tape or "0", 2) for tape in tapes], dtype=np.int64)[tape_ids]
+        return cls(length, code, {name: _dense_ids(col) for name, col in columns.items()})
+
+    def field(self, name: str) -> tuple[np.ndarray, list]:
+        if name not in self.fields:
+            raise ValueError(f"labels have no register field {name!r}")
+        return self.fields[name]
+
+
+class ColumnTable:
+    """A joint state's amplitude map as columns, rows in map order.
+
+    Per row: the amplitude and its weight |a|^2 (computed by Python, so sums
+    over rows in map order reproduce the map's own sums digit for digit); per
+    party, the tape length, the tape code and the dense ids of the other
+    label fields.  Pair gathers are memoised per (k, registers), so a pair's
+    fidelity, marginals and memory gap share them (see ``_pair_amplitudes``).
+    """
+
+    def __init__(self, amps) -> None:
+        if not amps:
+            raise ValueError("joint state has no amplitudes")
+        values = list(amps.values())
+        self.amps = np.array(values)
+        self.weights = np.array([abs(a) ** 2 for a in values])
+        alice, bob = zip(*amps)
+        self.alice = PartyColumns.build(alice)
+        self.bob = self.alice if bob == alice else PartyColumns.build(bob)
+        self.gathers: dict = {}  # (k, registers) -> read-only pair gather
+
+    def held(self, k) -> np.ndarray:
+        """Mask of the rows where both tapes hold pair k."""
+        k = _pair_index(k)
+        return (self.alice.length >= k) & (self.bob.length >= k)
+
+    def weight_sum(self, rows) -> float:
+        """Summed weight of the selected rows, added in map order."""
+        return float(sum(self.weights[rows].tolist()))
+
+
+@dataclass(frozen=True)
 class JointState:
-    """Sparse amplitude map over (Alice label, Bob label) pairs."""
+    """Sparse amplitude map over (Alice label, Bob label) pairs.
+
+    The map is frozen into a read-only view at construction, so the column
+    table built from it on first use can never go stale.
+    """
 
     n: int
-    amps: dict
+    amps: Mapping
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "amps", MappingProxyType(dict(self.amps)))
+
+    @cached_property
+    def table(self) -> ColumnTable:
+        return ColumnTable(self.amps)
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amps.values()))
@@ -274,52 +402,43 @@ def simulate_universal(
 
 def emission_probability(state: JointState, k: int) -> float:
     """Probability that both output tapes hold at least k qubits."""
-    if k < 1:
-        raise ValueError("pair index is 1-based")
-    return float(
-        sum(
-            abs(a) ** 2
-            for (la, lb), a in state.amps.items()
-            if len(la.tape) >= k and len(lb.tape) >= k
-        )
-    )
-
-
-def _dense_ids(keys) -> np.ndarray:
-    """Number hashable keys 0, 1, ... in order of first appearance."""
-    ids: dict = {}
-    return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=int)
+    table = state.table
+    return table.weight_sum(table.held(k))
 
 
 def _pair_amplitudes(state: JointState, k: int, registers: tuple[str, ...] = ()) -> np.ndarray:
-    """Amplitudes of the branches holding pair k as one dense array of shape
-    (pair bits |a b> = 2a + b at tape slot k, register, environment).  The
-    register axis runs over the joint values of the named label fields, the
-    environment axis over the rest of both labels, the tape minus slot k.
+    """Amplitudes of the branches holding pair k as one dense, read-only
+    array of shape (pair bits |a b> = 2a + b at tape slot k, register,
+    environment).  The register axis runs over the joint values of the named
+    label fields, the environment axis over the rest of both labels, the tape
+    minus slot k; both number their values in order of first appearance in
+    the map.  Gathered from the state's column table once per (k, registers).
     """
-    if k < 1:
-        raise ValueError("pair index is 1-based")
-    held = [
-        (la, lb, amp)
-        for (la, lb), amp in state.amps.items()
-        if len(la.tape) >= k and len(lb.tape) >= k
-    ]
-    if not held:
+    table = state.table
+    key = (_pair_index(k), tuple(registers))
+    if key in table.gathers:
+        return table.gathers[key]
+    k, registers = key
+    rows = np.flatnonzero(table.held(k))
+    if not rows.size:
         raise UndefinedPairError(f"pair {k} never exists in this state")
-    alice, bob, amps = zip(*held)
-    pair = np.zeros(len(amps), dtype=int)
-    reg_columns, env_columns = [], []  # one column per label field, Alice's then Bob's
-    for weight, labels in ((2, alice), (1, bob)):
-        columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
-        tapes = columns.pop("tape")
-        pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
-        reg_columns += [columns.pop(name) for name in registers]
-        env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
-    reg = _dense_ids(zip(*reg_columns)) if registers else np.zeros_like(pair)
-    env = _dense_ids(zip(*env_columns))
+    pair = np.zeros(rows.size, dtype=np.int64)
+    reg_columns, env_columns = [], []
+    for weight, party in ((2, table.alice), (1, table.bob)):
+        length, code = party.length[rows], party.code[rows]
+        after = length - k  # tape bits after slot k
+        pair += weight * ((code >> after) & 1)
+        rest = (code >> (after + 1) << after) | (code & ((1 << after) - 1))
+        reg_columns += [party.field(name)[0][rows] for name in registers]
+        env_columns += [length, rest]
+        env_columns += [ids[rows] for name, (ids, _) in party.fields.items() if name not in registers]
+    reg = _first_appearance_ids(reg_columns, rows.size)
+    env = _first_appearance_ids(env_columns, rows.size)
     psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
     # (pair bits, register, environment) rebuilds both labels: one cell per row
-    psi[pair, reg, env] = amps
+    psi[pair, reg, env] = table.amps[rows]
+    psi.flags.writeable = False
+    table.gathers[key] = psi
     return psi
 
 
@@ -371,20 +490,25 @@ def pair_memory_product_gap(state: JointState, k: int) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(gap))))
 
 
+def _weights_by(table: ColumnTable, column: np.ndarray) -> dict[int, float]:
+    """Summed weight of the rows holding each value of a nonnegative int
+    column; bincount adds each value's rows in map order, one by one."""
+    totals = np.bincount(column, weights=table.weights).tolist()
+    return {value: totals[value] for value in np.flatnonzero(np.bincount(column)).tolist()}
+
+
 def tape_length_distribution(state: JointState) -> dict[int, float]:
     """Probability of each output-tape length (Alice side)."""
-    dist: dict[int, float] = {}
-    for (la, _), amp in state.amps.items():
-        dist[len(la.tape)] = dist.get(len(la.tape), 0.0) + abs(amp) ** 2
-    return dict(sorted(dist.items()))
+    table = state.table
+    return _weights_by(table, table.alice.length)
 
 
 def register_distribution(state: JointState, name: str) -> dict:
-    """Probability of each value of a named Alice register (t, u, or l)."""
-    dist: dict = {}
-    for (la, _), amp in state.amps.items():
-        key = getattr(la, name)
-        dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
+    """Probability of each value of a named Alice label field other than the
+    tape (t, u, l or purity; kept for von Neumann labels)."""
+    table = state.table
+    ids, values = table.alice.field(name)
+    dist = {values[i]: weight for i, weight in _weights_by(table, ids).items()}
     return dict(sorted(dist.items(), key=lambda kv: (kv[0] is None, kv[0])))
 
 
@@ -443,6 +567,8 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
     vacated cell over the raised parity (kept symbol '-').  Each pair also
     strands one deterministically clean cell, counted as purity.
     """
+    if pairs > VON_NEUMANN_CAP:
+        raise SimulatorCapError(f"pairs={pairs} exceeds cap={VON_NEUMANN_CAP}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     if pairs < 0:

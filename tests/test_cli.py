@@ -272,6 +272,11 @@ def test_simulate_vonneumann_report(tmp_path):
     assert float(fields["nonhalting_amplitude"]) == pytest.approx(expected, abs=1e-9)
 
 
+def test_simulate_vonneumann_over_its_cap_exits_two(capsys):
+    assert main(["simulate", "--mode", "vonneumann", "--n", "40"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main(["extract", "--demand", "-3", "--input", str(tmp_path / "x")]) == 2
     assert main(["simulate", "--mode", "universal", "--n", "40"]) == 2
@@ -303,3 +308,25 @@ def test_extract_output_is_pinned(tmp_path, extra):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     fields = read_report(rep)
     assert (fields["n"], fields["t"], fields["l"]) == ntl
+
+
+# SHA-256 of `simulate` reports, recorded before the pair statistics were
+# read from a column table per state; fidelities, emission probabilities and
+# entropies must keep every printed digit.
+PINNED_REPORTS = {
+    ("--mode", "known", "--n", "12", "--p", "0.3"):
+        "336f139197fbe099191cd64cf4943d054a67d3e02989a0eecc2290dd71ce5cf0",
+    ("--mode", "universal", "--n", "6", "--p", "0.3", "--theta", "1.1"):
+        "6fa62fb80b81954338260a85a287aae50bd8bc423d79e7883b502f1ac724dd5f",
+    ("--mode", "vonneumann", "--n", "6", "--p", "0.3"):
+        "724391f38d284a36612186c129c5a50177172a2becbc4694bbe9271d0f653a6f",
+    ("--mode", "huffman"):
+        "a2b6c8cd3dabefd6030f0feeaf4f8bc10bd33414e0791d87cfff490f4958ba9e",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORTS))
+def test_simulate_reports_are_pinned(tmp_path, args):
+    rep = tmp_path / "report.txt"
+    assert main(["simulate", *args, "--report", str(rep)]) == 0
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == PINNED_REPORTS[args]

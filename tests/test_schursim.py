@@ -7,10 +7,13 @@ import pytest
 from eliastream.extractor import run
 from eliastream.schursim import (
     JointState,
+    TAPE_BITS_MAX,
+    VON_NEUMANN_CAP,
     PartyLabel,
     SimulatorCapError,
     UndefinedPairError,
     _classical_transcripts,
+    _pair_amplitudes,
     certain_pairs,
     cg_step,
     collective_rotation,
@@ -419,6 +422,194 @@ def test_memory_gap_detects_a_pair_entangled_with_its_register():
     assert pair_memory_product_gap(product, 1) < 1e-12
 
 
+def naive_pair_amplitudes(state, k, registers=()):
+    """Per-label gather, the oracle for the column table: label fields are
+    read from the label objects row by row, and register and environment
+    values are numbered by dict in order of first appearance."""
+
+    def dense_ids(keys):
+        ids = {}
+        return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=int)
+
+    held = [
+        (la, lb, amp)
+        for (la, lb), amp in state.amps.items()
+        if len(la.tape) >= k and len(lb.tape) >= k
+    ]
+    alice, bob, amps = zip(*held)
+    pair = np.zeros(len(amps), dtype=int)
+    reg_columns, env_columns = [], []
+    for weight, labels in ((2, alice), (1, bob)):
+        columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
+        tapes = columns.pop("tape")
+        pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
+        reg_columns += [columns.pop(name) for name in registers]
+        env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
+    reg = dense_ids(zip(*reg_columns)) if registers else np.zeros_like(pair)
+    env = dense_ids(zip(*env_columns))
+    psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
+    psi[pair, reg, env] = amps
+    return psi
+
+
+def hand_built_states():
+    """The small hand-made states of this file: perfect pair (also the
+    gap-free product case), product pair, Alice-first, and the coherent and
+    marked register-gap cases."""
+    amp = 1 / math.sqrt(2)
+    zero, one = PartyLabel(0, None, 1, "0", 0), PartyLabel(1, None, 1, "1", 0)
+    flat, marked = one._replace(t=0), one._replace(purity=1)
+    return [
+        JointState(1, {(zero, zero): amp, (flat, flat): amp}),
+        JointState(1, {(zero, zero): 1.0}),
+        JointState(1, {(zero, one): 1.0}),
+        JointState(1, {(zero, zero): amp, (one, one): amp}),
+        JointState(1, {(zero, zero): amp, (marked, marked): amp}),
+    ]
+
+
+def long_tape_state(rows=48, seed=5):
+    """Off-diagonal state with complex amplitudes, 40-60 qubit tapes and
+    registers drawn independently of them; its environment keys pass
+    through the table's renumbering."""
+    rng = np.random.default_rng(seed)
+
+    def label():
+        tape = "".join(map(str, rng.integers(0, 2, int(rng.integers(40, 61)))))
+        t = int(rng.integers(0, 3))
+        return PartyLabel(t, None, int(rng.integers(0, 3)), tape, t)
+
+    amps = {(label(), label()): complex(*rng.normal(size=2)) for _ in range(rows)}
+    return JointState(1, amps)
+
+
+def key_edge_states():
+    """Hand-made states on the edges of the table's key arithmetic: two tape
+    rests with one code at two lengths, and 61-qubit tapes whose environment
+    key overflows int64 unless the table renumbers it."""
+    amp = 1 / math.sqrt(2)
+    short, longer = PartyLabel(0, None, 1, "01", 0), PartyLabel(0, None, 1, "101", 0)
+    # Alice's rests differ by 2^59 only; times Bob's spans (62, then 2^60)
+    # that difference wraps to 0 in int64
+    low, high = PartyLabel(0, None, 1, "0" * 61, 0), PartyLabel(0, None, 1, "01" + "0" * 59, 0)
+    bob = PartyLabel(0, None, 1, "1" * 61, 0)
+    return [
+        JointState(1, {(short, short): amp, (longer, longer): amp}),
+        JointState(1, {(low, bob): amp, (high, bob): amp}),
+    ]
+
+
+def naive_distribution(state, key):
+    """Weight of each key(Alice label), added one row at a time in map
+    order: the dict-loop oracle for the distributions."""
+    dist = {}
+    for (la, _), a in state.amps.items():
+        dist[key(la)] = dist.get(key(la), 0.0) + abs(a) ** 2
+    return dist
+
+
+def assert_gathers_equal_naive(state, registers_options):
+    held_any = False
+    for k in range(1, max(len(la.tape) for (la, _) in state.amps) + 1):
+        if emission_probability(state, k) == 0:
+            continue
+        held_any = True
+        held = [a for (la, lb), a in state.amps.items() if len(la.tape) >= k and len(lb.tape) >= k]
+        assert emission_probability(state, k) == float(sum(abs(a) ** 2 for a in held))
+        for registers in registers_options:
+            expected = naive_pair_amplitudes(state, k, registers)
+            assert np.array_equal(_pair_amplitudes(state, k, registers), expected), (k, registers)
+    assert tape_length_distribution(state) == naive_distribution(state, lambda la: len(la.tape))
+    if isinstance(next(iter(state.amps))[0], PartyLabel):
+        assert register_distribution(state, "t") == naive_distribution(state, lambda la: la.t)
+    return held_any
+
+
+BOTH_GATHERS = ((), ("t", "l"))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_table_gather_equals_naive_gather_on_known_states(n):
+    for p in [k / 10 for k in range(1, 10)]:  # the acceptance suite's P_GRID
+        assert_gathers_equal_naive(simulate_known_basis(p, n), BOTH_GATHERS)
+
+
+@pytest.mark.parametrize("p,theta", [(0.3, 1.1), (0.7, 0.3), (0.5, 0.7)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_gather_equals_naive_gather_on_universal_states(n, p, theta):
+    state = simulate_universal(n, p=p, theta=theta)
+    assert_gathers_equal_naive(state, BOTH_GATHERS)
+
+
+def test_table_gather_equals_naive_gather_on_fixed_and_hand_built_states():
+    for pairs in range(7):
+        assert assert_gathers_equal_naive(simulate_von_neumann(0.3, pairs), ((),)) == (pairs > 0)
+    assert assert_gathers_equal_naive(huffman_output_state(), BOTH_GATHERS)
+    for state in [*hand_built_states(), long_tape_state(), *key_edge_states()]:
+        assert assert_gathers_equal_naive(state, BOTH_GATHERS)
+
+
+def test_pair_gathers_are_memoised_and_read_only():
+    state = simulate_known_basis(0.3, 6)
+    psi = _pair_amplitudes(state, 1)
+    assert _pair_amplitudes(state, 1) is psi
+    assert _pair_amplitudes(state, 1, ("t", "l")) is not psi
+    with pytest.raises(ValueError):
+        psi[0, 0, 0] = 1.0
+
+
+def test_joint_state_amplitudes_are_read_only():
+    label = PartyLabel(0, None, 1, "0", 0)
+    amps = {(label, label): 1.0}
+    state = JointState(1, amps)
+    with pytest.raises(TypeError):
+        state.amps[(label, label)] = 0.5
+    with pytest.raises(AttributeError):
+        state.amps = {}
+    amps[(label, label)] = 0.5  # the state keeps its own copy
+    assert state.amps == {(label, label): 1.0}
+    assert pair_fidelity(state, 1) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("k", [1.5, "1", None])
+@pytest.mark.parametrize(
+    "statistic", [emission_probability, reduced_pair, pair_fidelity, pair_memory_product_gap]
+)
+def test_pair_statistics_reject_a_pair_index_that_is_not_an_integer(statistic, k):
+    state = simulate_known_basis(0.3, 4)
+    with pytest.raises(ValueError, match="pair index must be an integer"):
+        statistic(state, k)
+
+
+def test_memory_gap_rejects_labels_without_lattice_registers():
+    state = simulate_von_neumann(0.3, 2)
+    with pytest.raises(ValueError, match="no register field 't'"):
+        pair_memory_product_gap(state, 1)
+
+
+@pytest.mark.parametrize("name", ["nonsense", "tape", "kept"])
+def test_register_distribution_rejects_an_unknown_field(name):
+    state = simulate_known_basis(0.3, 4)
+    with pytest.raises(ValueError, match="no register field"):
+        register_distribution(state, name)
+
+
+@pytest.mark.parametrize(
+    "tape,message",
+    [("0x1", "string of 0/1"), ("1" * (TAPE_BITS_MAX + 1), f"at most {TAPE_BITS_MAX}")],
+)
+def test_pair_statistics_reject_tapes_the_table_cannot_code(tape, message):
+    label = PartyLabel(0, None, len(tape), tape, 0)
+    state = JointState(1, {(label, label): 1.0})
+    with pytest.raises(ValueError, match=message):
+        emission_probability(state, 1)
+
+
+def test_pair_statistics_reject_an_empty_state():
+    with pytest.raises(ValueError, match="no amplitudes"):
+        tape_length_distribution(JointState(1, {}))
+
+
 def test_certain_pairs_reports_incubation_boundary():
     state = simulate_known_basis(0.5, 6)
     lengths = tape_length_distribution(state)
@@ -471,6 +662,12 @@ def test_von_neumann_lift_first_pair_is_perfect():
     for p in (0.2, 0.5, 0.8):
         state = simulate_von_neumann(p, 3)
         assert pair_fidelity(state, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_von_neumann_cap():
+    assert len(simulate_von_neumann(0.3, VON_NEUMANN_CAP).amps) > 0
+    with pytest.raises(SimulatorCapError, match="exceeds cap"):
+        simulate_von_neumann(0.3, VON_NEUMANN_CAP + 1)
 
 
 def test_von_neumann_single_pair_amplitudes():
