@@ -51,12 +51,6 @@ class BinomialTable:
             return 0
         return self.rows[n][t]
 
-    def bit(self, n: int, t: int, l: int) -> int:
-        """Bit l of C(n, t) (bit 0 = least significant)."""
-        if t < 0 or t > n:
-            return 0
-        return (self.rows[n][t] >> l) & 1
-
     def grown(self, max_n: int) -> "BinomialTable":
         """A table covering rows 0..max_n.  Shares existing rows."""
         if max_n <= self.max_n:

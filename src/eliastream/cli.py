@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from .extractor import StreamExtractor, pause_mode_run, walk_all
+from .extractor import StreamExtractor, pause_mode_run, walk_tree
 
 REPORT_SCHEMA = "eliastream/1"
 
@@ -114,31 +114,20 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    check_eq = "equivalence" in suites
-    if check_eq and args.max_n > verify.EXHAUSTIVE_CAP:
+    eq_to = args.max_n if "equivalence" in suites else -1
+    bal_to = min(args.max_n, verify.BALANCED_CAP) if "balanced" in suites else -1
+    if eq_to > verify.EXHAUSTIVE_CAP:
         raise ValueError(f"--max-n exceeds the equivalence cap {verify.EXHAUSTIVE_CAP}")
-    # Both exhaustive suites read one walk per n, enumerated once and
-    # dropped at the next n; the report still lists every equivalence first.
-    equivalence: dict[int, bool] = {}
-    balanced: dict[int, bool] = {}
-    for n in range(args.max_n + 1):
-        check_bal = "balanced" in suites and n <= verify.BALANCED_CAP
-        if not (check_eq or check_bal):
-            break
-        walk = tuple(walk_all(n)) if check_eq and check_bal else walk_all(n)
-        if check_eq:
-            equivalence[n] = verify.exhaustive_equivalence(n, walk).ok
-        if check_bal:
-            balanced[n] = verify.balanced_paths(n, walk).ok
-    fields: dict = {}
-    for name, results in (("equivalence", equivalence), ("balanced", balanced)):
-        for n, ok in results.items():
-            fields[f"{name}[{n}]"] = "pass" if ok else "FAIL"
-    failed = not all(equivalence.values()) or not all(balanced.values())
+    # One walk, tallied once, serves both suites at every n; equivalence is listed first.
+    depth = max(eq_to, bal_to)
+    tallies = verify.tally(walk_tree(depth), bal_to) if depth >= 0 else {}
+    ok = {f"equivalence[{n}]": verify.exhaustive_equivalence(n, tallies).ok
+          for n in range(eq_to + 1)}
+    ok |= {f"balanced[{n}]": verify.balanced_paths(n, tallies).ok for n in range(bal_to + 1)}
     if "yield" in suites:
-        report = verify.yield_bound_sweep(args.max_n)
-        fields["yield_bound"] = "pass" if report.ok else "FAIL"
-        failed |= not report.ok
+        ok["yield_bound"] = verify.yield_bound_sweep(args.max_n).ok
+    fields: dict = {name: "pass" if passed else "FAIL" for name, passed in ok.items()}
+    failed = not all(ok.values())
     if "stats" in suites:
         for p in (0.3, 0.5):
             report = verify.statistical_battery(p, args.samples, args.seed)
@@ -162,6 +151,7 @@ def cmd_simulate(args) -> int:
         fields["theta"] = args.theta
     elif args.mode == "huffman":
         state = schursim.huffman_output_state()
+        fields["n"] = state.n  # the scenario is one qubit pair whatever --n says
         fields["fidelity"] = f"{schursim.huffman_counterexample():.9f}"
     elif args.mode == "vonneumann":
         state = schursim.simulate_von_neumann(args.p, args.n)

@@ -23,8 +23,8 @@ Bit conservation: every input bit lands on exactly one of two tapes.  An
 emitting step sends b to the output tape and rewrites previously-banked
 zero bits (one per carry) as further outputs; a silent step banks b, erased
 to 0, on the purity tape.  So the output tape holds l bits and the purity
-tape the other n - l; ``fold_steps`` and ``walk_all`` check after every move
-the two conditions that can fail, len(output) == l and l <= n.
+tape the other n - l; ``fold_steps`` and ``walk_tree`` check after every
+move the two conditions that can fail, len(output) == l and l <= n.
 
 The move itself lives in one place, ``walk_step``, which sees only three
 node sizes and so runs on any lattice with Pascal's additive recursion
@@ -33,8 +33,8 @@ Pascal's triangle two things drive it:
 
 * ``step``/``run``: the reference walk, reading exact sizes from
   ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
-  engine against it; ``walk_all`` runs it on every n-bit string for the
-  exhaustive oracles in ``verify`` and ``schursim``.
+  engine against it; ``walk_tree`` steps each lattice move of it once on
+  the way to every prefix, for ``verify`` and, as ``walk_all``, ``schursim``.
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
@@ -49,6 +49,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
 from .elias import as_bit, is_text, parse_bits
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" characters to bytes 0/1
 
 
 class ExtractorState(NamedTuple):
@@ -122,27 +124,41 @@ def fold_steps(move: Callable[[ExtractorState, int], StepResult], bits: Iterable
     return RunResult(tuple(output), state)
 
 
+def walk_tree(max_n: int) -> Iterator[tuple[ExtractorState, int]]:
+    """(node, output) of every input prefix of length <= max_n, depth first,
+    0 before 1; the output is an integer whose node.l bits, MSB first, are
+    the bits emitted so far.  Each (node, b) is stepped, and its conservation
+    checked, once per call: under 1,000 lattice nodes up to n = 20, not
+    2^21 prefixes.  The memo lives as long as the call."""
+    if max_n < 0:
+        raise ValueError("n must be >= 0")
+    moves: dict[ExtractorState, tuple] = {}
+    todo = [(initial_state(), 0)]
+    while todo:
+        state, code = todo.pop()
+        yield state, code
+        if state.n < max_n:
+            pair = moves.get(state)
+            if pair is None:
+                pair = moves[state] = _move(state, 1) + _move(state, 0)  # pops 0 first
+            node1, k1, v1, node0, k0, v0 = pair
+            todo += (node1, code << k1 | v1), (node0, code << k0 | v0)
+
+
+def _move(state: ExtractorState, b: int) -> tuple[ExtractorState, int, int]:
+    """step() as (node, number of bits emitted, those bits as an integer)."""
+    node, emitted = step(state, b)
+    _check_tapes(node, state.l + len(emitted))
+    return node, len(emitted), int("".join(map(str, emitted)) or "0", 2)
+
+
 def walk_all(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
     """(final state, output) of step() on every n-bit string, in ascending
-    string order (MSB first).  Depth-first, so each prefix is stepped once;
-    conservation is checked at every node, as in fold_steps.
-    """
+    string order (MSB first): the depth-n prefixes of walk_tree(n)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _walk_tree(n)
-
-
-def _walk_tree(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
-    output: list[int] = []
-    todo = [(initial_state(), (), 0)]  # (node, bits its move emitted, output length before)
-    while todo:
-        state, emitted, keep = todo.pop()
-        output[keep:] = emitted
-        _check_tapes(state, len(output))
-        if state.n < n:
-            todo += (*step(state, 1), len(output)), (*step(state, 0), len(output))  # pops 0 first
-        else:
-            yield state, tuple(output)
+    return ((node, tuple(bin(code | 1 << node.l)[3:].encode().translate(_DIGITS)))
+            for node, code in walk_tree(n) if node.n == n)
 
 
 def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:

@@ -3,6 +3,8 @@
 The exhaustive and symbolic checks are hard assertions computed by full
 enumeration (they prove the property at the tested size); the statistical
 battery is advisory and only guards the plumbing around seeded sampling.
+Both exhaustive suites read ``tally``: one ``walk_tree`` pass as per-node
+string counts, 2^l-bit output maps and ones per position, in O(2^n) bits.
 mpmath and numpy are imported by the suites that use them (yield bound and
 battery), so the exhaustive suites load neither.
 """
@@ -16,18 +18,21 @@ from typing import TYPE_CHECKING, Iterable
 
 from .binomial import bin_layout, binom
 from .elias import SourceModel, expected_yield
-from .extractor import ExtractorState, StreamExtractor, walk_all
+from .extractor import ExtractorState, StreamExtractor, walk_tree
 
 if TYPE_CHECKING:
     import mpmath
 
-# What walk_all(n) yields: (final state, output) per n-bit string.
-Walk = Iterable[tuple[ExtractorState, tuple[int, ...]]]
-
-EXHAUSTIVE_CAP = 20
+EXHAUSTIVE_CAP = 23
 BALANCED_CAP = 14
 # The probabilities p0 of a 0 bit that the yield-bound sweep runs at every n.
 YIELD_P_VALUES = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
+
+
+class _Checked:  # a suite's report passes when it records no violation
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -39,38 +44,26 @@ class NodeRecord:
 
 
 @dataclass
-class EquivalenceReport:
+class EquivalenceReport(_Checked):
     n: int
     nodes: list[NodeRecord] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 @dataclass
-class BalancedReport:
+class BalancedReport(_Checked):
     n: int
     nodes_checked: int = 0
     positions_checked: int = 0
     violations: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 @dataclass
-class YieldBoundReport:
+class YieldBoundReport(_Checked):
     max_n: int
     p_values: tuple
     rows: list[tuple] = field(default_factory=list)  # (n, p, yield, bound)
     violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass
@@ -89,86 +82,92 @@ class StatReport:
         return abs(self.monobit_z) < 4 and abs(self.serial_z) < 4
 
 
-def exhaustive_equivalence(n: int, walk: Walk | None = None) -> EquivalenceReport:
+class NodeTally:
+    """The strings ending at one node (n, t, l): their count, a 2^l-bit map of
+    their outputs and, if tallied, the ones at output bit i (position l-1-i)."""
+
+    __slots__ = ("count", "seen", "ones")
+
+    def __init__(self, l: int, with_ones: bool):
+        self.count, self.seen = 0, bytearray(((1 << l) + 7) >> 3)
+        self.ones = [0] * l if with_ones else None
+
+
+def tally(walk: Iterable[tuple[ExtractorState, int]], ones_to: int = -1) -> dict:
+    """Fold (node, output code) pairs, as ``walk_tree`` yields them (codes
+    below 2^l), into a NodeTally per node, with ones at depths <= ones_to:
+    O(2^n) bits for a walk to depth n, where its outputs take O(n 2^n)."""
+    tallies: dict[ExtractorState, NodeTally] = {}
+    for node, code in walk:
+        acc = tallies.get(node)
+        if acc is None:
+            acc = tallies[node] = NodeTally(node.l, node.n <= ones_to)
+        acc.count += 1
+        acc.seen[code >> 3] |= 1 << (code & 7)
+        if acc.ones is not None:
+            for i in range(node.l):
+                acc.ones[i] += code >> i & 1
+    return tallies
+
+
+def _level(n: int, cap: int, tallies: dict | None, ones_to: int) -> dict[tuple, NodeTally]:
+    """The depth-n tallies by (t, l), in order; by default from a walk of their own."""
+    if not 0 <= n <= cap:
+        raise ValueError("n must be >= 0" if n < 0 else f"n={n} exceeds enumeration cap {cap}")
+    level = (tally(walk_tree(n), ones_to) if tallies is None else tallies).items()
+    return dict(sorted(((node.t, node.l), acc) for node, acc in level if node.n == n))
+
+
+def exhaustive_equivalence(n: int, tallies: dict | None = None) -> EquivalenceReport:
     """Check that n-step streaming reproduces the whole-block extraction.
 
     Every reachable final node (n, t, l) must collect exactly 2^l strings
     whose outputs enumerate {0,1}^l, the node sizes of a type must add up to
     C(n, t), and the set of l values must equal the type's bin layout.
-    `walk` is an already enumerated walk_all(n), read once; by default the
-    suite enumerates its own.
+    `tallies` is the ``tally`` of a walk to depth n or beyond, which every
+    such n can share; by default the suite walks and tallies its own.
     """
-    if n > EXHAUSTIVE_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {EXHAUSTIVE_CAP}")
+    level = _level(n, EXHAUSTIVE_CAP, tallies, -1)
     report = EquivalenceReport(n)
-    by_node: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for state, output in walk_all(n) if walk is None else walk:
-        if state.n != n:
-            report.violations.append(f"final state {state} has wrong n")
-        by_node.setdefault((state.t, state.l), []).append(output)
-    for (t, l), outputs in sorted(by_node.items()):
-        distinct = set(outputs)
-        complete = (
-            len(outputs) == 1 << l
-            and len(distinct) == 1 << l
-            and all(len(o) == l for o in outputs)
-        )
-        report.nodes.append(NodeRecord(t, l, len(outputs), complete))
+    for (t, l), acc in level.items():
+        distinct = int.from_bytes(acc.seen, "little").bit_count()
+        complete = acc.count == distinct == 1 << l
+        report.nodes.append(NodeRecord(t, l, acc.count, complete))
         if not complete:
-            report.violations.append(
-                f"node ({n},{t},{l}): {len(outputs)} strings, "
-                f"{len(distinct)} distinct outputs, want {1 << l}"
-            )
+            report.violations.append(f"node ({n},{t},{l}): {acc.count} strings, "
+                                     f"{distinct} distinct outputs, want {1 << l}")
     for t in range(n + 1):
-        sizes = {l: len(v) for (tt, l), v in by_node.items() if tt == t}
+        sizes = {l: acc.count for (tt, l), acc in level.items() if tt == t}
         if sum(sizes.values()) != binom(n, t):
-            report.violations.append(
-                f"type {t}: node sizes sum to {sum(sizes.values())}, "
-                f"want C({n},{t})={binom(n, t)}"
-            )
+            report.violations.append(f"type {t}: node sizes sum to {sum(sizes.values())}, "
+                                     f"want C({n},{t})={binom(n, t)}")
         if set(sizes) != set(bin_layout(n, t).bins):
-            report.violations.append(
-                f"type {t}: l values {sorted(sizes)} != layout "
-                f"{sorted(bin_layout(n, t).bins)}"
-            )
+            report.violations.append(f"type {t}: l values {sorted(sizes)} != layout "
+                                     f"{sorted(bin_layout(n, t).bins)}")
     return report
 
 
-def balanced_paths(n: int, walk: Walk | None = None) -> BalancedReport:
+def balanced_paths(n: int, tallies: dict | None = None) -> BalancedReport:
     """Exact symbolic balance of every output position at every final node.
 
     All strings reaching a node share the monomial p^(n-t) (1-p)^t, so the
-    per-value weights are that monomial times an integer count; the check
-    compares the coefficient maps {(n-t, t): count} for bit 0 vs bit 1,
-    which is equality of polynomials in p.  `walk` is as in
-    exhaustive_equivalence.
+    per-value weights are that monomial times an integer count; equal counts
+    of 0s and 1s at a position are equality of polynomials in p.  `tallies`
+    is as in exhaustive_equivalence, with ones tallied at depth n.
     """
-    if n > BALANCED_CAP:
-        raise ValueError(f"n={n} exceeds enumeration cap {BALANCED_CAP}")
+    level = _level(n, BALANCED_CAP, tallies, n)
     report = BalancedReport(n)
-    weights: dict[tuple, dict[tuple[int, int], int]] = {}
     strings = 0
-    for state, output in walk_all(n) if walk is None else walk:
-        strings += 1
-        if state.n != n:
-            report.violations.append(f"final state {state} has wrong n")
-        mono = (n - state.t, state.t)
-        for pos, bit in enumerate(output):
-            key = (state.t, state.l, pos, bit)
-            coeffs = weights.setdefault(key, {})
-            coeffs[mono] = coeffs.get(mono, 0) + 1
-    nodes = {(t, l) for (t, l, _, _) in weights}
-    report.nodes_checked = len(nodes)
-    for t, l in sorted(nodes):
-        for pos in range(l):
-            report.positions_checked += 1
-            zero = weights.get((t, l, pos, 0), {})
-            one = weights.get((t, l, pos, 1), {})
-            if zero != one:
-                report.violations.append(
-                    f"node ({n},{t},{l}) position {pos}: "
-                    f"weight(0)={zero} != weight(1)={one}"
-                )
+    for (t, l), acc in level.items():
+        if acc.ones is None:
+            raise ValueError(f"node ({n},{t},{l}) has no ones tallied")
+        strings += acc.count
+        report.nodes_checked += l > 0
+        report.positions_checked += l
+        for pos, one in enumerate(reversed(acc.ones)):
+            if acc.count - one != one:
+                report.violations.append(f"node ({n},{t},{l}) position {pos}: "
+                                         f"{acc.count - one} zeros != {one} ones")
     if strings != 1 << n:
         report.violations.append(f"walk holds {strings} strings, want 2^{n}")
     return report

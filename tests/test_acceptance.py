@@ -22,6 +22,7 @@ from eliastream.extractor import (
     run,
     step,
     von_neumann,
+    walk_tree,
 )
 from eliastream.schursim import (
     collective_rotation,
@@ -40,6 +41,7 @@ from eliastream.verify import (
     balanced_paths,
     exhaustive_equivalence,
     statistical_battery,
+    tally,
     theorem_bound,
 )
 from eliastream.young import dim, hook_dim_oracle, path_count
@@ -52,10 +54,11 @@ def report(line):
 
 
 def test_c01_streaming_equals_block_extraction():
-    for n in range(17):
-        result = exhaustive_equivalence(n)
+    tallies = tally(walk_tree(18))  # one walk, read at every depth
+    for n in range(19):
+        result = exhaustive_equivalence(n, tallies)
         assert result.ok, result.violations
-    report("criterion 1 PASS: streaming == block extraction for all N <= 16")
+    report("criterion 1 PASS: streaming == block extraction for all N <= 18")
 
 
 def test_c02_yield_meets_entropy_bound():
@@ -97,8 +100,9 @@ def test_c03_bin_entropy_below_two_bits():
 
 
 def test_c04_balanced_paths_symbolically():
+    tallies = tally(walk_tree(14), ones_to=14)
     for n in range(15):
-        result = balanced_paths(n)
+        result = balanced_paths(n, tallies)
         assert result.ok, result.violations
     report("criterion 4 PASS: outputs balanced as exact polynomials for N <= 14")
 

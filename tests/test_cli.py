@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eliastream import verify
+from eliastream import extractor, verify
 from eliastream.cli import main, pack_bits, unpack_bytes, write_report
+from eliastream.extractor import StepResult
+from eliastream.extractor import step as extractor_step
 
 
 def read_report(path):
@@ -167,7 +169,7 @@ def test_verify_report_order_does_not_follow_the_suites_option(tmp_path):
     ("balanced_paths", verify.BalancedReport),
 ])
 def test_verify_violation_fails_the_run(tmp_path, monkeypatch, suite, report_type):
-    def violated(n, walk=None):
+    def violated(n, tallies=None):
         return report_type(n, violations=["planted"])
 
     monkeypatch.setattr(verify, suite, violated)
@@ -195,14 +197,56 @@ def test_verify_rejects_negative_max_n(tmp_path, capsys):
 
 def test_verify_rejects_max_n_over_the_equivalence_cap_before_walking(tmp_path, capsys,
                                                                      monkeypatch):
-    def walk_all(n):
+    def step(state, b):
         raise AssertionError("walked before the cap check")
 
-    monkeypatch.setattr("eliastream.cli.walk_all", walk_all)
+    monkeypatch.setattr(extractor, "step", step)
     rep = tmp_path / "report.txt"
-    assert main(["verify", "--max-n", "21", "--report", str(rep)]) == 2
-    assert "exceeds the equivalence cap 20" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="walked"):  # any walk reaches the planted step
+        main(["verify", "--suites", "equivalence", "--max-n", "1", "--report", str(rep)])
+    cap = verify.EXHAUSTIVE_CAP
+    assert main(["verify", "--max-n", str(cap + 1), "--report", str(rep)]) == 2
+    assert f"exceeds the equivalence cap {cap}" in capsys.readouterr().err
     assert not rep.exists()
+
+
+def flip_one_move(monkeypatch, m):
+    """Plant a fault: the first emitting move into depth m that the walk
+    takes emits its last bit flipped, every time it is taken."""
+    faulty = []
+
+    def step(state, b):
+        node, emitted = extractor_step(state, b)
+        if emitted and node.n == m and faulty in ([], [(state, b)]):
+            faulty[:] = [(state, b)]
+            emitted = (*emitted[:-1], 1 - emitted[-1])
+        return StepResult(node, emitted)
+
+    monkeypatch.setattr(extractor, "step", step)
+    return faulty
+
+
+@pytest.mark.parametrize("m", [2, 5, 9, 14])
+def test_one_pass_verify_fails_the_depth_of_a_planted_fault(tmp_path, monkeypatch, m):
+    # every string through the faulty move shares the flipped bit, so its
+    # node both repeats an output and unbalances that position
+    faulty = flip_one_move(monkeypatch, m)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "equivalence,balanced", "--max-n", str(m),
+                 "--report", str(rep)]) == 1
+    assert faulty
+    fields = read_report(rep)
+    for name in ("equivalence", "balanced"):
+        assert [fields[f"{name}[{n}]"] for n in range(m + 1)] == ["pass"] * m + ["FAIL"]
+
+
+def test_a_planted_fault_fails_every_deeper_level(tmp_path, monkeypatch):
+    flip_one_move(monkeypatch, 4)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "equivalence", "--max-n", "10",
+                 "--report", str(rep)]) == 1
+    fields = read_report(rep)
+    assert [fields[f"equivalence[{n}]"] for n in range(11)] == ["pass"] * 4 + ["FAIL"] * 7
 
 
 def test_verify_yield_rejects_an_empty_sweep(tmp_path):
@@ -234,9 +278,10 @@ def test_verify_rejects_an_empty_suite_list(suites, tmp_path, capsys):
 
 def test_simulate_huffman_report(tmp_path):
     rep = tmp_path / "report.txt"
-    assert main(["simulate", "--mode", "huffman", "--report", str(rep)]) == 0
+    assert main(["simulate", "--mode", "huffman", "--n", "7", "--report", str(rep)]) == 0
     fields = read_report(rep)
     assert float(fields["fidelity"]) == pytest.approx(0.853553391, abs=1e-9)
+    assert fields["n"] == "1"  # the size of the state, not the ignored --n
 
 
 def test_simulate_known_report(tmp_path):
@@ -321,7 +366,7 @@ PINNED_REPORTS = {
     ("--mode", "vonneumann", "--n", "6", "--p", "0.3"):
         "724391f38d284a36612186c129c5a50177172a2becbc4694bbe9271d0f653a6f",
     ("--mode", "huffman"):
-        "a2b6c8cd3dabefd6030f0feeaf4f8bc10bd33414e0791d87cfff490f4958ba9e",
+        "44d84f7487f76eee3acfa752a7c8c86bb3b57e7adece6101299cb7bd75445dcb",
 }
 
 

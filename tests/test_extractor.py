@@ -22,6 +22,7 @@ from eliastream.extractor import (
     von_neumann,
     walk_all,
     walk_step,
+    walk_tree,
 )
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
@@ -199,6 +200,73 @@ def test_walk_all_equals_run_on_every_string_in_ascending_order():
 def test_walk_all_rejects_negative_length():
     with pytest.raises(ValueError):
         walk_all(-1)
+
+
+def test_walk_tree_rejects_negative_depth():
+    with pytest.raises(ValueError):
+        next(walk_tree(-1))
+
+
+def naive_walk_all(n):
+    """The per-n walk walk_all replaced: depth first from the apex, stepping
+    every prefix anew, with the output carried as a list of bits."""
+    output = []
+    todo = [(initial_state(), (), 0)]  # (node, bits its move emitted, output length before)
+    while todo:
+        state, emitted, keep = todo.pop()
+        output[keep:] = emitted
+        extractor._check_tapes(state, len(output))
+        if state.n < n:
+            todo += (*step(state, 1), len(output)), (*step(state, 0), len(output))  # pops 0 first
+        else:
+            yield state, tuple(output)
+
+
+def test_walk_all_equals_the_naive_per_n_walk_in_order():
+    for n in range(15):
+        assert list(walk_all(n)) == list(naive_walk_all(n))
+
+
+def test_walk_tree_passes_every_prefix_before_its_extensions():
+    def preorder(bits, depth):
+        result = run(bits)
+        code = int("".join(map(str, result.output)) or "0", 2)
+        yield result.final, code
+        if len(bits) < depth:
+            for b in (0, 1):
+                yield from preorder(bits + [b], depth)
+
+    for depth in range(9):
+        assert list(walk_tree(depth)) == list(preorder([], depth))
+
+
+def counting_steps(monkeypatch):
+    calls = []
+
+    def counted(state, b):
+        calls.append((state, b))
+        return step(state, b)
+
+    monkeypatch.setattr(extractor, "step", counted)
+    return calls
+
+
+def test_walk_tree_steps_each_move_once_per_call(monkeypatch):
+    calls = counting_steps(monkeypatch)
+    nodes = {node for node, _ in walk_tree(16) if node.n < 16}
+    assert sorted(calls) == sorted((node, b) for node in nodes for b in (0, 1))
+    assert len(calls) < 2000  # against 2^17 - 2 moves of the per-prefix walk
+    list(walk_tree(16))  # a second call remembers nothing of the first
+    assert len(calls) == 4 * len(nodes)
+
+
+def test_walk_tree_rejects_a_move_that_outruns_the_purity_tape(monkeypatch):
+    def greedy(state, b):
+        return StepResult(state._replace(n=state.n + 1, l=state.l + 2), (b, b))
+
+    monkeypatch.setattr(extractor, "step", greedy)
+    with pytest.raises(AssertionError, match="conservation"):
+        list(walk_tree(1))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=600))

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from eliastream.extractor import walk_all
+from eliastream import verify
+from eliastream.extractor import walk_all, walk_tree
 from eliastream.verify import (
     balanced_paths,
     exhaustive_equivalence,
     statistical_battery,
+    tally,
     theorem_bound,
     yield_bound_sweep,
 )
@@ -34,7 +36,7 @@ def test_equivalence_holds_exhaustively(n):
 
 def test_equivalence_cap():
     with pytest.raises(ValueError):
-        exhaustive_equivalence(21)
+        exhaustive_equivalence(verify.EXHAUSTIVE_CAP + 1)
 
 
 def test_node_populations_consistent_across_sizes():
@@ -71,37 +73,77 @@ def test_balanced_cap():
         balanced_paths(15)
 
 
+@pytest.fixture(scope="module")
+def shared():
+    return tally(walk_tree(12), ones_to=12)  # one walk, tallied once for every n <= 12
+
+
 @pytest.mark.parametrize("n", range(13))
-def test_suites_on_a_shared_walk_equal_their_own_enumeration(n):
-    walk = tuple(walk_all(n))
-    assert exhaustive_equivalence(n, walk) == exhaustive_equivalence(n)
-    assert balanced_paths(n, walk) == balanced_paths(n)
+def test_suites_on_a_shared_walk_equal_their_own_enumeration(n, shared):
+    assert exhaustive_equivalence(n, shared) == exhaustive_equivalence(n)
+    assert balanced_paths(n, shared) == balanced_paths(n)
 
 
 @pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
 def test_suites_flag_a_walk_of_another_length(suite):
-    report = suite(5, walk_all(4))
+    report = suite(5, tally(walk_tree(4), ones_to=4))  # no node of depth 5
     assert not report.ok
-    assert any("wrong n" in v for v in report.violations)
+    assert any("sum to 0" in v or "holds 0 strings" in v for v in report.violations)
+
+
+def leaves(walk, n):
+    return [i for i, (node, _) in enumerate(walk) if node.n == n]
 
 
 @pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
 def test_suites_flag_a_walk_missing_one_string(suite):
-    walk = tuple(walk_all(6))
-    assert not suite(6, walk[:5] + walk[6:]).ok
+    walk = list(walk_tree(6))
+    del walk[leaves(walk, 6)[5]]
+    assert suite(5, tally(walk, ones_to=6)).ok
+    assert not suite(6, tally(walk, ones_to=6)).ok
+
+
+@pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
+def test_suites_flag_a_walk_with_a_duplicated_output(suite):
+    # two strings at one node: the second gets the first one's output
+    walk = list(walk_tree(6))
+    by_node = {}
+    for i in leaves(walk, 6):
+        by_node.setdefault(walk[i][0], []).append(i)
+    first, second = next(ids for node, ids in by_node.items() if node.l >= 1)[:2]
+    walk[second] = walk[first]
+    assert not suite(6, tally(walk, ones_to=6)).ok
 
 
 @pytest.mark.parametrize("suite", [exhaustive_equivalence, balanced_paths])
 def test_suites_read_a_one_shot_walk_once(suite):
-    walk = walk_all(6)
-    assert suite(6, walk) == suite(6)
-    assert not suite(6, walk).ok  # nothing left to read
+    walk = walk_tree(6)
+    assert suite(6, tally(walk, ones_to=6)) == suite(6)
+    assert not suite(6, tally(walk, ones_to=6)).ok  # nothing left to read
 
 
-@pytest.mark.parametrize("suite, cap", [(exhaustive_equivalence, 20), (balanced_paths, 14)])
+def test_balanced_needs_ones_tallied_at_its_depth():
+    tallies = tally(walk_tree(6), ones_to=5)
+    assert balanced_paths(5, tallies).ok
+    with pytest.raises(ValueError, match="no ones tallied"):
+        balanced_paths(6, tallies)
+
+
+@pytest.mark.parametrize("suite, cap", [(exhaustive_equivalence, verify.EXHAUSTIVE_CAP),
+                                        (balanced_paths, verify.BALANCED_CAP)])
 def test_suites_keep_their_cap_on_a_shared_walk(suite, cap):
     with pytest.raises(ValueError, match="exceeds enumeration cap"):
-        suite(cap + 1, ())
+        suite(cap + 1, {})
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        suite(-1, {})
+
+
+def test_tallies_take_bits_per_output_not_tuples():
+    tallies = tally(walk_tree(16))
+    level = [acc for node, acc in tallies.items() if node.n == 16]
+    assert sum(acc.count for acc in level) == 1 << 16
+    assert sum(len(acc.seen) for acc in level) <= (1 << 16) // 8 + len(level)
+    assert all(acc.ones is None for acc in level)
 
 
 def test_streamed_yield_equals_block_yield_exactly():
