@@ -153,11 +153,9 @@ def cmd_simulate(args) -> int:
         state = schursim.huffman_output_state()
         fields["n"] = state.n  # the scenario is one qubit pair whatever --n says
         fields["fidelity"] = f"{schursim.huffman_counterexample():.9f}"
-    elif args.mode == "vonneumann":
+    else:  # vonneumann: argparse restricts the choices
         state = schursim.simulate_von_neumann(args.p, args.n)
         fields["nonhalting_amplitude"] = f"{schursim.nonhalting_amplitude(state):.9f}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown mode {args.mode}")
     if args.mode in ("known", "universal", "vonneumann"):
         fields["p"] = args.p
         lengths = schursim.tape_length_distribution(state)

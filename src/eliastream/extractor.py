@@ -34,7 +34,8 @@ Pascal's triangle two things drive it:
 * ``step``/``run``: the reference walk, reading exact sizes from
   ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
   engine against it; ``walk_tree`` steps each lattice move of it once on
-  the way to every prefix, for ``verify`` and, as ``walk_all``, ``schursim``.
+  the way to every prefix, for ``verify`` and ``schursim``, and carries each
+  output as the integer ``pack_code`` makes of its bits.
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
@@ -49,8 +50,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
 from .elias import as_bit, is_text, parse_bits
-
-_DIGITS = bytes.maketrans(b"01", b"\0\1")  # "0"/"1" characters to bytes 0/1
 
 
 class ExtractorState(NamedTuple):
@@ -149,16 +148,15 @@ def _move(state: ExtractorState, b: int) -> tuple[ExtractorState, int, int]:
     """step() as (node, number of bits emitted, those bits as an integer)."""
     node, emitted = step(state, b)
     _check_tapes(node, state.l + len(emitted))
-    return node, len(emitted), int("".join(map(str, emitted)) or "0", 2)
+    return node, len(emitted), pack_code(emitted)
 
 
-def walk_all(n: int) -> Iterator[tuple[ExtractorState, tuple[int, ...]]]:
-    """(final state, output) of step() on every n-bit string, in ascending
-    string order (MSB first): the depth-n prefixes of walk_tree(n)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return ((node, tuple(bin(code | 1 << node.l)[3:].encode().translate(_DIGITS)))
-            for node, code in walk_tree(n) if node.n == n)
+def pack_code(bits: Iterable[int]) -> int:
+    """The integer whose binary digits, MSB first, are `bits` (0 for none)."""
+    code = 0
+    for b in bits:
+        code = code << 1 | b
+    return code
 
 
 def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
@@ -224,10 +222,10 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
 
 # Measured on a 2-core Xeon (feed of 2,000 Bernoulli(0.3) bits from a node at
 # l = 1,000 / 2,000 / 4,000): the exact update costs 2.1 / 2.8 / 3.4 us per bit
-# and grows linearly with l, the window 1.7-2.4 us at any l.  So the window
-# would already pay from l of about 1,000.  The value stays so that streams of
-# a few thousand bits (4,096-bit inputs, say) run exact end to end; moving it
-# is a performance change of its own.
+# and grows linearly with l, the window 1.7-2.4 us at any l.  Yet a window from
+# the apex lost on short streams (1.35-1.52x slower per 512-bit demand from
+# 4,096-bit inputs): while C(n, t) is short, one exact update costs less than
+# the window's two bounds and three quotient checks.  So short inputs run exact.
 _CROSSOVER = 4096
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since

@@ -7,22 +7,23 @@ labeled registers per party:
     t       second-row box count of the current diagram (irrep label)
     u       ladder index inside the rotation irrep, u = j - m in {0..n-2t}
     l       number of emitted qubits
-    tape    emitted bit values (computational basis labels)
+    tape    emitted bit values as one integer code, MSB first (l bits)
     purity  count of banked clean |0> qubits
 
 Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
 at construction.  Every pair statistic (emission probability, reduced pair,
 fidelity, marginals, memory gap) and every register distribution reads one
 column table per state, built on first use: the amplitudes and, per party,
-tape lengths, tapes as integer codes and dense ids of the other fields.  The
+the l and tape columns as read and dense ids of the other fields.  The
 branches holding pair k are gathered from it with numpy, once per
 (k, registers).
 
 Two simulators are provided.  The known-basis one replays the classical
-streaming-extractor transcript coherently (support 2^n, not 4^n).  The
-universal one interleaves a Clebsch-Gordan step with the lattice-walk step
-of young.q_run, so it needs no knowledge of the input basis; it is built as
-an explicit 2^n x 2^n orthogonal matrix and applied to both parties.
+walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
+the walk carries them (support 2^n, not 4^n).  The universal one interleaves
+a Clebsch-Gordan step with the lattice-walk step of young.q_run, so it needs
+no knowledge of the input basis; it is built as an explicit 2^n x 2^n
+orthogonal matrix and applied to both parties.
 
 Coupling convention: a diagram with d = n - 2t + 1 states carries spin
 j = (d - 1)/2; u = 0 is the highest-weight state (aligned with |0>).  The
@@ -45,16 +46,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .elias import as_bit
-from .extractor import von_neumann, walk_all
+from .extractor import pack_code, von_neumann, walk_tree
 from .young import q_run
 
 KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 6
 VON_NEUMANN_CAP = 8  # pairs: 4^8 strings
 SCHUR_CAP = 10
-# Bound of the per-size caches below: one entry per n (two for
-# schur_transform, whose key also records how cap was passed), so 32
-# entries hold every size up to the largest cap, 16.
+# Per-size cache bound: one entry per n, two for schur_transform (by how cap is passed).
 CACHE_SIZE = 32
 
 NORM_TOL = 1e-12
@@ -68,18 +67,32 @@ class SimulatorCapError(ValueError):
     """Requested size exceeds the simulator's dimension cap."""
 
 
+class Tape(int):
+    """The integer whose l bits, MSB first, are the emitted qubits; len() is l,
+    leading zeros included.  Label statistics read the l field instead."""
+
+    def __new__(cls, code: int, l: int) -> "Tape":
+        tape = super().__new__(cls, code)
+        tape.l = l
+        return tape
+
+    def __len__(self) -> int:
+        return self.l
+
+
 class PartyLabel(NamedTuple):
     t: int
     u: int | None
     l: int
-    tape: str
+    tape: int
     purity: int
 
 
 class VNLabel(NamedTuple):
     """Pairwise-unbiasing register content: tape plus retained residue bits."""
 
-    tape: str
+    l: int
+    tape: int
     kept: str
     purity: int
 
@@ -134,24 +147,21 @@ def _first_appearance_ids(columns, rows: int) -> np.ndarray:
 class PartyColumns(NamedTuple):
     """One party's labels as columns, one row per amplitude-map entry."""
 
-    length: np.ndarray  # tape lengths
-    code: np.ndarray  # tapes as MSB-first integers
-    fields: dict  # every other label field: name -> (dense ids, values by id)
+    length: np.ndarray  # tape lengths, the l field
+    code: np.ndarray  # tapes, the tape field
+    fields: dict  # every field but the tape: name -> (dense ids, values by id)
 
     @classmethod
     def build(cls, labels: tuple) -> "PartyColumns":
-        kinds = set(map(type, labels))
-        kind = kinds.pop()
-        if kinds or "tape" not in getattr(kind, "_fields", ()):
-            raise ValueError("a party's labels must share one label type with a tape field")
+        kind, *others = set(map(type, labels))
+        if others or not {"l", "tape"} <= set(getattr(kind, "_fields", ())):
+            raise ValueError("a party's labels must share one label type with l and tape fields")
         columns = dict(zip(kind._fields, zip(*labels)))
-        tape_ids, tapes = _dense_ids(columns.pop("tape"))
-        if any(not isinstance(tape, str) or tape.strip("01") for tape in tapes):
-            raise ValueError("a tape must be a string of 0/1 characters")
-        if max(map(len, tapes)) > TAPE_BITS_MAX:
-            raise ValueError(f"a tape may hold at most {TAPE_BITS_MAX} qubits")
-        length = np.array([len(tape) for tape in tapes], dtype=np.int64)[tape_ids]
-        code = np.array([int(tape or "0", 2) for tape in tapes], dtype=np.int64)[tape_ids]
+        tape_ids, tapes = _dense_ids(zip(columns["l"], columns.pop("tape")))
+        if not all(isinstance(l, int) and 0 <= l <= TAPE_BITS_MAX and isinstance(tape, int)
+                   and 0 <= tape < 1 << l for l, tape in tapes):
+            raise ValueError(f"a tape must be an int in [0, 2^l), l <= {TAPE_BITS_MAX}")
+        length, code = np.array(tapes, dtype=np.int64).T[:, tape_ids]
         return cls(length, code, {name: _dense_ids(col) for name, col in columns.items()})
 
     def field(self, name: str) -> tuple[np.ndarray, list]:
@@ -215,7 +225,7 @@ class JointState:
 
     def validate(self) -> "JointState":
         nrm = self.norm_sq()
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise AssertionError(f"joint state norm^2 = {nrm!r}, not 1")
         return self
 
@@ -282,41 +292,32 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     entries = []
     for s in range(1 << n):
         for t, u, path, amp in _cg_branches(n, s):
-            label = SchurLabel(t, u, path)
-            col = index.setdefault(label, len(index))
+            col = index.setdefault(SchurLabel(t, u, path), len(index))
             entries.append((s, col, amp))
     matrix = np.zeros((1 << n, len(index)), dtype=float)
     for s, col, amp in entries:
         matrix[s, col] += amp
+    matrix.flags.writeable = False  # cached: shared by every later call
     return PartyIsometry(n, tuple(index), matrix)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _classical_transcripts(n: int) -> tuple[PartyLabel, ...]:
-    """Register labels of the reference walk on every n-bit string, in
-    ascending string order; label.t is the string's Hamming weight.
-
-    The purity tape holds n - l clean bits by conservation; walk_all() checks
-    l <= n at every node, so the tape never pops a bit it never banked.
-    """
-    return tuple(
-        PartyLabel(final.t, None, final.l, "".join(map(str, output)), n - final.l)
-        for final, output in walk_all(n)
-    )
 
 
 def simulate_known_basis(p: float, n: int) -> JointState:
     """Coherent run of the classical machine on sqrt(p)|00> + sqrt(1-p)|11>.
 
     Both parties' transcripts are identical branch by branch, so the joint
-    state has one diagonal term per classical string.
+    state has one diagonal term per classical string, a depth-n leaf of
+    walk_tree(); its check of l <= n at every node keeps the purity tape
+    (n - l clean bits) from popping a bit it never banked.
     """
     if n > KNOWN_BASIS_CAP:
         raise SimulatorCapError(f"n={n} exceeds cap={KNOWN_BASIS_CAP}")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     amps: dict = {}
-    for label in _classical_transcripts(n):
+    for node, code in walk_tree(n):
+        if node.n < n:
+            continue
+        label = PartyLabel(node.t, None, node.l, Tape(code, node.l), n - node.l)
         amp = math.sqrt(p ** (n - label.t) * (1 - p) ** label.t)
         if amp:
             amps[(label, label)] = amps.get((label, label), 0.0) + amp
@@ -356,7 +357,7 @@ def _universal_isometry(n: int) -> tuple[tuple[PartyLabel, ...], np.ndarray]:
         tape, final = q_run(path)
         if final.t != t:
             raise AssertionError("walk endpoint disagrees with coupling label")
-        labels.append(PartyLabel(t, u, final.l, "".join(map(str, tape)), n - final.l))
+        labels.append(PartyLabel(t, u, final.l, Tape(pack_code(tape), final.l), n - final.l))
     if len(set(labels)) != len(labels):
         raise AssertionError("universal register labels collide")
     return tuple(labels), schur.matrix
@@ -386,7 +387,7 @@ def simulate_universal(
     if psi.shape != (2, 2):
         raise ValueError("psi must be a 2x2 coefficient matrix")
     nrm = float(np.sum(np.abs(psi) ** 2))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError("psi is not normalized")
     labels, matrix = _universal_isometry(n)
     coeff = reduce(np.kron, [psi] * n)
@@ -530,7 +531,7 @@ def certain_pairs(state: JointState, tol: float = 1e-12) -> int:
 
 
 _HUFFMAN_AMPS = (1 / math.sqrt(2), 0.5, 1 / math.sqrt(8), 1 / math.sqrt(8))
-_HUFFMAN_CODES = ("000", "100", "110", "111")  # prefix code, zero-padded
+_HUFFMAN_CODES = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))  # prefix code, zero-padded
 
 
 def huffman_output_state() -> JointState:
@@ -541,7 +542,7 @@ def huffman_output_state() -> JointState:
     """
     amps = {}
     for amp, code in zip(_HUFFMAN_AMPS, _HUFFMAN_CODES):
-        label = PartyLabel(0, None, 3, code, 0)
+        label = PartyLabel(0, None, 3, Tape(pack_code(code), 3), 0)
         amps[(label, label)] = amp
     return JointState(1, amps, meta={"mode": "huffman", "seeded": 0}).validate()
 
@@ -573,18 +574,20 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
         raise ValueError("p must lie in [0, 1]")
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
+    # Per pair value, in ascending order: (bits emitted, their code, kept symbol, ones).
+    moves = [(len(out), pack_code(out), "-" if b1 != b2 else b1, int(b1) + int(b2))
+             for b1, b2 in product("01", repeat=2) for out in [von_neumann(b1 + b2)]]
+    branches = [(0, 0, "", 0)]  # (l, tape, kept, ones) per string, in ascending order
+    for _ in range(pairs):
+        branches = [(l + w, tape << w | v, kept + k, t + ones)
+                    for l, tape, kept, t in branches for w, v, k, ones in moves]
     amps: dict = {}
     n = 2 * pairs
-    for bits in map("".join, product("01", repeat=n)):
-        t = bits.count("1")
+    for l, tape, kept, t in branches:
         amp = math.sqrt(p ** (n - t) * (1 - p) ** t)
-        if not amp:
-            continue
-        tape = "".join(map(str, von_neumann(bits)))
-        kept = "".join("-" if b1 != b2 else b1 for b1, b2 in zip(bits[::2], bits[1::2]))
-        label = VNLabel(tape, kept, pairs)
-        key = (label, label)
-        amps[key] = amps.get(key, 0.0) + amp
+        if amp:
+            label = VNLabel(l, Tape(tape, l), kept, pairs)
+            amps[(label, label)] = amps.get((label, label), 0.0) + amp
     return JointState(n, amps, meta={"mode": "vonneumann", "p": p, "seeded": 0}).validate()
 
 

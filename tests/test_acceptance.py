@@ -141,7 +141,7 @@ def test_c07_known_basis_concentration():
     for n in range(1, 13):
         for p in P_GRID:
             state = simulate_known_basis(float(p), n)
-            max_len = max(len(la.tape) for (la, _) in state.amps)
+            max_len = max(la.l for (la, _) in state.amps)
             for k in range(1, max_len + 1):
                 if emission_probability(state, k) == 0:
                     continue
@@ -166,7 +166,7 @@ def test_c08_universal_concentration_and_covariance():
             for p in (0.3, 0.7):
                 psi = two_qubit_source(p, theta)
                 state = simulate_universal(n, psi=psi)
-                max_len = max(len(la.tape) for (la, _) in state.amps)
+                max_len = max(la.l for (la, _) in state.amps)
                 fidelities = {}
                 for k in range(1, max_len + 1):
                     if emission_probability(state, k) == 0:

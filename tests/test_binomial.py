@@ -149,7 +149,7 @@ from fractions import Fraction
 from eliastream import binomial, elias, extractor, young
 rng = random.Random(7)
 extractor.run([int(rng.random() < 0.3) for _ in range(1000)])
-for _ in extractor.walk_all(12):
+for _ in extractor.walk_tree(12):
     pass
 young.q_run([0, 1] * 100)
 elias.expected_yield(200, elias.SourceModel(Fraction(7, 10)), cap=200)

@@ -322,6 +322,11 @@ def test_simulate_vonneumann_over_its_cap_exits_two(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_simulate_universal_with_a_nan_angle_exits_two(capsys):
+    assert main(["simulate", "--mode", "universal", "--n", "3", "--p", "0.3", "--theta", "nan"]) == 2
+    assert capsys.readouterr().err == "error: psi is not normalized\n"
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main(["extract", "--demand", "-3", "--input", str(tmp_path / "x")]) == 2
     assert main(["simulate", "--mode", "universal", "--n", "40"]) == 2
@@ -356,7 +361,8 @@ def test_extract_output_is_pinned(tmp_path, extra):
 
 
 # SHA-256 of `simulate` reports, recorded before the pair statistics were
-# read from a column table per state; fidelities, emission probabilities and
+# read from a column table per state (the two at the size caps: before the
+# tapes became integer codes); fidelities, emission probabilities and
 # entropies must keep every printed digit.
 PINNED_REPORTS = {
     ("--mode", "known", "--n", "12", "--p", "0.3"):
@@ -367,6 +373,10 @@ PINNED_REPORTS = {
         "724391f38d284a36612186c129c5a50177172a2becbc4694bbe9271d0f653a6f",
     ("--mode", "huffman"):
         "44d84f7487f76eee3acfa752a7c8c86bb3b57e7adece6101299cb7bd75445dcb",
+    ("--mode", "known", "--n", "16", "--p", "0.05"):
+        "3c15263c753ddf64a50a37b60b511a081be6be5ae8a3045fe5d842ae52fd7d44",
+    ("--mode", "vonneumann", "--n", "8", "--p", "0.7"):
+        "552d29009c421c46a99fbb8a595daebb39d5367f7368172b51e8b8e6567a0642",
 }
 
 

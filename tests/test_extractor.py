@@ -19,8 +19,8 @@ from eliastream.extractor import (
     pause_mode_run,
     run,
     step,
+    pack_code,
     von_neumann,
-    walk_all,
     walk_step,
     walk_tree,
 )
@@ -188,18 +188,21 @@ def test_stream_engine_matches_reference_exhaustively():
             assert engine.state == reference.final
 
 
-def test_walk_all_equals_run_on_every_string_in_ascending_order():
+def leaves(n):
+    """walk_tree's depth-n prefixes as (node, output bits), the code read
+    back one bit at a time, MSB first."""
+    for node, code in walk_tree(n):
+        if node.n == n:
+            yield node, tuple(code >> (node.l - 1 - i) & 1 for i in range(node.l))
+
+
+def test_walk_tree_leaves_equal_run_on_every_string_in_ascending_order():
     for n in range(11):
         expected = []
         for s in range(1 << n):
             result = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
             expected.append((result.final, result.output))
-        assert list(walk_all(n)) == expected
-
-
-def test_walk_all_rejects_negative_length():
-    with pytest.raises(ValueError):
-        walk_all(-1)
+        assert list(leaves(n)) == expected
 
 
 def test_walk_tree_rejects_negative_depth():
@@ -208,7 +211,7 @@ def test_walk_tree_rejects_negative_depth():
 
 
 def naive_walk_all(n):
-    """The per-n walk walk_all replaced: depth first from the apex, stepping
+    """The per-n walk walk_tree replaced: depth first from the apex, stepping
     every prefix anew, with the output carried as a list of bits."""
     output = []
     todo = [(initial_state(), (), 0)]  # (node, bits its move emitted, output length before)
@@ -222,9 +225,14 @@ def naive_walk_all(n):
             yield state, tuple(output)
 
 
-def test_walk_all_equals_the_naive_per_n_walk_in_order():
+def test_walk_tree_leaves_equal_the_naive_per_n_walk_in_order():
     for n in range(15):
-        assert list(walk_all(n)) == list(naive_walk_all(n))
+        assert list(leaves(n)) == list(naive_walk_all(n))
+
+
+@pytest.mark.parametrize("bits", [(), (0,), (1,), (0, 0, 1), (1, 0, 1, 1), (1,) * 70])
+def test_pack_code_reads_bits_msb_first(bits):
+    assert pack_code(bits) == sum(b << (len(bits) - 1 - i) for i, b in enumerate(bits))
 
 
 def test_walk_tree_passes_every_prefix_before_its_extensions():

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ import pytest
 from eliastream.extractor import run
 from eliastream.schursim import (
     JointState,
+    SCHUR_CAP,
     TAPE_BITS_MAX,
     VON_NEUMANN_CAP,
     PartyLabel,
     SimulatorCapError,
+    Tape,
     UndefinedPairError,
-    _classical_transcripts,
     _pair_amplitudes,
     certain_pairs,
     cg_step,
@@ -37,6 +40,17 @@ from eliastream.schursim import (
 from eliastream.young import dim
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / math.sqrt(2)
+
+
+@functools.lru_cache(maxsize=1 << 16)  # the gather oracle reads each label again per k
+def tape_text(label):
+    """A label's tape as 0/1 text, MSB first: the naive view of its code."""
+    return format(label.tape, f"0{label.l}b") if label.l else ""
+
+
+def text_label(tape, t=0, purity=0):
+    """A hand-made label whose tape is given as 0/1 text."""
+    return PartyLabel(t, None, len(tape), int(tape, 2) if tape else 0, purity)
 
 
 def rotation(phi, axis):
@@ -176,7 +190,7 @@ def test_known_basis_first_pair_is_perfect_for_all_biases(p):
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_known_basis_pairs_perfect_and_uncorrelated(n, p):
     state = simulate_known_basis(p, n)
-    max_len = max(len(la.tape) for (la, _) in state.amps)
+    max_len = max(la.l for (la, _) in state.amps)
     assert max_len >= 1
     for k in range(1, max_len + 1):
         if emission_probability(state, k) == 0:
@@ -245,7 +259,7 @@ def test_universal_registers_agree_between_parties():
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_universal_pairs_perfect_for_rotated_bases(n, theta):
     state = simulate_universal(n, p=0.3, theta=theta)
-    max_len = max(len(la.tape) for (la, _) in state.amps)
+    max_len = max(la.l for (la, _) in state.amps)
     emitted_any = False
     for k in range(1, max_len + 1):
         if emission_probability(state, k) == 0:
@@ -289,7 +303,7 @@ def test_universal_computational_basis_registers_track_lattice_walk():
     for (la, lb), amp in state.amps.items():
         if abs(amp) > 1e-12:
             assert la.t == lb.t and la.l == lb.l
-            assert len(la.tape) == la.l
+            assert len(la.tape) == la.l and 0 <= la.tape < 1 << la.l
             assert la.purity == 4 - la.l
 
 
@@ -300,14 +314,33 @@ def test_universal_input_validation():
         simulate_universal(3)
     with pytest.raises(ValueError):
         simulate_universal(3, psi=np.eye(2))  # unnormalized
+    with pytest.raises(ValueError, match="not normalized"):
+        simulate_universal(3, psi=np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="not normalized"):
+        simulate_universal(3, p=0.3, theta=math.nan)
+
+
+def test_validate_rejects_a_nan_amplitude():
+    label = text_label("0")
+    with pytest.raises(AssertionError, match="nan"):
+        JointState(1, {(label, label): math.nan}).validate()
+
+
+def test_cached_schur_transforms_are_read_only():
+    before = simulate_universal(3, p=0.3, theta=0.4).amps
+    with pytest.raises(ValueError):
+        schur_transform(3, cap=SCHUR_CAP).matrix *= 2
+    with pytest.raises(ValueError):
+        schur_transform(3).matrix[0, 0] = 2.0
+    assert simulate_universal(3, p=0.3, theta=0.4).amps == before
 
 
 # -- reduced-pair machinery ---------------------------------------------------
 
 
 def test_pair_fidelity_of_perfect_pair_branch():
-    label0 = PartyLabel(0, None, 1, "0", 0)
-    label1 = PartyLabel(0, None, 1, "1", 0)
+    label0 = text_label("0")
+    label1 = text_label("1")
     amps = {
         (label0, label0): 1 / math.sqrt(2),
         (label1, label1): 1 / math.sqrt(2),
@@ -317,13 +350,13 @@ def test_pair_fidelity_of_perfect_pair_branch():
 
 
 def test_pair_fidelity_of_product_branch():
-    label = PartyLabel(0, None, 1, "0", 0)
+    label = text_label("0")
     state = JointState(1, {(label, label): 1.0})
     assert pair_fidelity(state, 1) == pytest.approx(0.5)
 
 
 def test_reduced_pair_requires_support():
-    label = PartyLabel(0, None, 0, "", 1)
+    label = text_label("", purity=1)
     state = JointState(1, {(label, label): 1.0})
     with pytest.raises(UndefinedPairError):
         reduced_pair(state, 1)
@@ -338,8 +371,20 @@ def test_known_basis_transcripts_equal_per_string_runs():
             result = run([(s >> (n - 1 - k)) & 1 for k in range(n)])
             final = result.final
             tape = "".join(map(str, result.output))
-            expected.append(PartyLabel(final.t, None, final.l, tape, n - final.l))
-        assert list(_classical_transcripts(n)) == expected
+            expected.append((final.t, None, final.l, tape, n - final.l))
+        amps = simulate_known_basis(0.5, n).amps
+        assert all(la is lb for la, lb in amps)
+        assert [(*la[:3], tape_text(la), la.purity) for la, _ in amps] == expected
+
+
+def test_simulator_tapes_know_their_length():
+    states = [simulate_known_basis(0.3, 6), simulate_universal(4, p=0.3, theta=0.5),
+              simulate_von_neumann(0.3, 3), huffman_output_state()]
+    for state in states:
+        for la, lb in state.amps:
+            for label in (la, lb):
+                assert isinstance(label.tape, Tape) and len(label.tape) == label.l
+    assert Tape(0b011, 3) == 3 and len(Tape(0b011, 3)) == 3 and len(Tape(0, 0)) == 0
 
 
 def test_known_basis_rejects_negative_n():
@@ -359,15 +404,16 @@ def brute_force_reduced_pair(state, k):
     pair's density matrix exactly when everything but slot k agrees."""
 
     def rest(label):
+        tape = tape_text(label)
         return tuple(
-            label.tape[: k - 1] + label.tape[k:] if name == "tape" else value
+            tape[: k - 1] + tape[k:] if name == "tape" else value
             for name, value in zip(label._fields, label)
         )
 
     held = [
-        (2 * int(la.tape[k - 1]) + int(lb.tape[k - 1]), (rest(la), rest(lb)), amp)
+        (2 * int(tape_text(la)[k - 1]) + int(tape_text(lb)[k - 1]), (rest(la), rest(lb)), amp)
         for (la, lb), amp in state.amps.items()
-        if len(la.tape) >= k and len(lb.tape) >= k
+        if la.l >= k and lb.l >= k
     ]
     rho = np.zeros((4, 4), dtype=complex)
     for i, env_i, amp_i in held:
@@ -382,7 +428,7 @@ def brute_force_reduced_pair(state, k):
 def test_reduced_pair_equals_brute_force_partial_trace_on_universal_states(n, p, theta):
     state = simulate_universal(n, p=p, theta=theta)
     assert any(la != lb for la, lb in state.amps)
-    max_len = max(len(la.tape) for (la, _) in state.amps)
+    max_len = max(la.l for (la, _) in state.amps)
     for k in range(1, max_len + 1):
         expected, expected_prob = brute_force_reduced_pair(state, k)
         rho, prob = reduced_pair(state, k)
@@ -391,8 +437,8 @@ def test_reduced_pair_equals_brute_force_partial_trace_on_universal_states(n, p,
 
 
 def test_reduced_pair_puts_alice_first():
-    alice = PartyLabel(0, None, 1, "0", 0)
-    bob = PartyLabel(1, None, 1, "1", 0)
+    alice = text_label("0")
+    bob = text_label("1", t=1)
     state = JointState(1, {(alice, bob): 1.0})
     rho, prob = reduced_pair(state, 1)
     assert prob == 1.0
@@ -407,8 +453,8 @@ def test_memory_gap_detects_a_pair_entangled_with_its_register():
     # position; a tracing-out environment that tells the branches apart
     # (purity) leaves the classical mixture instead
     amp = 1 / math.sqrt(2)
-    zero = PartyLabel(0, None, 1, "0", 0)
-    one = PartyLabel(1, None, 1, "1", 0)
+    zero = text_label("0")
+    one = text_label("1", t=1)
     coherent = JointState(1, {(zero, zero): amp, (one, one): amp}).validate()
     # within span{|00,r0>, |11,r1>} rho - rho_pair x rho_reg has eigenvalues
     # 3/4 and -1/4; the two other product states carry -1/4 each
@@ -434,14 +480,15 @@ def naive_pair_amplitudes(state, k, registers=()):
     held = [
         (la, lb, amp)
         for (la, lb), amp in state.amps.items()
-        if len(la.tape) >= k and len(lb.tape) >= k
+        if la.l >= k and lb.l >= k
     ]
     alice, bob, amps = zip(*held)
     pair = np.zeros(len(amps), dtype=int)
     reg_columns, env_columns = [], []
     for weight, labels in ((2, alice), (1, bob)):
         columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
-        tapes = columns.pop("tape")
+        del columns["tape"]
+        tapes = [tape_text(label) for label in labels]
         pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
         reg_columns += [columns.pop(name) for name in registers]
         env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
@@ -457,7 +504,7 @@ def hand_built_states():
     gap-free product case), product pair, Alice-first, and the coherent and
     marked register-gap cases."""
     amp = 1 / math.sqrt(2)
-    zero, one = PartyLabel(0, None, 1, "0", 0), PartyLabel(1, None, 1, "1", 0)
+    zero, one = text_label("0"), text_label("1", t=1)
     flat, marked = one._replace(t=0), one._replace(purity=1)
     return [
         JointState(1, {(zero, zero): amp, (flat, flat): amp}),
@@ -477,7 +524,7 @@ def long_tape_state(rows=48, seed=5):
     def label():
         tape = "".join(map(str, rng.integers(0, 2, int(rng.integers(40, 61)))))
         t = int(rng.integers(0, 3))
-        return PartyLabel(t, None, int(rng.integers(0, 3)), tape, t)
+        return text_label(tape, t=t, purity=t)
 
     amps = {(label(), label()): complex(*rng.normal(size=2)) for _ in range(rows)}
     return JointState(1, amps)
@@ -488,11 +535,11 @@ def key_edge_states():
     rests with one code at two lengths, and 61-qubit tapes whose environment
     key overflows int64 unless the table renumbers it."""
     amp = 1 / math.sqrt(2)
-    short, longer = PartyLabel(0, None, 1, "01", 0), PartyLabel(0, None, 1, "101", 0)
+    short, longer = text_label("01"), text_label("101")
     # Alice's rests differ by 2^59 only; times Bob's spans (62, then 2^60)
     # that difference wraps to 0 in int64
-    low, high = PartyLabel(0, None, 1, "0" * 61, 0), PartyLabel(0, None, 1, "01" + "0" * 59, 0)
-    bob = PartyLabel(0, None, 1, "1" * 61, 0)
+    low, high = text_label("0" * 61), text_label("01" + "0" * 59)
+    bob = text_label("1" * 61)
     return [
         JointState(1, {(short, short): amp, (longer, longer): amp}),
         JointState(1, {(low, bob): amp, (high, bob): amp}),
@@ -510,16 +557,16 @@ def naive_distribution(state, key):
 
 def assert_gathers_equal_naive(state, registers_options):
     held_any = False
-    for k in range(1, max(len(la.tape) for (la, _) in state.amps) + 1):
+    for k in range(1, max(la.l for (la, _) in state.amps) + 1):
         if emission_probability(state, k) == 0:
             continue
         held_any = True
-        held = [a for (la, lb), a in state.amps.items() if len(la.tape) >= k and len(lb.tape) >= k]
+        held = [a for (la, lb), a in state.amps.items() if la.l >= k and lb.l >= k]
         assert emission_probability(state, k) == float(sum(abs(a) ** 2 for a in held))
         for registers in registers_options:
             expected = naive_pair_amplitudes(state, k, registers)
             assert np.array_equal(_pair_amplitudes(state, k, registers), expected), (k, registers)
-    assert tape_length_distribution(state) == naive_distribution(state, lambda la: len(la.tape))
+    assert tape_length_distribution(state) == naive_distribution(state, lambda la: la.l)
     if isinstance(next(iter(state.amps))[0], PartyLabel):
         assert register_distribution(state, "t") == naive_distribution(state, lambda la: la.t)
     return held_any
@@ -559,7 +606,7 @@ def test_pair_gathers_are_memoised_and_read_only():
 
 
 def test_joint_state_amplitudes_are_read_only():
-    label = PartyLabel(0, None, 1, "0", 0)
+    label = text_label("0")
     amps = {(label, label): 1.0}
     state = JointState(1, amps)
     with pytest.raises(TypeError):
@@ -595,13 +642,29 @@ def test_register_distribution_rejects_an_unknown_field(name):
 
 
 @pytest.mark.parametrize(
-    "tape,message",
-    [("0x1", "string of 0/1"), ("1" * (TAPE_BITS_MAX + 1), f"at most {TAPE_BITS_MAX}")],
+    "tape,l",
+    [("01", 2), (1.0, 1), (4, 2), (-1, 2), (1, -1), (0, TAPE_BITS_MAX + 1), (0, 1.0)],
 )
-def test_pair_statistics_reject_tapes_the_table_cannot_code(tape, message):
-    label = PartyLabel(0, None, len(tape), tape, 0)
+def test_pair_statistics_reject_tapes_the_table_cannot_code(tape, l):
+    label = PartyLabel(0, None, l, tape, 0)
     state = JointState(1, {(label, label): 1.0})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"an int in \[0, 2\^l\), l <= {TAPE_BITS_MAX}"):
+        emission_probability(state, 1)
+
+
+def test_pair_statistics_take_the_longest_tape_the_table_can_code():
+    label = text_label("1" * TAPE_BITS_MAX)
+    state = JointState(1, {(label, label): 1.0})
+    assert emission_probability(state, TAPE_BITS_MAX) == 1.0
+    assert pair_fidelity(state, TAPE_BITS_MAX) == pytest.approx(0.5)
+
+
+def test_pair_statistics_need_l_and_tape_fields():
+    class TapeOnly(NamedTuple):
+        tape: int
+
+    state = JointState(1, {(TapeOnly(0), TapeOnly(0)): 1.0})
+    with pytest.raises(ValueError, match="l and tape fields"):
         emission_probability(state, 1)
 
 
@@ -644,7 +707,7 @@ def test_streaming_positive_control_against_huffman():
     # the same dyadic source reduces to unbiased bits; concentrating those
     # with the streaming machine leaves no defect in any emitted pair
     state = simulate_known_basis(0.5, 8)
-    max_len = max(len(la.tape) for (la, _) in state.amps)
+    max_len = max(la.l for (la, _) in state.amps)
     for k in range(1, max_len + 1):
         if emission_probability(state, k) > 0:
             assert abs(pair_fidelity(state, k) - 1) < 1e-10
@@ -673,7 +736,7 @@ def test_von_neumann_cap():
 def test_von_neumann_single_pair_amplitudes():
     state = simulate_von_neumann(0.3, 1)
     amps = {
-        (la.tape, la.kept): amp for (la, _), amp in state.amps.items()
+        (tape_text(la), la.kept): amp for (la, _), amp in state.amps.items()
     }
     assert amps[("", "0")] == pytest.approx(0.3)
     assert amps[("", "1")] == pytest.approx(0.7)

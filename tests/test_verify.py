@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from eliastream import verify
-from eliastream.extractor import walk_all, walk_tree
+from eliastream.extractor import walk_tree
 from eliastream.verify import (
     balanced_paths,
     exhaustive_equivalence,
@@ -151,13 +151,13 @@ def test_streamed_yield_equals_block_yield_exactly():
     # length by its exact type probability: the mean must be the very same
     # rational the block-side calculator produces
     from eliastream.elias import SourceModel, expected_yield
-    from eliastream.extractor import walk_all
 
     for n in (1, 4, 9, 13, 16):
         node_counts = {}
-        for state, output in walk_all(n):
-            key = (state.t, len(output))
-            node_counts[key] = node_counts.get(key, 0) + 1
+        for state, _ in walk_tree(n):
+            if state.n == n:
+                key = (state.t, state.l)
+                node_counts[key] = node_counts.get(key, 0) + 1
         for p in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
             model = SourceModel(p)
             mean = sum(
