@@ -2,23 +2,16 @@
 
 ``binom`` is the package's one source of exact lattice sizes: ``math.comb``,
 integer-exact, with no size cap and nothing kept between calls.  No module
-of the package reads the Pascal table below; it stays only because the
-benchmark replay reads ``shared_table().max_n``.
+of the package reads the Pascal table below: 64 fixed rows that never
+grow, kept only because the benchmark replay reads ``shared_table().max_n``.
+``build_table`` builds rows by addition alone, so the tests use it as an
+oracle for ``math.comb`` independent of it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import NamedTuple
-
-# Hard ceiling on table growth (rows).  A table is O(max_n^2) integers, so
-# callers that genuinely need more must raise this explicitly.
-TABLE_CAP = 5000
-
-
-class TableCapError(Exception):
-    """A table beyond TABLE_CAP was requested; raise the cap to proceed."""
 
 
 class BinLayout(NamedTuple):
@@ -51,46 +44,24 @@ class BinomialTable:
             return 0
         return self.rows[n][t]
 
-    def grown(self, max_n: int) -> "BinomialTable":
-        """A table covering rows 0..max_n.  Shares existing rows."""
-        if max_n <= self.max_n:
-            return self
-        if max_n > TABLE_CAP:
-            raise TableCapError(
-                f"requested max_n={max_n} exceeds TABLE_CAP={TABLE_CAP}"
-            )
-        rows = list(self.rows)
-        prev = rows[-1]
-        for _ in range(self.max_n, max_n):
-            prev = (1, *(prev[i - 1] + prev[i] for i in range(1, len(prev))), 1)
-            rows.append(prev)
-        return BinomialTable(tuple(rows))
-
 
 def build_table(max_n: int) -> BinomialTable:
-    """Build rows 0..max_n by the Pascal recursion, exactly."""
+    """Build rows 0..max_n by the addition recursion, exactly."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    return BinomialTable(((1,),)).grown(max_n)
+    rows = [(1,)]
+    for _ in range(max_n):
+        prev = rows[-1]
+        rows.append((1, *(a + b for a, b in zip(prev, prev[1:])), 1))
+    return BinomialTable(tuple(rows))
 
 
-# Module-shared table, grown on demand.  Growth swaps in a new immutable
-# table value, so concurrent readers always see a consistent snapshot.
-_shared = build_table(64)
-_grow_lock = threading.Lock()
+_SHARED = build_table(64)
 
 
-def shared_table(min_n: int = 0) -> BinomialTable:
-    """The shared table, grown to cover at least row min_n."""
-    global _shared
-    table = _shared
-    if min_n > table.max_n:
-        with _grow_lock:
-            table = _shared
-            if min_n > table.max_n:
-                table = table.grown(min_n)
-                _shared = table
-    return table
+def shared_table() -> BinomialTable:
+    """The module's fixed 64-row table."""
+    return _SHARED
 
 
 def binom(n: int, t: int) -> int:

@@ -69,6 +69,23 @@ def as_bit(b) -> int:
     return b
 
 
+def as_count(value, name: str = "n", lo: int = 0, cap: int | None = None,
+             error: type[Exception] = ValueError) -> int:
+    """A size (count, depth, index) as a plain int: any integer type goes
+    through ``operator.index``; anything else, floats and strings included,
+    raises ValueError, as does a value below `lo`.  A value above `cap`
+    raises `error`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if cap is not None and value > cap:
+        raise error(f"{name}={value} exceeds cap={cap}")
+    return value
+
+
 _TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -142,10 +159,7 @@ def expected_yield(n: int, model: SourceModel, cap: int = 24) -> Fraction:
     sum_T a^(n-T) (b-a)^T sum_L L 2^L, over b^n.  The default cap guards
     against accidental huge-n calls and can be raised freely.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap={cap}; pass a larger cap to allow")
+    n = as_count(n, cap=cap)
     a, b = model.p0.numerator, model.p0.denominator
     total = 0
     for t in range(n + 1):

@@ -49,7 +49,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
-from .elias import as_bit, is_text, parse_bits
+from .elias import as_bit, as_count, is_text, parse_bits
 
 
 class ExtractorState(NamedTuple):
@@ -129,8 +129,7 @@ def walk_tree(max_n: int) -> Iterator[tuple[ExtractorState, int]]:
     the bits emitted so far.  Each (node, b) is stepped, and its conservation
     checked, once per call: under 1,000 lattice nodes up to n = 20, not
     2^21 prefixes.  The memo lives as long as the call."""
-    if max_n < 0:
-        raise ValueError("n must be >= 0")
+    max_n = as_count(max_n)
     moves: dict[ExtractorState, tuple] = {}
     todo = [(initial_state(), 0)]
     while todo:
@@ -193,8 +192,7 @@ def pause_mode_run(
     on a StreamExtractor resumed from `state`.  Every argument is checked
     before any input is read.
     """
-    if not isinstance(demand, int) or demand < 0:
-        raise ValueError("demand must be an int >= 0")
+    demand = as_count(demand, "demand")
     machine = StreamExtractor(initial_state() if state is None else state)
     produced = [as_bit(b) for b in pending]
     if len(produced) > machine.l:
@@ -261,12 +259,10 @@ class StreamExtractor:
     __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
 
     def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
-        n, t, l = state
-        if not all(isinstance(v, int) for v in state):
-            raise ValueError(f"{tuple(state)} is not three ints")
+        n, t, l = (as_count(v, name) for v, name in zip(state, "ntl", strict=True))
         c = binom(n, t)
-        if l < 0 or not (c >> l) & 1:
-            raise ValueError(f"{tuple(state)} is not a lattice node")
+        if not (c >> l) & 1:
+            raise ValueError(f"{(n, t, l)} is not a lattice node")
         self.n, self.t, self.l = n, t, l
         self._fallbacks = 0
         self._s, self._c, self._c_up = _window(c, l) if l >= _CROSSOVER else (None, c, None)

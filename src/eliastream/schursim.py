@@ -35,7 +35,6 @@ parties gives identical fidelities.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -45,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elias import as_bit
+from .elias import as_bit, as_count
 from .extractor import pack_code, von_neumann, walk_tree
 from .young import q_run
 
@@ -100,18 +99,6 @@ class VNLabel(NamedTuple):
 # Tapes are gathered as int64 codes, so a tape may hold at most this many
 # qubits; every simulator's cap keeps its tapes far shorter.
 TAPE_BITS_MAX = 62
-
-
-def _pair_index(k) -> int:
-    """A 1-based output-pair index as a plain int; anything else raises
-    ValueError, as ``elias.as_bit`` does for bits."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError("pair index must be an integer") from None
-    if k < 1:
-        raise ValueError("pair index is 1-based")
-    return k
 
 
 def _dense_ids(keys) -> tuple[np.ndarray, list]:
@@ -193,7 +180,7 @@ class ColumnTable:
 
     def held(self, k) -> np.ndarray:
         """Mask of the rows where both tapes hold pair k."""
-        k = _pair_index(k)
+        k = as_count(k, "pair index", lo=1)
         return (self.alice.length >= k) & (self.bob.length >= k)
 
     def weight_sum(self, rows) -> float:
@@ -284,10 +271,7 @@ def _cg_branches(n: int, s: int) -> list[tuple[int, int, tuple[int, ...], float]
 @lru_cache(maxsize=CACHE_SIZE)
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     """The full n-qubit change of basis into (t, u, path) labels."""
-    if n > cap:
-        raise SimulatorCapError(f"n={n} exceeds cap={cap}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = as_count(n, cap=cap, error=SimulatorCapError)
     index: dict[SchurLabel, int] = {}
     entries = []
     for s in range(1 << n):
@@ -309,20 +293,25 @@ def simulate_known_basis(p: float, n: int) -> JointState:
     walk_tree(); its check of l <= n at every node keeps the purity tape
     (n - l clean bits) from popping a bit it never banked.
     """
-    if n > KNOWN_BASIS_CAP:
-        raise SimulatorCapError(f"n={n} exceeds cap={KNOWN_BASIS_CAP}")
+    n = as_count(n, cap=KNOWN_BASIS_CAP, error=SimulatorCapError)
+    leaves = ((PartyLabel(node.t, None, node.l, Tape(code, node.l), n - node.l), node.t)
+              for node, code in walk_tree(n) if node.n == n)
+    return _diagonal_state(n, p, leaves, "known")
+
+
+def _diagonal_state(n: int, p: float, branches, mode: str) -> JointState:
+    """Both parties hold the same label per classical n-bit string: one term
+    sqrt(p^(n-t) (1-p)^t) per (label, t) branch, zero terms dropped.  Two
+    branches with one label would make the map irreversible, so they raise."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     amps: dict = {}
-    for node, code in walk_tree(n):
-        if node.n < n:
-            continue
-        label = PartyLabel(node.t, None, node.l, Tape(code, node.l), n - node.l)
-        amp = math.sqrt(p ** (n - label.t) * (1 - p) ** label.t)
-        if amp:
-            amps[(label, label)] = amps.get((label, label), 0.0) + amp
-    state = JointState(n, amps, meta={"mode": "known", "p": p, "seeded": 0})
-    return state.validate()
+    for label, t in branches:
+        if (label, label) in amps:
+            raise AssertionError(f"{mode} register labels collide")
+        amps[(label, label)] = math.sqrt(p ** (n - t) * (1 - p) ** t)
+    amps = {key: amp for key, amp in amps.items() if amp}
+    return JointState(n, amps, meta={"mode": mode, "p": p, "seeded": 0}).validate()
 
 
 def two_qubit_source(p: float, theta: float = 0.0) -> np.ndarray:
@@ -375,10 +364,7 @@ def simulate_universal(
     The same real isometry V is applied to each party; the joint amplitude
     table is V^T (psi tensor-power) V, tracked exactly up to float error.
     """
-    if n > UNIVERSAL_CAP:
-        raise SimulatorCapError(f"n={n} exceeds cap={UNIVERSAL_CAP}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, lo=1, cap=UNIVERSAL_CAP, error=SimulatorCapError)
     if psi is None:
         if p is None:
             raise ValueError("pass either p (with theta) or psi")
@@ -416,7 +402,7 @@ def _pair_amplitudes(state: JointState, k: int, registers: tuple[str, ...] = ())
     the map.  Gathered from the state's column table once per (k, registers).
     """
     table = state.table
-    key = (_pair_index(k), tuple(registers))
+    key = (as_count(k, "pair index", lo=1), tuple(registers))
     if key in table.gathers:
         return table.gathers[key]
     k, registers = key
@@ -568,27 +554,18 @@ def simulate_von_neumann(p: float, pairs: int) -> JointState:
     vacated cell over the raised parity (kept symbol '-').  Each pair also
     strands one deterministically clean cell, counted as purity.
     """
-    if pairs > VON_NEUMANN_CAP:
-        raise SimulatorCapError(f"pairs={pairs} exceeds cap={VON_NEUMANN_CAP}")
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    if pairs < 0:
-        raise ValueError("pairs must be >= 0")
+    pairs = as_count(pairs, "pairs", cap=VON_NEUMANN_CAP, error=SimulatorCapError)
     # Per pair value, in ascending order: (bits emitted, their code, kept symbol, ones).
     moves = [(len(out), pack_code(out), "-" if b1 != b2 else b1, int(b1) + int(b2))
              for b1, b2 in product("01", repeat=2) for out in [von_neumann(b1 + b2)]]
-    branches = [(0, 0, "", 0)]  # (l, tape, kept, ones) per string, in ascending order
+    # (l, tape, kept, ones) per string, in ascending order, generated lazily
+    # so that _diagonal_state checks p before the first branch is built
+    branches = [(0, 0, "", 0)]
     for _ in range(pairs):
-        branches = [(l + w, tape << w | v, kept + k, t + ones)
-                    for l, tape, kept, t in branches for w, v, k, ones in moves]
-    amps: dict = {}
-    n = 2 * pairs
-    for l, tape, kept, t in branches:
-        amp = math.sqrt(p ** (n - t) * (1 - p) ** t)
-        if amp:
-            label = VNLabel(l, Tape(tape, l), kept, pairs)
-            amps[(label, label)] = amps.get((label, label), 0.0) + amp
-    return JointState(n, amps, meta={"mode": "vonneumann", "p": p, "seeded": 0}).validate()
+        branches = ((l + w, tape << w | v, kept + k, t + ones)
+                    for l, tape, kept, t in branches for w, v, k, ones in moves)
+    labels = ((VNLabel(l, Tape(tape, l), kept, pairs), t) for l, tape, kept, t in branches)
+    return _diagonal_state(2 * pairs, p, labels, "vonneumann")
 
 
 def nonhalting_amplitude(state: JointState) -> float:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .binomial import bin_layout, binom
-from .elias import SourceModel, expected_yield
+from .elias import SourceModel, as_count, expected_yield
 from .extractor import ExtractorState, StreamExtractor, walk_tree
 
 if TYPE_CHECKING:
@@ -110,10 +110,8 @@ def tally(walk: Iterable[tuple[ExtractorState, int]], ones_to: int = -1) -> dict
     return tallies
 
 
-def _level(n: int, cap: int, tallies: dict | None, ones_to: int) -> dict[tuple, NodeTally]:
+def _level(n: int, tallies: dict | None, ones_to: int) -> dict[tuple, NodeTally]:
     """The depth-n tallies by (t, l), in order; by default from a walk of their own."""
-    if not 0 <= n <= cap:
-        raise ValueError("n must be >= 0" if n < 0 else f"n={n} exceeds enumeration cap {cap}")
     level = (tally(walk_tree(n), ones_to) if tallies is None else tallies).items()
     return dict(sorted(((node.t, node.l), acc) for node, acc in level if node.n == n))
 
@@ -127,7 +125,8 @@ def exhaustive_equivalence(n: int, tallies: dict | None = None) -> EquivalenceRe
     `tallies` is the ``tally`` of a walk to depth n or beyond, which every
     such n can share; by default the suite walks and tallies its own.
     """
-    level = _level(n, EXHAUSTIVE_CAP, tallies, -1)
+    n = as_count(n, cap=EXHAUSTIVE_CAP)
+    level = _level(n, tallies, -1)
     report = EquivalenceReport(n)
     for (t, l), acc in level.items():
         distinct = int.from_bytes(acc.seen, "little").bit_count()
@@ -155,7 +154,8 @@ def balanced_paths(n: int, tallies: dict | None = None) -> BalancedReport:
     of 0s and 1s at a position are equality of polynomials in p.  `tallies`
     is as in exhaustive_equivalence, with ones tallied at depth n.
     """
-    level = _level(n, BALANCED_CAP, tallies, n)
+    n = as_count(n, cap=BALANCED_CAP)
+    level = _level(n, tallies, n)
     report = BalancedReport(n)
     strings = 0
     for (t, l), acc in level.items():
@@ -191,8 +191,7 @@ def yield_bound_sweep(max_n: int) -> YieldBoundReport:
     every p in ``YIELD_P_VALUES``."""
     import mpmath
 
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    max_n = as_count(max_n, "max_n", lo=1)
     report = YieldBoundReport(max_n, YIELD_P_VALUES)
     for n in range(1, max_n + 1):
         for p in YIELD_P_VALUES:
@@ -218,8 +217,7 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    if samples < 10_000:
-        raise ValueError("samples must be >= 10^4")
+    samples = as_count(samples, "samples", lo=10_000)
     import numpy as np
 
     rng = np.random.default_rng(seed)

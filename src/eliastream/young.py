@@ -16,6 +16,7 @@ import math
 from typing import Iterable, Iterator
 
 from .binomial import binom
+from .elias import as_count
 from .extractor import ExtractorState, RunResult, StepResult, fold_steps, walk_step
 
 
@@ -85,8 +86,7 @@ def path_count(n: int, t: int) -> int:
 
 def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
     """All valid box-add sequences of length n (0 = row one, 1 = row two)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = as_count(n)
 
     def rec(m: int, t: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if m == n:

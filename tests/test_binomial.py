@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eliastream
-from eliastream.binomial import (
-    TABLE_CAP,
-    TableCapError,
-    bin_layout,
-    binom,
-    binom_bit,
-    build_table,
-)
+from eliastream.binomial import bin_layout, binom, binom_bit, build_table
 
 SRC = Path(eliastream.__file__).resolve().parents[1]
 
@@ -123,26 +116,13 @@ def test_layout_sums_to_coefficient_everywhere():
             assert len(set(layout.bins)) == len(layout.bins)
 
 
-def test_grown_shares_rows_and_is_new_value():
-    small = build_table(8)
-    big = small.grown(16)
-    assert small.max_n == 8 and big.max_n == 16
-    assert big.rows[:9] == small.rows
-    assert small.grown(4) is small
-
-
-def test_table_cap_enforced():
-    with pytest.raises(TableCapError):
-        build_table(TABLE_CAP + 1)
-
-
 def test_negative_max_n_rejected():
     with pytest.raises(ValueError):
         build_table(-1)
 
 
 # Drives every reader of exact sizes well past row 64, the shared table's
-# initial size, then prints the rows the table holds.
+# size, then prints the rows the table holds.
 NO_TABLE_PROBE = """
 import random
 from fractions import Fraction
@@ -158,7 +138,7 @@ print(binomial.shared_table().max_n)
 
 
 def test_no_walk_or_oracle_grows_the_shared_table():
-    # a fresh interpreter: in-process, another test may already have grown it
+    # a fresh interpreter, as the benchmark replay reads the table
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", NO_TABLE_PROBE], env=env,

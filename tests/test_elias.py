@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -18,6 +20,7 @@ from eliastream.elias import (
     rank_in_type,
     type_of,
 )
+from eliastream import schursim, verify
 from eliastream.extractor import (
     ExtractorState,
     StreamExtractor,
@@ -26,9 +29,10 @@ from eliastream.extractor import (
     run,
     step,
     von_neumann,
+    walk_tree,
 )
-from eliastream.schursim import cg_step
-from eliastream.young import qstep
+from eliastream.schursim import SimulatorCapError, cg_step
+from eliastream.young import ballot_paths, qstep
 
 
 def strings_of_weight(n, t):
@@ -283,3 +287,69 @@ BIT_ENTRY_POINTS = {
 def test_every_bit_entry_point_rejects_non_bits(entry, bad):
     with pytest.raises(ValueError, match="0 or 1"):
         BIT_ENTRY_POINTS[entry](bad)
+
+
+class SizeSite(NamedTuple):
+    call: Callable
+    name: str
+    lo: int = 0
+    cap: int | None = None
+    cap_error: type = ValueError
+
+
+# Every public entry point that takes a size (count, depth, demand, sample
+# count or pair index), fed one value; every other argument is valid.
+SIZE_ENTRY_POINTS = {
+    "expected_yield": SizeSite(lambda v: expected_yield(v, SourceModel(Fraction(3, 10))),
+                               "n", cap=24),
+    "walk_tree": SizeSite(lambda v: list(walk_tree(v)), "n"),
+    "pause_mode_run": SizeSite(lambda v: pause_mode_run([0, 1] * 8, v), "demand"),
+    # (1, 1, 0), (4, 1, 2) and (4, 2, 1) are lattice nodes
+    "StreamExtractor_n": SizeSite(lambda v: StreamExtractor(ExtractorState(v, 1, 0)).state, "n"),
+    "StreamExtractor_t": SizeSite(lambda v: StreamExtractor(ExtractorState(4, v, 2)).state, "t"),
+    "StreamExtractor_l": SizeSite(lambda v: StreamExtractor(ExtractorState(4, 2, v)).state, "l"),
+    "ballot_paths": SizeSite(lambda v: list(ballot_paths(v)), "n"),
+    "schur_transform": SizeSite(schursim.schur_transform, "n", cap=schursim.SCHUR_CAP,
+                                cap_error=SimulatorCapError),
+    "simulate_known_basis": SizeSite(lambda v: schursim.simulate_known_basis(0.3, v), "n",
+                                     cap=schursim.KNOWN_BASIS_CAP, cap_error=SimulatorCapError),
+    "simulate_universal": SizeSite(lambda v: schursim.simulate_universal(v, p=0.3), "n", lo=1,
+                                   cap=schursim.UNIVERSAL_CAP, cap_error=SimulatorCapError),
+    "simulate_von_neumann": SizeSite(lambda v: schursim.simulate_von_neumann(0.3, v), "pairs",
+                                     cap=schursim.VON_NEUMANN_CAP, cap_error=SimulatorCapError),
+    "emission_probability": SizeSite(
+        lambda v: schursim.emission_probability(schursim.simulate_known_basis(0.3, 4), v),
+        "pair index", lo=1),
+    "pair_fidelity": SizeSite(
+        lambda v: schursim.pair_fidelity(schursim.simulate_known_basis(0.3, 4), v),
+        "pair index", lo=1),
+    "exhaustive_equivalence": SizeSite(verify.exhaustive_equivalence, "n",
+                                       cap=verify.EXHAUSTIVE_CAP),
+    "balanced_paths": SizeSite(verify.balanced_paths, "n", cap=verify.BALANCED_CAP),
+    "yield_bound_sweep": SizeSite(verify.yield_bound_sweep, "max_n", lo=1),
+    "statistical_battery": SizeSite(lambda v: verify.statistical_battery(0.3, v, 7), "samples",
+                                    lo=10_000),
+}
+SIZE_CASES = ["2.5", "'3'", "None", "lo - 1", "cap + 1", "np.int64", "True"]
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry, site in SIZE_ENTRY_POINTS.items() for case in SIZE_CASES
+    if case != "cap + 1" or site.cap is not None])
+def test_every_size_entry_point_checks_its_size_alike(entry, case):
+    site = SIZE_ENTRY_POINTS[entry]
+    name, valid = re.escape(site.name), max(site.lo, 1)
+    if case in ("2.5", "'3'", "None"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            site.call({"2.5": 2.5, "'3'": "3", "None": None}[case])
+    elif case == "lo - 1" or (case == "True" and site.lo > 1):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {site.lo}$"):
+            site.call(site.lo - 1 if case == "lo - 1" else True)
+    elif case == "cap + 1":
+        with pytest.raises(site.cap_error, match=f"^{name}={site.cap + 1} exceeds cap={site.cap}$") as caught:
+            site.call(site.cap + 1)
+        assert type(caught.value) is site.cap_error
+    else:
+        # repr shows an np.int64 or a bool that leaked into the result
+        value = np.int64(valid) if case == "np.int64" else True
+        assert repr(site.call(value)) == repr(site.call(valid))

@@ -329,7 +329,7 @@ def test_engine_resumes_only_at_lattice_nodes():
 
 
 def test_step_beyond_five_thousand_bits_matches_the_engine():
-    # n = 6,000 is past TABLE_CAP, the Pascal table's 5,000 rows
+    # n = 6,000 is far past any Pascal table: every size comes from math.comb
     n, t = 6000, 1800
     c = math.comb(n, t)
     for floor in (3000, extractor._CROSSOVER + 400):  # exact engine, then windowed

@@ -6,7 +6,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from eliastream.extractor import run
+from eliastream import schursim
+from eliastream.extractor import run, walk_tree
 from eliastream.schursim import (
     JointState,
     SCHUR_CAP,
@@ -220,7 +221,7 @@ def test_known_basis_cap():
 @pytest.mark.parametrize("k", [0, -3])
 def test_emission_probability_rejects_a_pair_index_below_one(k):
     state = simulate_known_basis(0.3, 4)
-    with pytest.raises(ValueError, match="pair index is 1-based"):
+    with pytest.raises(ValueError, match="pair index must be >= 1"):
         emission_probability(state, k)
 
 
@@ -731,6 +732,25 @@ def test_von_neumann_cap():
     assert len(simulate_von_neumann(0.3, VON_NEUMANN_CAP).amps) > 0
     with pytest.raises(SimulatorCapError, match="exceeds cap"):
         simulate_von_neumann(0.3, VON_NEUMANN_CAP + 1)
+
+
+def doubled_leaves(n):
+    """walk_tree with every depth-n leaf yielded twice."""
+    for node, code in walk_tree(n):
+        yield from [(node, code)] * (1 + (node.n == n))
+
+
+@pytest.mark.parametrize("build, mode, patch", [
+    (lambda p: simulate_known_basis(p, 3), "known", ("walk_tree", doubled_leaves)),
+    # with nothing emitted, '01' and '10' leave one label: tape empty, kept '-', one 1
+    (lambda p: simulate_von_neumann(p, 1), "vonneumann", ("von_neumann", lambda bits: ())),
+])
+@pytest.mark.parametrize("p", [0.3, 0.0])  # at p = 0 the colliding terms have amplitude 0
+def test_simulators_refuse_colliding_labels(monkeypatch, build, mode, patch, p):
+    build(p).validate()
+    monkeypatch.setattr(schursim, *patch)
+    with pytest.raises(AssertionError, match=f"^{mode} register labels collide$"):
+        build(p)
 
 
 def test_von_neumann_single_pair_amplitudes():

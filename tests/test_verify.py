@@ -132,7 +132,7 @@ def test_balanced_needs_ones_tallied_at_its_depth():
 @pytest.mark.parametrize("suite, cap", [(exhaustive_equivalence, verify.EXHAUSTIVE_CAP),
                                         (balanced_paths, verify.BALANCED_CAP)])
 def test_suites_keep_their_cap_on_a_shared_walk(suite, cap):
-    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+    with pytest.raises(ValueError, match=f"n={cap + 1} exceeds cap={cap}"):
         suite(cap + 1, {})
     with pytest.raises(ValueError, match="n must be >= 0"):
         suite(-1, {})

@@ -137,7 +137,7 @@ def test_validity_predicate():
     assert not is_valid(2, -1)
 
 
-# Past TABLE_CAP, the Pascal table's 5,000 rows: no size may come from it.
+# Far past any Pascal table: every dimension comes from math.comb.
 BEYOND_TABLE = 6000
 
 
