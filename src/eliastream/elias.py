@@ -69,21 +69,27 @@ def as_bit(b) -> int:
     return b
 
 
-def as_count(value, name: str = "n", lo: int = 0, cap: int | None = None,
+def as_count(value, name: str = "n", lo: int | None = 0, cap: int | None = None,
              error: type[Exception] = ValueError) -> int:
     """A size (count, depth, index) as a plain int: any integer type goes
     through ``operator.index``; anything else, floats and strings included,
-    raises ValueError, as does a value below `lo`.  A value above `cap`
-    raises `error`."""
+    raises ValueError, as does a value below `lo` (None: no floor).  A value
+    above `cap` raises `error`."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
-    if value < lo:
+    if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}")
     if cap is not None and value > cap:
         raise error(f"{name}={value} exceeds cap={cap}")
     return value
+
+
+def as_node(n, t) -> tuple[int, int]:
+    """A lattice coordinate (n, t) as plain ints: n a size (see ``as_count``),
+    t any integer, out of range or not, for the caller's convention."""
+    return as_count(n), as_count(t, "t", lo=None)
 
 
 _TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -132,6 +138,7 @@ def rank_in_type(bits: "Bits | str") -> int:
 
 def bin_of_rank(n: int, t: int, rank: int) -> BlockCodeword:
     """Assign a within-type rank to its bin, largest bins first."""
+    (n, t), rank = as_node(n, t), as_count(rank, "rank", lo=None)
     if not 0 <= t <= n:
         raise ValueError(f"t={t} out of range for n={n}")
     if not 0 <= rank < binom(n, t):
@@ -173,6 +180,7 @@ def conditional_bin_entropy(n: int, t: int) -> float:
 
     Majorized by the geometric distribution 2^-l, so always below 2 bits.
     """
+    n, t = as_node(n, t)
     if not 0 <= t <= n:
         raise ValueError(f"t={t} out of range for n={n}")
     c = binom(n, t)

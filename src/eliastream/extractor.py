@@ -28,8 +28,9 @@ move the two conditions that can fail, len(output) == l and l <= n.
 
 The move itself lives in one place, ``walk_step``, which sees only three
 node sizes and so runs on any lattice with Pascal's additive recursion
-(binomial coefficients here, Young-diagram dimensions in ``young``).  On
-Pascal's triangle two things drive it:
+(binomial coefficients here, Young-diagram dimensions in ``young``).  It
+appends what it emits to the caller's list and returns the new l, so a move
+allocates nothing.  On Pascal's triangle two things drive it:
 
 * ``step``/``run``: the reference walk, reading exact sizes from
   ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
@@ -40,7 +41,8 @@ Pascal's triangle two things drive it:
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
   fixed-width window on it, with ``step`` itself as the exact fallback.
-  ``push``, ``feed`` and the on-demand ``pause_mode_run`` run one loop.
+  ``push``, ``feed`` and the on-demand ``pause_mode_run`` run one loop,
+  whose moves append straight to the output it returns.
 """
 
 from __future__ import annotations
@@ -75,33 +77,34 @@ def initial_state() -> ExtractorState:
     return ExtractorState(0, 0, 0)
 
 
-def walk_step(here: int, hi: int, lo: int, b: int, l: int) -> tuple[tuple[int, ...], int]:
+def walk_step(here: int, hi: int, lo: int, b: int, l: int, out: list[int]) -> int:
     """The transition rule: emit test and carry cascade of one move.
 
     With t' = t + b after the move, the arguments are the node sizes
     here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice
     whose sizes X obey here = hi + lo (binomial coefficients, or Young
-    dimensions at valid nodes).  Returns the emitted bits, plain ints, and
-    the new l.  Checks b first (see ``elias.as_bit``).
+    dimensions at valid nodes).  Appends the emitted bits, plain ints, to
+    the caller's `out` and returns the new l, so a move allocates nothing.
+    Checks b first (see ``elias.as_bit``): a bad bit leaves `out` as it was.
     """
     if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
         b = as_bit(b)
     if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
-        emitted = [b]
+        out.append(b)
         l += 1
         while (hi >> l) & 1 != (lo >> l) & 1:
-            emitted.append((hi >> l) & 1)
+            out.append((hi >> l) & 1)
             l += 1
-        return tuple(emitted), l
-    return (), l
+    return l
 
 
 def step(state: ExtractorState, b: int) -> StepResult:
     """Advance one input bit; emit any random bits produced by the move."""
     # t' from the truth of b, so any non-bit reaches walk_step's check
     n, t = state.n + 1, state.t + (1 if b else 0)
-    emitted, l = walk_step(binom(n, t), binom(n - 1, t), binom(n - 1, t - 1), b, state.l)
-    return StepResult(ExtractorState(n, t, l), emitted)
+    emitted: list[int] = []
+    l = walk_step(binom(n, t), binom(n - 1, t), binom(n - 1, t - 1), b, state.l, emitted)
+    return StepResult(ExtractorState(n, t, l), tuple(emitted))
 
 
 def _check_tapes(state: ExtractorState, out_len: int) -> None:
@@ -218,12 +221,13 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon (feed of 2,000 Bernoulli(0.3) bits from a node at
-# l = 1,000 / 2,000 / 4,000): the exact update costs 2.1 / 2.8 / 3.4 us per bit
-# and grows linearly with l, the window 1.7-2.4 us at any l.  Yet a window from
-# the apex lost on short streams (1.35-1.52x slower per 512-bit demand from
-# 4,096-bit inputs): while C(n, t) is short, one exact update costs less than
-# the window's two bounds and three quotient checks.  So short inputs run exact.
+# Measured on a 2-core Xeon, one pinned core, median of 5 fresh processes (feed
+# of 2,000 Bernoulli(0.3) bits from a node at l = 1,000 / 2,000 / 4,000): the
+# exact update costs 1.8 / 2.1 / 3.1 us per bit and grows linearly with l, the
+# window 1.5-1.7 us at any l up to 8,000.  Yet a window from the apex loses on
+# short streams (1.57x slower per 512-bit demand from 4,096-bit inputs): while
+# C(n, t) is short, one exact update costs less than the window's two bounds
+# and three quotient checks.  So short inputs run exact, up to l = 4,096.
 _CROSSOVER = 4096
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since
@@ -311,10 +315,10 @@ class StreamExtractor:
                     else:  # C(n, t) and C(n, t-1)
                         hi, lo, t1 = c0, c0 * t // (n - t + 1), t
                     here = hi + lo
-                    emitted, l = walk_step(here, hi, lo, b, l)
+                    l1 = walk_step(here, hi, lo, b, l, out)
                     n, t, c0 = n + 1, t1, here
-                    if emitted:
-                        out += emitted
+                    if l1 != l:
+                        l = l1
                         if l >= crossover:
                             s, c0, c1 = _window(c0, l)
                             break
@@ -338,17 +342,17 @@ class StreamExtractor:
                     h0, h1 = hi0 + lo0, hi1 + lo1
                     q_here, q_hi, q_lo = h0 >> k, hi0 >> k, lo0 >> k
                     if q_here == h1 >> k and q_hi == hi1 >> k and q_lo == lo1 >> k:
-                        emitted, moved = walk_step(q_here, q_hi, q_lo, b, 0)
+                        moved = walk_step(q_here, q_hi, q_lo, b, 0, out)
                         n, t = n + 1, t1
                         c0, c1 = h0, h1
-                        if not emitted:
+                        if not moved:
                             continue
                         l += moved
                     else:  # undecided: the reference step makes the move
                         (n, t, l), emitted = step(ExtractorState(n, t, l), b)
                         self._fallbacks += 1
                         s, c0, c1 = _window(binom(n, t), l)
-                    out += emitted
+                        out += emitted
                     k = l - s
                     if k >= 2 * guard:  # renormalise: s back to l - guard
                         s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard

@@ -52,7 +52,7 @@ KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 6
 VON_NEUMANN_CAP = 8  # pairs: 4^8 strings
 SCHUR_CAP = 10
-# Per-size cache bound: one entry per n, two for schur_transform (by how cap is passed).
+# Per-size cache bound: one entry per n.
 CACHE_SIZE = 32
 
 NORM_TOL = 1e-12
@@ -268,10 +268,14 @@ def _cg_branches(n: int, s: int) -> list[tuple[int, int, tuple[int, ...], float]
     return branches
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
-    """The full n-qubit change of basis into (t, u, path) labels."""
-    n = as_count(n, cap=cap, error=SimulatorCapError)
+    """The full n-qubit change of basis into (t, u, path) labels, built once
+    per n; n is checked before it keys the cache."""
+    return _schur_transform(as_count(n, cap=cap, error=SimulatorCapError))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _schur_transform(n: int) -> PartyIsometry:
     index: dict[SchurLabel, int] = {}
     entries = []
     for s in range(1 << n):

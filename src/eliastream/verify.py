@@ -5,8 +5,9 @@ enumeration (they prove the property at the tested size); the statistical
 battery is advisory and only guards the plumbing around seeded sampling.
 Both exhaustive suites read ``tally``: one ``walk_tree`` pass as per-node
 string counts, 2^l-bit output maps and ones per position, in O(2^n) bits.
-mpmath and numpy are imported by the suites that use them (yield bound and
-battery), so the exhaustive suites load neither.
+numpy is imported by the battery alone; mpmath only by a yield-bound check
+too close to call in floats, which no n <= 23 needs, so the default suites
+load neither.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ EXHAUSTIVE_CAP = 23
 BALANCED_CAP = 14
 # The probabilities p0 of a 0 bit that the yield-bound sweep runs at every n.
 YIELD_P_VALUES = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
+# Yield-to-bound gaps, in bits, that floats decide; float error at these sizes
+# is ~1e-14 and the smallest gap over n <= 23 is 1.25 bits.  Closer pairs go
+# to the 40-digit theorem_bound.
+YIELD_FLOAT_MARGIN = 1e-9
 
 
 class _Checked:  # a suite's report passes when it records no violation
@@ -186,25 +191,34 @@ def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
         return n * h - mpmath.log(n + 1, 2) - 2
 
 
+def _float_bound(n: int, p: Fraction) -> float:
+    """theorem_bound in floats, from ``math.log2``."""
+    q = float(p)
+    h = -(q * math.log2(q) + (1 - q) * math.log2(1 - q)) if 0 < q < 1 else 0.0
+    return n * h - math.log2(n + 1) - 2
+
+
 def yield_bound_sweep(max_n: int) -> YieldBoundReport:
     """Exact expected yield against the entropy bound for every n >= 1 and
-    every p in ``YIELD_P_VALUES``."""
-    import mpmath
-
+    every p in ``YIELD_P_VALUES``.  A pair further apart than
+    ``YIELD_FLOAT_MARGIN`` is compared in floats, any other against the
+    40-digit ``theorem_bound``; the report holds the float bound either way."""
     max_n = as_count(max_n, "max_n", lo=1)
     report = YieldBoundReport(max_n, YIELD_P_VALUES)
     for n in range(1, max_n + 1):
         for p in YIELD_P_VALUES:
             exact = expected_yield(n, SourceModel(p), cap=max(24, max_n))
-            bound = theorem_bound(n, p)
-            report.rows.append((n, p, exact, float(bound)))
-            with mpmath.workdps(40):
-                value = mpmath.mpf(exact.numerator) / exact.denominator
-                if value < bound:
-                    report.violations.append(
-                        f"n={n} p={p}: yield {float(value):.6f} "
-                        f"< bound {float(bound):.6f}"
-                    )
+            value, bound = float(exact), _float_bound(n, p)
+            report.rows.append((n, p, exact, bound))
+            if abs(value - bound) > YIELD_FLOAT_MARGIN:
+                below = value < bound
+            else:
+                import mpmath
+
+                with mpmath.workdps(40):
+                    below = mpmath.mpf(exact.numerator) / exact.denominator < theorem_bound(n, p)
+            if below:
+                report.violations.append(f"n={n} p={p}: yield {value:.6f} < bound {bound:.6f}")
     return report
 
 

@@ -16,7 +16,7 @@ import math
 from typing import Iterable, Iterator
 
 from .binomial import binom
-from .elias import as_count
+from .elias import as_count, as_node
 from .extractor import ExtractorState, RunResult, StepResult, fold_steps, walk_step
 
 
@@ -34,7 +34,8 @@ def dim(n: int, t: int) -> int:
     Zero for invalid nodes, mirroring the out-of-range binomial convention.
     The quotient is always exact at valid nodes.
     """
-    if n < 0 or not is_valid(n, t):
+    n, t = as_node(n, t)
+    if not is_valid(n, t):
         return 0
     value = binom(n, t) * (n - 2 * t + 1)
     div, rem = divmod(value, n - t + 1)
@@ -48,6 +49,7 @@ def hook_dim_oracle(n: int, t: int) -> int:
 
     hook(x) = boxes to the right + boxes below + 1; dim = n! / prod(hooks).
     """
+    n, t = as_node(n, t)
     if not is_valid(n, t):
         raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
     if n == 0:
@@ -70,6 +72,7 @@ def path_count(n: int, t: int) -> int:
     Forward count over the lattice, one level at a time; no closed form
     is consulted.
     """
+    n, t = as_node(n, t)
     if not is_valid(n, t):
         raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
     level = {0: 1}
@@ -110,8 +113,9 @@ def qstep(state: ExtractorState, pbit: int) -> StepResult:
     n, t = state.n + 1, state.t + (1 if pbit else 0)
     if not is_valid(n, t):
         raise InvalidNodeError(f"move to ({n}, {t}) violates the row condition")
-    emitted, l = walk_step(dim(n, t), dim(n - 1, t), dim(n - 1, t - 1), pbit, state.l)
-    return StepResult(ExtractorState(n, t, l), emitted)
+    emitted: list[int] = []
+    l = walk_step(dim(n, t), dim(n - 1, t), dim(n - 1, t - 1), pbit, state.l, emitted)
+    return StepResult(ExtractorState(n, t, l), tuple(emitted))
 
 
 def q_run(pbits: Iterable[int]) -> RunResult:

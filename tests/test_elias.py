@@ -32,7 +32,7 @@ from eliastream.extractor import (
     walk_tree,
 )
 from eliastream.schursim import SimulatorCapError, cg_step
-from eliastream.young import ballot_paths, qstep
+from eliastream.young import ballot_paths, dim, hook_dim_oracle, path_count, qstep
 
 
 def strings_of_weight(n, t):
@@ -353,3 +353,27 @@ def test_every_size_entry_point_checks_its_size_alike(entry, case):
         # repr shows an np.int64 or a bool that leaked into the result
         value = np.int64(valid) if case == "np.int64" else True
         assert repr(site.call(value)) == repr(site.call(valid))
+
+
+# Public functions that take a lattice coordinate rather than a size, each fed
+# one non-integer value (schur_transform: an unhashable one, checked before
+# its cache sees it).
+COORDINATE_CALLS = {
+    "dim_n": (lambda: dim(2.5, 1), "n"),
+    "dim_t": (lambda: dim(3, 0.5), "t"),
+    "hook_dim_oracle": (lambda: hook_dim_oracle(2.5, 0), "n"),
+    "path_count": (lambda: path_count(2.5, 0), "n"),
+    "qstep": (lambda: qstep(ExtractorState(2.5, 0, 0), 0), "n"),
+    "bin_of_rank_n": (lambda: bin_of_rank(2.5, 1, 0), "n"),
+    "bin_of_rank_t": (lambda: bin_of_rank(4, 1.0, 0), "t"),
+    "bin_of_rank_rank": (lambda: bin_of_rank(4, 2, 2.5), "rank"),
+    "conditional_bin_entropy": (lambda: conditional_bin_entropy(2.5, 1), "n"),
+    "schur_transform": (lambda: schursim.schur_transform([3]), "n"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COORDINATE_CALLS))
+def test_non_integer_coordinates_are_value_errors(entry):
+    call, name = COORDINATE_CALLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call()

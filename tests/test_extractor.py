@@ -308,8 +308,28 @@ def test_push_rejects_non_bits_and_keeps_state(bad):
 
 
 def test_walk_step_checks_the_bit_first():
+    out = [1, 0]
     with pytest.raises(ValueError):
-        walk_step(1, 1, 0, 2, 0)
+        walk_step(1, 1, 0, 2, 0, out)
+    assert out == [1, 0]
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_walk_step_appends_what_step_emits_at_every_node(b):
+    nodes = [ExtractorState(n, t, l) for n in range(13) for t in range(n + 1)
+             for l in range(math.comb(n, t).bit_length()) if math.comb(n, t) >> l & 1]
+    for node in nodes:
+        n, t = node.n + 1, node.t + b
+        sizes = math.comb(n, t), math.comb(n - 1, t), math.comb(n - 1, t - 1) if t else 0
+        out = [0, 1]
+        l = walk_step(*sizes, b, node.l, out)
+        moved, emitted = step(node, b)
+        assert l == moved.l  # a silent move returns l and appends nothing
+        assert out == [0, 1, *emitted] and len(emitted) == l - node.l
+        for bad in (2, 0.5, "1"):
+            with pytest.raises(ValueError):
+                walk_step(*sizes, bad, node.l, out)
+            assert out == [0, 1, *emitted]
 
 
 def test_fold_rejects_a_move_that_outruns_the_purity_tape():

@@ -177,6 +177,19 @@ def test_yield_bound_sweep_small():
     assert len(report.rows) == 12 * 5
 
 
+@pytest.mark.parametrize("zero_yield", [False, True])
+def test_yield_bound_fallback_gives_the_float_report(monkeypatch, zero_yield):
+    if zero_yield:  # every n > 2 then violates the bound
+        monkeypatch.setattr(verify, "expected_yield", lambda n, model, cap: Fraction(0))
+    fast = yield_bound_sweep(12)
+    assert fast.ok != zero_yield
+    calls = []
+    monkeypatch.setattr(verify, "YIELD_FLOAT_MARGIN", float("inf"))
+    monkeypatch.setattr(verify, "theorem_bound", lambda n, p: calls.append(n) or theorem_bound(n, p))
+    assert yield_bound_sweep(12) == fast
+    assert len(calls) == len(fast.rows) == 12 * 5
+
+
 @pytest.mark.parametrize("max_n", [0, -3])
 def test_yield_bound_sweep_rejects_an_empty_sweep(max_n):
     with pytest.raises(ValueError):

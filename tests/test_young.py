@@ -153,5 +153,7 @@ def test_qstep_beyond_five_thousand_boxes_matches_hook_lengths():
     for b in (0, 1):
         hook = (hook_dim_oracle(n + 1, t + b), hook_dim_oracle(n, t + b), hook_dim_oracle(n, t + b - 1))
         for l in nodes[:8]:
-            emitted, l_next = walk_step(*hook, b, l)
-            assert qstep(ExtractorState(n, t, l), b) == (ExtractorState(n + 1, t + b, l_next), emitted)
+            emitted = []
+            l_next = walk_step(*hook, b, l, emitted)
+            assert qstep(ExtractorState(n, t, l), b) == (ExtractorState(n + 1, t + b, l_next),
+                                                         tuple(emitted))
