@@ -7,9 +7,10 @@ schema field, written to a side channel (stderr by default).
 
 Exit codes: 0 success, 1 verification violation, 2 usage or I/O error.
 
-Each command imports only what it runs: numpy with the first packed or
-unpacked byte, the simulators inside ``simulate`` and the verification
-suites inside ``verify``, so a fresh process pays for nothing else.
+Each command imports only what it runs: ``extract`` the walk alone (bytes
+become bits and back through the stdlib's ``int``/``bytes.translate``), the
+simulators inside ``simulate`` and the verification suites inside
+``verify``, so a fresh process pays for nothing else.
 """
 
 from __future__ import annotations
@@ -18,24 +19,30 @@ import argparse
 import sys
 import time
 
-from .extractor import StreamExtractor, pause_mode_run, walk_tree
+from .extractor import _TEXT_BITS, StreamExtractor, pause_mode_run, walk_tree
 
 REPORT_SCHEMA = "eliastream/1"
 
 
-def unpack_bytes(data: bytes) -> list[int]:
-    """Bytes to bits, most significant bit of each byte first."""
-    import numpy as np
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+
+def unpack_bytes(data: bytes) -> list[int]:
+    """Bytes to bits, most significant bit of each byte first.  The leading
+    1 byte keeps the leading zero bits in the binary numeral."""
+    return list(bin(int.from_bytes(b"\x01" + data, "big"))[3:].encode().translate(_TEXT_BITS))
 
 
 def pack_bits(bits) -> tuple[bytes, int]:
-    """Bits to bytes (MSB-first); returns (data, zero-pad length)."""
-    import numpy as np
-
-    arr = np.fromiter(bits, dtype=np.uint8)
-    return np.packbits(arr).tobytes(), (-len(arr)) % 8
+    """Bits to bytes (MSB-first); returns (data, zero-pad length).  A value
+    other than 0/1 raises ValueError: ``int`` would read '_' as a separator.
+    (``iter`` keeps ``bytes`` from copying an int64 array's raw buffer.)"""
+    raw = bytes(iter(bits))
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("bits to pack must be 0 or 1")
+    text = raw.translate(_BIT_TEXT)
+    pad = -len(text) % 8
+    return (int(text or b"0", 2) << pad).to_bytes((len(text) + pad) // 8, "big"), pad
 
 
 def _read_input(path: str) -> bytes:
@@ -84,22 +91,13 @@ def cmd_extract(args) -> int:
     _write_output(args.output, packed)
     # bits_read = bits_emitted + purity_len holds exactly; a multi-bit final
     # move can leave produced-but-undelivered bits, reported as pending.
-    write_report(
-        {
-            "mode": mode,
-            "bits_read": state.n,
-            "bits_emitted": state.l,
-            "purity_len": state.n - state.l,
-            "delivered": len(delivered),
-            "pending": state.l - len(delivered),
-            "n": state.n,
-            "t": state.t,
-            "l": state.l,
-            "pad_len": pad,
-            "elapsed": f"{time.monotonic() - started:.6f}",
-        },
-        args.report,
-    )
+    fields = {
+        "mode": mode, "bits_read": state.n, "bits_emitted": state.l,
+        "purity_len": state.n - state.l, "delivered": len(delivered),
+        "pending": state.l - len(delivered), "n": state.n, "t": state.t, "l": state.l,
+        "pad_len": pad, "elapsed": f"{time.monotonic() - started:.6f}",
+    }
+    write_report(fields, args.report)
     return 0
 
 

@@ -9,18 +9,19 @@ alpha is uniform, so its bits are perfectly random.
 The string -> codeword map here uses a fixed canonical binning (combinadic
 rank, descending bin order).  The streaming machine induces a different
 per-string map; the two agree at the level of per-(T, L) counts, which is
-what the equivalence harness checks.
+what the equivalence harness checks.  The input checks come from
+``extractor``; of the package only ``verify`` imports this module.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .binomial import bin_layout, binom
+from .extractor import as_count, as_node, parse_bits
 
 Bits = Iterable[int]
 
@@ -53,64 +54,6 @@ class BlockCodeword(NamedTuple):
     t: int
     l: int
     alpha: int
-
-
-def as_bit(b) -> int:
-    """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
-    Anything else, floats and strings included, raises ValueError.  So do
-    numpy bools, which have no ``__index__``: a bool array goes in through
-    its ``.tolist()``."""
-    try:
-        b = operator.index(b)
-    except TypeError:
-        raise ValueError("input bit must be 0 or 1") from None
-    if b not in (0, 1):
-        raise ValueError("input bit must be 0 or 1")
-    return b
-
-
-def as_count(value, name: str = "n", lo: int | None = 0, cap: int | None = None,
-             error: type[Exception] = ValueError) -> int:
-    """A size (count, depth, index) as a plain int: any integer type goes
-    through ``operator.index``; anything else, floats and strings included,
-    raises ValueError, as does a value below `lo` (None: no floor).  A value
-    above `cap` raises `error`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
-    if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}")
-    if cap is not None and value > cap:
-        raise error(f"{name}={value} exceeds cap={cap}")
-    return value
-
-
-def as_node(n, t) -> tuple[int, int]:
-    """A lattice coordinate (n, t) as plain ints: n a size (see ``as_count``),
-    t any integer, out of range or not, for the caller's convention."""
-    return as_count(n), as_count(t, "t", lo=None)
-
-
-_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def is_text(bits) -> bool:
-    """Whether a bit source is text, '0'/'1' characters: a str or a bytes-like
-    object (bytes, bytearray, memoryview).  Any other iterable holds bits."""
-    return isinstance(bits, (str, bytes, bytearray, memoryview))
-
-
-def parse_bits(bits: "Bits | str") -> tuple[int, ...]:
-    """Normalize a bit source (text such as '0110', see ``is_text``, or an
-    iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
-    if not is_text(bits):
-        return tuple(map(as_bit, bits))
-    # UnicodeEncodeError is a ValueError
-    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
-    if bad := text.translate(None, b"01"):
-        raise ValueError(f"invalid bit characters {bad[:8]!r}")
-    return tuple(text.translate(_TEXT_BITS))
 
 
 def type_of(bits: "Bits | str") -> int:

@@ -32,26 +32,90 @@ node sizes and so runs on any lattice with Pascal's additive recursion
 appends what it emits to the caller's list and returns the new l, so a move
 allocates nothing.  On Pascal's triangle two things drive it:
 
-* ``step``/``run``: the reference walk, reading exact sizes from
-  ``binom`` (``math.comb``, no size cap).  Tests compare the streaming
-  engine against it; ``walk_tree`` steps each lattice move of it once on
-  the way to every prefix, for ``verify`` and ``schursim``, and carries each
-  output as the integer ``pack_code`` makes of its bits.
+* ``step``/``run``: the reference walk, checking the node it leaves and
+  reading exact sizes from ``binom`` (``math.comb``, no size cap).  Tests
+  compare the streaming engine against it; ``walk_tree`` steps each lattice
+  move of it once on the way to every prefix, for ``verify`` and
+  ``schursim``, and carries each output as the integer ``pack_code`` makes
+  of its bits.
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
   fixed-width window on it, with ``step`` itself as the exact fallback.
   ``push``, ``feed`` and the on-demand ``pause_mode_run`` run one loop,
   whose moves append straight to the output it returns.
+
+The package's input checks live here, beside the walk that first needs
+them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
+coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
+from here, so the engine loads no oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
-from .elias import as_bit, as_count, is_text, parse_bits
+
+
+def as_bit(b) -> int:
+    """A bit as a plain int: 0/1, True/False or another integer type's 0/1.
+    Anything else, floats and strings included, raises ValueError.  So do
+    numpy bools, which have no ``__index__``: a bool array goes in through
+    its ``.tolist()``."""
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ValueError("input bit must be 0 or 1") from None
+    if b not in (0, 1):
+        raise ValueError("input bit must be 0 or 1")
+    return b
+
+
+def as_count(value, name: str = "n", lo: int | None = 0, cap: int | None = None,
+             error: type[Exception] = ValueError) -> int:
+    """A size (count, depth, index) as a plain int: any integer type goes
+    through ``operator.index``; anything else, floats and strings included,
+    raises ValueError, as does a value below `lo` (None: no floor).  A value
+    above `cap` raises `error`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    if cap is not None and value > cap:
+        raise error(f"{name}={value} exceeds cap={cap}")
+    return value
+
+
+def as_node(n, t) -> tuple[int, int]:
+    """A lattice coordinate (n, t) as plain ints: n a size (see ``as_count``),
+    t any integer, out of range or not, for the caller's convention."""
+    return as_count(n), as_count(t, "t", lo=None)
+
+
+_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def is_text(bits) -> bool:
+    """Whether a bit source is text, '0'/'1' characters: a str or a bytes-like
+    object (bytes, bytearray, memoryview).  Any other iterable holds bits."""
+    return isinstance(bits, (str, bytes, bytearray, memoryview))
+
+
+def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
+    """Normalize a bit source (text such as '0110', see ``is_text``, or an
+    iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
+    if not is_text(bits):
+        return tuple(map(as_bit, bits))
+    # UnicodeEncodeError is a ValueError
+    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
+    if bad := text.translate(None, b"01"):
+        raise ValueError(f"invalid bit characters {bad[:8]!r}")
+    return tuple(text.translate(_TEXT_BITS))
 
 
 class ExtractorState(NamedTuple):
@@ -85,7 +149,7 @@ def walk_step(here: int, hi: int, lo: int, b: int, l: int, out: list[int]) -> in
     whose sizes X obey here = hi + lo (binomial coefficients, or Young
     dimensions at valid nodes).  Appends the emitted bits, plain ints, to
     the caller's `out` and returns the new l, so a move allocates nothing.
-    Checks b first (see ``elias.as_bit``): a bad bit leaves `out` as it was.
+    Checks b first (see ``as_bit``): a bad bit leaves `out` as it was.
     """
     if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
         b = as_bit(b)
@@ -98,13 +162,22 @@ def walk_step(here: int, hi: int, lo: int, b: int, l: int, out: list[int]) -> in
     return l
 
 
-def step(state: ExtractorState, b: int) -> StepResult:
-    """Advance one input bit; emit any random bits produced by the move."""
+def step(state: ExtractorState, b: int, size: Callable[[int, int], int] = binom) -> StepResult:
+    """Advance one input bit; emit any random bits produced by the move.
+
+    The reference move, three exact reads of the lattice's node sizes
+    `size(n, t)` (``binom``, or ``young.dim``).  Checks the state first:
+    (n, t) by ``as_node``, l by ``as_count``, and bit l of the node's size,
+    which is hi after b = 0 and lo after b = 1."""
+    (n, t), l = as_node(state.n, state.t), as_count(state.l, "l")
     # t' from the truth of b, so any non-bit reaches walk_step's check
-    n, t = state.n + 1, state.t + (1 if b else 0)
+    n1, t1 = n + 1, t + (1 if b else 0)
+    hi, lo = size(n, t1), size(n, t1 - 1)
+    if not ((lo if b else hi) >> l) & 1:
+        raise ValueError(f"{(n, t, l)} is not a lattice node")
     emitted: list[int] = []
-    l = walk_step(binom(n, t), binom(n - 1, t), binom(n - 1, t - 1), b, state.l, emitted)
-    return StepResult(ExtractorState(n, t, l), tuple(emitted))
+    l = walk_step(size(n1, t1), hi, lo, b, l, emitted)
+    return StepResult(ExtractorState(n1, t1, l), tuple(emitted))
 
 
 def _check_tapes(state: ExtractorState, out_len: int) -> None:
@@ -162,7 +235,7 @@ def pack_code(bits: Iterable[int]) -> int:
 
 
 def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
-    """Parse text (see ``elias.is_text``); pass integer iterables through to
+    """Parse text (see ``is_text``); pass integer iterables through to
     the walk, which checks every bit as it takes it."""
     return parse_bits(bits) if is_text(bits) else bits
 

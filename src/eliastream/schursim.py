@@ -44,8 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elias import as_bit, as_count
-from .extractor import pack_code, von_neumann, walk_tree
+from .extractor import as_bit, as_count, pack_code, von_neumann, walk_tree
 from .young import q_run
 
 KNOWN_BASIS_CAP = 16
@@ -385,10 +384,8 @@ def simulate_universal(
     amps: dict = {}
     for ia, ib in zip(*np.nonzero(np.abs(joint) > 1e-14)):
         amps[(labels[ia], labels[ib])] = complex(joint[ia, ib])
-    state = JointState(
-        n, amps, meta={"mode": "universal", "p": p, "theta": theta, "seeded": 0}
-    )
-    return state.validate()
+    meta = {"mode": "universal", "p": p, "theta": theta, "seeded": 0}
+    return JointState(n, amps, meta=meta).validate()
 
 
 def emission_probability(state: JointState, k: int) -> float:
@@ -504,7 +501,7 @@ def register_distribution(state: JointState, name: str) -> dict:
 
 
 def distribution_entropy(dist: dict) -> float:
-    return -sum(p * math.log2(p) for p in dist.values() if p > 0)
+    return 0.0 - sum(p * math.log2(p) for p in dist.values() if p > 0)  # no -0.0
 
 
 def certain_pairs(state: JointState, tol: float = 1e-12) -> int:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .binomial import bin_layout, binom
-from .elias import SourceModel, as_count, expected_yield
-from .extractor import ExtractorState, StreamExtractor, walk_tree
+from .elias import SourceModel, expected_yield
+from .extractor import ExtractorState, StreamExtractor, as_count, walk_tree
 
 if TYPE_CHECKING:
     import mpmath
@@ -243,16 +243,5 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
     signs = 2 * arr.astype(np.float64) - 1
     monobit_z = float(signs.sum() / math.sqrt(length))
     serial_z = float((signs[:-1] * signs[1:]).sum() / math.sqrt(length - 1))
-    bias = max(
-        abs(float(arr[r::8].mean()) - 0.5) for r in range(8) if len(arr[r::8])
-    )
-    return StatReport(
-        p=p,
-        seed=seed,
-        sample_size=samples,
-        output_len=length,
-        rate=length / samples,
-        monobit_z=monobit_z,
-        serial_z=serial_z,
-        max_position_bias=bias,
-    )
+    bias = max(abs(float(arr[r::8].mean()) - 0.5) for r in range(8) if len(arr[r::8]))
+    return StatReport(p, seed, samples, length, length / samples, monobit_z, serial_z, bias)

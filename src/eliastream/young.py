@@ -7,7 +7,8 @@ counting), and the dimensions satisfy the same additive recursion as
 binomial coefficients once invalid nodes count as zero.  That recursion is
 all the transition rule ``extractor.walk_step`` ever uses, so handing it
 dimensions in place of binomial coefficients gives the same machine on this
-lattice: qstep(), with the extractor's state and step types.
+lattice: qstep(), the extractor's ``step`` on ``dim``, with the extractor's
+state and step types.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 from typing import Iterable, Iterator
 
 from .binomial import binom
-from .elias import as_count, as_node
-from .extractor import ExtractorState, RunResult, StepResult, fold_steps, walk_step
+from .extractor import ExtractorState, RunResult, StepResult, as_count, as_node, fold_steps, step
 
 
 class InvalidNodeError(ValueError):
@@ -108,14 +108,14 @@ def qstep(state: ExtractorState, pbit: int) -> StepResult:
     """One lattice move with dimensions in place of binomial coefficients.
 
     The caller must only request valid moves; an invalid move signals a bug
-    upstream (the coupling transform never produces one).
+    upstream (the coupling transform never produces one).  A state that is
+    no lattice node raises ValueError, as ``extractor.step`` does.
     """
-    n, t = state.n + 1, state.t + (1 if pbit else 0)
+    n, t = as_node(state.n, state.t)
+    n, t = n + 1, t + (1 if pbit else 0)
     if not is_valid(n, t):
         raise InvalidNodeError(f"move to ({n}, {t}) violates the row condition")
-    emitted: list[int] = []
-    l = walk_step(dim(n, t), dim(n - 1, t), dim(n - 1, t - 1), pbit, state.l, emitted)
-    return StepResult(ExtractorState(n, t, l), tuple(emitted))
+    return step(state, pbit, dim)
 
 
 def q_run(pbits: Iterable[int]) -> RunResult:

@@ -1,9 +1,16 @@
 import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import eliastream
 from eliastream import extractor, verify
 from eliastream.cli import main, pack_bits, unpack_bytes, write_report
 from eliastream.extractor import StepResult
@@ -33,6 +40,33 @@ def test_pack_and_unpack_match_bytewise_loops(data):
             int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8)
         )
         assert pack_bits(bits[:cut]) == (expected, (-cut) % 8)
+
+
+def test_pack_and_unpack_equal_numpy_at_every_pad_length():
+    rng = random.Random(16384)
+    for size in [*range(40), 1000, 16 * 1024]:
+        data = rng.randbytes(size)
+        bits = unpack_bytes(data)
+        assert bits == np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
+        assert all(type(b) is int for b in bits)
+        for cut in range(min(len(bits), 8) + 1):
+            kept = bits[:len(bits) - cut]
+            assert pack_bits(kept) == (np.packbits(np.array(kept, dtype=np.uint8)).tobytes(),
+                                       cut % 8)
+
+
+@pytest.mark.parametrize("bad", [[1, 2], [1, ord("_"), 0], [ord(" "), 1], [0, 1, 255]])
+def test_pack_refuses_values_other_than_bits(bad):
+    # int(text, 2) would take "_" as a digit separator and " " as padding
+    with pytest.raises(ValueError, match="bits to pack must be 0 or 1"):
+        pack_bits(bad)
+
+
+def test_pack_reads_integer_arrays_by_value():
+    for dtype in (np.uint8, np.int64, np.int32):
+        assert pack_bits(np.array([1, 0, 1], dtype=dtype)) == (b"\xa0", 5)
+    with pytest.raises(TypeError):
+        pack_bits(5)  # not five zero bits
 
 
 def test_pack_pads_with_zeros():
@@ -358,6 +392,33 @@ def test_extract_output_is_pinned(tmp_path, extra):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     fields = read_report(rep)
     assert (fields["n"], fields["t"], fields["l"]) == ntl
+
+
+@pytest.mark.parametrize("extra", sorted(PINNED))
+def test_extract_pipes_stdin_to_stdout_in_a_fresh_process(tmp_path, extra):
+    # the defaults --input - and --output -, the report on stderr
+    env = dict(os.environ)
+    src = str(Path(eliastream.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "eliastream.cli", "extract", *extra],
+                          input=hashlib.shake_256(PINNED_INPUT).digest(16 * 1024),
+                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest, ntl = PINNED[extra]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    fields = dict(line.partition("=")[::2] for line in proc.stderr.decode().splitlines())
+    assert fields["schema"] == "eliastream/1"
+    assert (fields["n"], fields["t"], fields["l"]) == ntl
+
+
+@pytest.mark.parametrize("args", [("known", "4", "0"), ("known", "4", "1"),
+                                  ("universal", "3", "1")])
+def test_point_mass_entropies_print_no_negative_zero(tmp_path, args):
+    mode, n, p = args
+    rep = tmp_path / "report.txt"
+    assert main(["simulate", "--mode", mode, "--n", n, "--p", p, "--report", str(rep)]) == 0
+    fields = read_report(rep)
+    assert (fields["t_entropy"], fields["l_entropy"]) == ("0.000000", "0.000000")
 
 
 # SHA-256 of `simulate` reports, recorded before the pair statistics were

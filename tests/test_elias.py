@@ -16,7 +16,6 @@ from eliastream.elias import (
     block_codeword,
     conditional_bin_entropy,
     expected_yield,
-    parse_bits,
     rank_in_type,
     type_of,
 )
@@ -25,6 +24,7 @@ from eliastream.extractor import (
     ExtractorState,
     StreamExtractor,
     initial_state,
+    parse_bits,
     pause_mode_run,
     run,
     step,

@@ -24,6 +24,7 @@ from eliastream.extractor import (
     walk_step,
     walk_tree,
 )
+from eliastream.young import qstep
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
 
@@ -346,6 +347,28 @@ def test_engine_resumes_only_at_lattice_nodes():
     for state in [(4, 2, 0), (4, 5, 0), (3, -1, 0), (2, 1, -1)]:
         with pytest.raises(ValueError):
             StreamExtractor(ExtractorState(*state))
+
+
+# (state, b, message): refused on Pascal's triangle and on the Young lattice
+# alike, before any move; the first would give l = 10 > n = 4.
+NOT_NODES = [
+    ((3, 0, 9), 0, r"^\(3, 0, 9\) is not a lattice node$"),
+    ((4, 2, 0), 0, r"^\(4, 2, 0\) is not a lattice node$"),  # C(4,2) = 6, dim(4,2) = 2
+    ((4, 1, 5), 1, r"^\(4, 1, 5\) is not a lattice node$"),  # C(4,1) = 4, dim(4,1) = 3
+    ((1, 0, 0.5), 0, "^l must be an integer$"),
+    ((2.5, 0, 0), 0, "^n must be an integer$"),
+    ((2, 0.5, 0), 1, "^t must be an integer$"),
+    (("2", 0, 0), 1, "^n must be an integer$"),
+    ((2, 0, -1), 0, "^l must be >= 0$"),
+    ((-1, 0, 0), 1, "^n must be >= 0$"),
+]
+
+
+@pytest.mark.parametrize("move", [step, qstep])
+@pytest.mark.parametrize("state,b,message", NOT_NODES, ids=[repr(c[0]) for c in NOT_NODES])
+def test_reference_steps_check_their_node(move, state, b, message):
+    with pytest.raises(ValueError, match=message):
+        move(ExtractorState(*state), b)
 
 
 def test_step_beyond_five_thousand_bits_matches_the_engine():

@@ -10,20 +10,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eliastream
+from eliastream.extractor import StreamExtractor
 
 SRC = Path(eliastream.__file__).resolve().parents[1]
-HEAVY = ("numpy", "mpmath", "eliastream.schursim", "eliastream.verify")
+HEAVY = ("numpy", "mpmath", "eliastream.schursim", "eliastream.verify", "eliastream.elias")
+# The package modules `extract` runs on: the walk, its sizes and the CLI.
+WALK = {"eliastream", "eliastream.cli", "eliastream.extractor", "eliastream.binomial"}
 
 # Runs `eliastream <args>` in-process (or only imports the CLI when there are
-# no arguments), then prints which of HEAVY are loaded.
-PROBE = f"""
+# no arguments), then prints every loaded module.
+PROBE = """
 import sys
 import eliastream.cli
 code = eliastream.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(" ".join(m for m in {HEAVY!r} if m in sys.modules))
+print(" ".join(sys.modules))
 sys.exit(code)
 """
 
@@ -41,10 +45,12 @@ def run_fresh(args, tmp_path, probe=True):
     return python_fresh([*entry, *args], tmp_path)
 
 
-def loaded(args, tmp_path):
+def loaded(args, tmp_path, watch=HEAVY):
+    """Which modules of `watch` (all, for None) a fresh run has loaded."""
     proc = run_fresh(args, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    got = set(proc.stdout.split())
+    return got if watch is None else got & set(watch)
 
 
 def loaded_submodules(module, tmp_path):
@@ -62,7 +68,7 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 def test_importing_the_cli_loads_only_the_modules_extract_needs(tmp_path):
     got = loaded_submodules("eliastream.cli", tmp_path)
-    assert got == {f"eliastream.{m}" for m in ("cli", "extractor", "elias", "binomial")}
+    assert got == WALK - {"eliastream"}
 
 
 def test_importing_the_cli_loads_no_oracle_or_numeric_library(tmp_path):
@@ -72,27 +78,42 @@ def test_importing_the_cli_loads_no_oracle_or_numeric_library(tmp_path):
 def test_verify_default_suites_never_load_numpy(tmp_path):
     got = loaded(["verify", "--suites", "equivalence,balanced,yield", "--report",
                   str(tmp_path / "r.txt")], tmp_path)
-    assert got == {"eliastream.verify"}
+    assert got == {"eliastream.verify", "eliastream.elias"}
 
 
 def test_verify_exhaustive_suites_load_no_numeric_library(tmp_path):
     got = loaded(["verify", "--suites", "equivalence,balanced", "--max-n", "6", "--report",
                   str(tmp_path / "r.txt")], tmp_path)
-    assert got == {"eliastream.verify"}
+    assert got == {"eliastream.verify", "eliastream.elias"}
 
 
 @pytest.mark.parametrize("mode", ["known", "universal", "huffman", "vonneumann"])
 def test_simulate_never_loads_mpmath(tmp_path, mode):
+    # nor the block oracle: HEAVY holds eliastream.elias
     got = loaded(["simulate", "--mode", mode, "--n", "3", "--report", str(tmp_path / "r.txt")],
                  tmp_path)
     assert got == {"eliastream.schursim", "numpy"}
 
 
-def test_extract_loads_numpy_and_no_oracle(tmp_path):
+def test_extract_loads_only_the_walk(tmp_path):
     (tmp_path / "in.bin").write_bytes(b"\x5a\x0f")
     got = loaded(["extract", "--input", "in.bin", "--output", "out.bin", "--report", "r.txt"],
-                 tmp_path)
-    assert got == {"numpy"}
+                 tmp_path, watch=None)
+    assert {m for m in got if m.partition(".")[0] == "eliastream"} == WALK
+    assert not got & {*HEAVY, "dataclasses", "fractions"}
+
+
+def test_extract_runs_where_numpy_cannot_be_imported(tmp_path):
+    data = bytes(range(256))
+    (tmp_path / "in.bin").write_bytes(data)
+    blocked = "import sys; sys.modules['numpy'] = None\n" + PROBE
+    proc = python_fresh(["-c", blocked, "extract", "--input", "in.bin", "--output", "out.bin",
+                         "--report", "r.txt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # numpy's byte conversion, in this process, as the oracle
+    emitted = StreamExtractor().feed(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist())
+    expected = np.packbits(np.array(emitted, dtype=np.uint8)).tobytes()
+    assert (tmp_path / "out.bin").read_bytes() == expected
 
 
 def test_simulator_cap_is_a_usage_error_in_a_fresh_process(tmp_path):
