@@ -16,6 +16,7 @@ simulators inside ``simulate`` and the verification suites inside
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -174,7 +175,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Each
+    ``parse_args`` returns a fresh Namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="eliastream",
         description="Streaming entropy extraction and concentration toolkit",

@@ -294,14 +294,18 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon, one pinned core, median of 5 fresh processes (feed
-# of 2,000 Bernoulli(0.3) bits from a node at l = 1,000 / 2,000 / 4,000): the
-# exact update costs 1.8 / 2.1 / 3.1 us per bit and grows linearly with l, the
-# window 1.5-1.7 us at any l up to 8,000.  Yet a window from the apex loses on
+# Measured on a 2-core Xeon, one pinned core.  The exact update costs 1.8 /
+# 2.1 / 3.1 us per bit at l = 1,000 / 2,000 / 4,000 and grows linearly with l;
+# the window costs 1.5-1.7 us at any l.  Yet a window from the apex loses on
 # short streams (1.57x slower per 512-bit demand from 4,096-bit inputs): while
 # C(n, t) is short, one exact update costs less than the window's two bounds
-# and three quotient checks.  So short inputs run exact, up to l = 4,096.
-_CROSSOVER = 4096
+# and three quotient checks.  Handing over at l = 512 / 1,024 / 2,048 / 4,096,
+# in paired runs (medians of 3): the benchmark's extract_short made 267 / 306 /
+# 289 / 269 ops/s and extract_long 665k / 702k / 678k / 624k input bits/s; the
+# streaming walk on the 512-byte inputs took 0.91 / 0.86 / 0.85 / 1 of its
+# time at 4,096.  So the window takes over at l = 1,024, and a 512-bit demand
+# stays exact.
+_CROSSOVER = 1024
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since
 # the last resync) / 2^_GUARD.  64 gave no fallback on a 10^7-bit stream.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import eliastream
 from eliastream import extractor, verify
-from eliastream.cli import main, pack_bits, unpack_bytes, write_report
+from eliastream.cli import build_parser, main, pack_bits, unpack_bytes, write_report
 from eliastream.extractor import StepResult
 from eliastream.extractor import step as extractor_step
 
@@ -371,22 +371,37 @@ def test_missing_input_is_io_error(tmp_path):
     assert main(["extract", "--input", str(tmp_path / "absent.bin")]) == 2
 
 
-# SHA-256 of `extract` outputs on a fixed 16 KiB input, recorded before the
-# streaming engine was rewritten to carry one coefficient; the same digest is
-# checked on the installed console script in CI.
+# SHA-256 of `extract` outputs on fixed inputs, recorded before the streaming
+# engine was rewritten to carry one coefficient (the 512-byte ones: before the
+# window took over at l = 1,024); the same digests are checked on the
+# installed console script in CI.  Keys: (input bytes, extra arguments).
 PINNED_INPUT = b"eliastream pinned extract"
 PINNED = {
-    (): ("8c8223deb25d113c4955388bd5c8a39aa17198c6f07fb7d7e321ad95d54297ec", ("131072", "65523", "131063")),
-    ("--demand", "1000"): ("f6f894963ae45679dc2180f39b3409ecca4a155aae4a6707a67cb5f5e3595c39", ("1007", "482", "1000")),
+    (16 * 1024, ()): ("8c8223deb25d113c4955388bd5c8a39aa17198c6f07fb7d7e321ad95d54297ec", ("131072", "65523", "131063")),
+    (16 * 1024, ("--demand", "1000")): ("f6f894963ae45679dc2180f39b3409ecca4a155aae4a6707a67cb5f5e3595c39", ("1007", "482", "1000")),
+    (512, ()): ("e2d40d6496739f7bf8e415f70ff5e6650472833dd4df64729b8f38e137e21c98", ("4096", "2002", "4088")),
+    (512, ("--demand", "2000")): ("68599061b13aa1d1a0dfc74c000a8b3a0ba32a45d9ebcca8c9826469021e0eb9", ("2010", "954", "2000")),
 }
 
 
-@pytest.mark.parametrize("extra", sorted(PINNED))
+def cli_fresh(argv, cwd, stdin=b""):
+    """`python -m eliastream.cli` with `argv` in a new interpreter, on this package."""
+    env = dict(os.environ)
+    src = str(Path(eliastream.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "eliastream.cli", *argv], input=stdin,
+                          capture_output=True, cwd=cwd, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("extra", list(PINNED))
 def test_extract_output_is_pinned(tmp_path, extra):
-    # streaming reaches the window phase (l > 4,096); the demand stays exact
+    # Both streaming runs pass extractor._CROSSOVER, from where the window
+    # decides the moves (to l = 131,063 and 4,088); of the demands, 1,000
+    # ends below it, on the exact coefficient, and 2,000 above it.
+    size, args = extra
     inp, out, rep = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.txt"
-    inp.write_bytes(hashlib.shake_256(PINNED_INPUT).digest(16 * 1024))
-    argv = ["extract", "--input", str(inp), "--output", str(out), "--report", str(rep), *extra]
+    inp.write_bytes(hashlib.shake_256(PINNED_INPUT).digest(size))
+    argv = ["extract", "--input", str(inp), "--output", str(out), "--report", str(rep), *args]
     assert main(argv) == 0
     digest, ntl = PINNED[extra]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -394,21 +409,45 @@ def test_extract_output_is_pinned(tmp_path, extra):
     assert (fields["n"], fields["t"], fields["l"]) == ntl
 
 
-@pytest.mark.parametrize("extra", sorted(PINNED))
+@pytest.mark.parametrize("extra", list(PINNED))
 def test_extract_pipes_stdin_to_stdout_in_a_fresh_process(tmp_path, extra):
     # the defaults --input - and --output -, the report on stderr
-    env = dict(os.environ)
-    src = str(Path(eliastream.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "eliastream.cli", "extract", *extra],
-                          input=hashlib.shake_256(PINNED_INPUT).digest(16 * 1024),
-                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    size, args = extra
+    proc = cli_fresh(["extract", *args], tmp_path, hashlib.shake_256(PINNED_INPUT).digest(size))
     assert proc.returncode == 0, proc.stderr
     digest, ntl = PINNED[extra]
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
     fields = dict(line.partition("=")[::2] for line in proc.stderr.decode().splitlines())
     assert fields["schema"] == "eliastream/1"
     assert (fields["n"], fields["t"], fields["l"]) == ntl
+
+
+def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys):
+    # Each call equals a process of its own, a usage error between calls included.
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(hashlib.shake_256(PINNED_INPUT).digest(512))
+    parser = build_parser()
+
+    def argv(prefix, args):
+        return ["extract", "--input", str(inp), "--output", str(tmp_path / f"{prefix}.out"),
+                "--report", str(tmp_path / f"{prefix}.rep"), *args]
+
+    def files(prefix):  # output and report, the report's timing line dropped
+        out, rep = tmp_path / f"{prefix}.out", tmp_path / f"{prefix}.rep"
+        return (out.read_bytes() if out.exists() else None,
+                [line for line in rep.read_text().splitlines() if not line.startswith("elapsed=")]
+                if rep.exists() else None)
+
+    statuses = []
+    for i, args in enumerate([(), ("--demand", "64"), ("--demand", "-1"), ()]):
+        statuses.append(main(argv(f"shared{i}", args)))
+        err = capsys.readouterr().err
+        assert build_parser() is parser
+        alone = cli_fresh(argv(f"alone{i}", args), tmp_path)
+        assert (statuses[-1], err) == (alone.returncode, alone.stderr.decode())
+        assert files(f"shared{i}") == files(f"alone{i}")
+    assert statuses == [0, 0, 2, 0]
+    assert files("shared2") == (None, None) and files("shared0") == files("shared3")
 
 
 @pytest.mark.parametrize("args", [("known", "4", "0"), ("known", "4", "1"),

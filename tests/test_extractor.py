@@ -375,8 +375,10 @@ def test_step_beyond_five_thousand_bits_matches_the_engine():
     # n = 6,000 is far past any Pascal table: every size comes from math.comb
     n, t = 6000, 1800
     c = math.comb(n, t)
-    for floor in (3000, extractor._CROSSOVER + 400):  # exact engine, then windowed
+    crossover = extractor._CROSSOVER
+    for floor in (crossover // 2, crossover + 400):  # exact engine, then windowed
         l = next(l for l in range(floor, c.bit_length()) if (c >> l) & 1)
+        assert (l < crossover) == (floor < crossover)
         state = ExtractorState(n, t, l)
         for b in (0, 1):
             engine = StreamExtractor(state)

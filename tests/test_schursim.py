@@ -1,5 +1,6 @@
 import cmath
 import functools
+import gc
 import math
 from typing import NamedTuple
 
@@ -672,6 +673,26 @@ def test_pair_statistics_need_l_and_tape_fields():
 def test_pair_statistics_reject_an_empty_state():
     with pytest.raises(ValueError, match="no amplitudes"):
         tape_length_distribution(JointState(1, {}))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_table_build_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = []  # the collector's state inside each party's column build
+    build = schursim.PartyColumns.build
+    monkeypatch.setattr(schursim.PartyColumns, "build",
+                        lambda labels: seen.append(gc.isenabled()) or build(labels))
+    bad = PartyLabel(0, None, 2, 4, 0)  # tape 4 needs 3 bits
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        simulate_known_basis(0.3, 4).table
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match=r"an int in \[0, 2\^l\)"):
+            JointState(1, {(bad, bad): 1.0}).table
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_certain_pairs_reports_incubation_boundary():
