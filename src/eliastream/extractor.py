@@ -214,14 +214,15 @@ def walk_tree(max_n: int) -> Iterator[tuple[ExtractorState, int]]:
         if state.n < max_n:
             pair = moves.get(state)
             if pair is None:
-                pair = moves[state] = _move(state, 1) + _move(state, 0)  # pops 0 first
+                pair = moves[state] = coded_move(state, 1, step) + coded_move(state, 0, step)
             node1, k1, v1, node0, k0, v0 = pair
-            todo += (node1, code << k1 | v1), (node0, code << k0 | v0)
+            todo += (node1, code << k1 | v1), (node0, code << k0 | v0)  # pops 0 first
 
 
-def _move(state: ExtractorState, b: int) -> tuple[ExtractorState, int, int]:
-    """step() as (node, number of bits emitted, those bits as an integer)."""
-    node, emitted = step(state, b)
+def coded_move(state: ExtractorState, b: int, move: Callable) -> tuple[ExtractorState, int, int]:
+    """``move(state, b)`` (``step``, or ``young.qstep``) as (node, number of
+    bits emitted, those bits as an integer), its conservation checked."""
+    node, emitted = move(state, b)
     _check_tapes(node, state.l + len(emitted))
     return node, len(emitted), pack_code(emitted)
 

@@ -1,4 +1,4 @@
-"""Dense state-vector simulation of coherent streaming concentration.
+"""Sparse state simulation of coherent streaming concentration.
 
 Both parties hold identical halves of a stream of two-qubit entangled pairs
 and each run the same local isometry.  Everything here is expressed over
@@ -20,10 +20,10 @@ branches holding pair k are gathered from it with numpy, once per
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
-the walk carries them (support 2^n, not 4^n).  The universal one interleaves
-a Clebsch-Gordan step with the lattice-walk step of young.q_run, so it needs
-no knowledge of the input basis; it is built as an explicit 2^n x 2^n
-orthogonal matrix and applied to both parties.
+the walk carries them (support 2^n, not 4^n).  The universal one streams
+the pairs one at a time, interleaving a Clebsch-Gordan step with the lattice
+move of young.qstep, so it needs no knowledge of the input basis; the dense
+2^n x 2^n coupling transform is only its naive oracle.
 
 Coupling convention: a diagram with d = n - 2t + 1 states carries spin
 j = (d - 1)/2; u = 0 is the highest-weight state (aligned with |0>).  The
@@ -36,24 +36,24 @@ from __future__ import annotations
 
 import gc
 import math
+from collections import defaultdict
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, partial
 from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .extractor import as_bit, as_count, pack_code, von_neumann, walk_tree
-from .young import q_run
+from .extractor import ExtractorState, as_bit, as_count, coded_move, pack_code, von_neumann, walk_tree
+from .young import qstep
 
 KNOWN_BASIS_CAP = 16
-UNIVERSAL_CAP = 6
+UNIVERSAL_CAP = 15
 VON_NEUMANN_CAP = 8  # pairs: 4^8 strings
 SCHUR_CAP = 10
-# Per-size cache bound: one entry per n.
-CACHE_SIZE = 32
 
 NORM_TOL = 1e-12
 
@@ -115,6 +115,19 @@ def _renumber(column: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(ranks.max()) + 1
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a state build, which makes
+    container objects per entry and frees few; leave it as it was found."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def _first_appearance_ids(columns, rows: int) -> np.ndarray:
     """Number the distinct rows of nonnegative int64 columns 0, 1, ... in
     order of first appearance (all zeros when there are no columns)."""
@@ -170,22 +183,13 @@ class ColumnTable:
     def __init__(self, amps) -> None:
         if not amps:
             raise ValueError("joint state has no amplitudes")
-        # The build makes container objects per row and frees few, which sets
-        # off full collections that rescan the state's labels (known n = 16:
-        # 0.21-0.27 s with them, 0.14-0.18 s without).  So the collector is
-        # paused for the build and left as it was found.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with _collector_paused():
             values = list(amps.values())
             self.amps = np.array(values)
             self.weights = np.array([abs(a) ** 2 for a in values])
             alice, bob = zip(*amps)
             self.alice = PartyColumns.build(alice)
             self.bob = self.alice if bob == alice else PartyColumns.build(bob)
-        finally:
-            if collecting:
-                gc.enable()
         self.gathers: dict = {}  # (k, registers) -> read-only pair gather
 
     def held(self, k) -> np.ndarray:
@@ -251,12 +255,6 @@ def cg_step(n: int, t: int, u: int, qubit: int) -> list[tuple[int, int, int, flo
     return out
 
 
-class SchurLabel(NamedTuple):
-    t: int
-    u: int
-    path: tuple[int, ...]
-
-
 class PartyIsometry(NamedTuple):
     """Basis-state map |s> -> sum_j V[s, j] |labels[j]>, V real orthogonal."""
 
@@ -265,38 +263,20 @@ class PartyIsometry(NamedTuple):
     matrix: np.ndarray
 
 
-def _cg_branches(n: int, s: int) -> list[tuple[int, int, tuple[int, ...], float]]:
-    """All coupling branches for basis string s: (t, u, path, amplitude)."""
-    branches = [(0, 0, (), 1.0)]
-    for k in range(n):
-        bit = (s >> (n - 1 - k)) & 1
-        nxt = []
-        for t, u, path, amp in branches:
-            for t2, u2, pbit, a in cg_step(k, t, u, bit):
-                nxt.append((t2, u2, path + (pbit,), amp * a))
-        branches = nxt
-    return branches
-
-
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
-    """The full n-qubit change of basis into (t, u, path) labels, built once
-    per n; n is checked before it keys the cache."""
-    return _schur_transform(as_count(n, cap=cap, error=SimulatorCapError))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _schur_transform(n: int) -> PartyIsometry:
-    index: dict[SchurLabel, int] = {}
-    entries = []
+    """The full n-qubit change of basis into (t, u, path) labels, each basis
+    string coupled in qubit by qubit: the universal simulator's dense oracle."""
+    n = as_count(n, cap=cap, error=SimulatorCapError)
+    columns: dict[tuple, np.ndarray] = {}  # (t, u, path) -> column
     for s in range(1 << n):
-        for t, u, path, amp in _cg_branches(n, s):
-            col = index.setdefault(SchurLabel(t, u, path), len(index))
-            entries.append((s, col, amp))
-    matrix = np.zeros((1 << n, len(index)), dtype=float)
-    for s, col, amp in entries:
-        matrix[s, col] += amp
-    matrix.flags.writeable = False  # cached: shared by every later call
-    return PartyIsometry(n, tuple(index), matrix)
+        branches = [(0, 0, (), 1.0)]
+        for k in range(n):
+            bit = (s >> (n - 1 - k)) & 1
+            branches = [(t2, u2, path + (pbit,), amp * a) for t, u, path, amp in branches
+                        for t2, u2, pbit, a in cg_step(k, t, u, bit)]
+        for t, u, path, amp in branches:
+            columns.setdefault((t, u, path), np.zeros(1 << n))[s] += amp
+    return PartyIsometry(n, tuple(columns), np.array(list(columns.values())).T)
 
 
 def simulate_known_basis(p: float, n: int) -> JointState:
@@ -320,10 +300,11 @@ def _diagonal_state(n: int, p: float, branches, mode: str) -> JointState:
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     amps: dict = {}
-    for label, t in branches:
-        if (label, label) in amps:
-            raise AssertionError(f"{mode} register labels collide")
-        amps[(label, label)] = math.sqrt(p ** (n - t) * (1 - p) ** t)
+    with _collector_paused():
+        for label, t in branches:
+            if (label, label) in amps:
+                raise AssertionError(f"{mode} register labels collide")
+            amps[(label, label)] = math.sqrt(p ** (n - t) * (1 - p) ** t)
     amps = {key: amp for key, amp in amps.items() if amp}
     return JointState(n, amps, meta={"mode": mode, "p": p, "seeded": 0}).validate()
 
@@ -347,25 +328,6 @@ def collective_rotation(psi: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     return unitary @ psi @ unitary.T
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _universal_isometry(n: int) -> tuple[tuple[PartyLabel, ...], np.ndarray]:
-    """Per-party matrix of the interleaved coupling + lattice-walk transform.
-
-    As for the classical walk, the purity tape holds n - l clean qubits and
-    q_run() checks l <= n at every step.
-    """
-    schur = schur_transform(n, cap=max(SCHUR_CAP, n))
-    labels = []
-    for t, u, path in schur.labels:
-        tape, final = q_run(path)
-        if final.t != t:
-            raise AssertionError("walk endpoint disagrees with coupling label")
-        labels.append(PartyLabel(t, u, final.l, Tape(pack_code(tape), final.l), n - final.l))
-    if len(set(labels)) != len(labels):
-        raise AssertionError("universal register labels collide")
-    return tuple(labels), schur.matrix
-
-
 def simulate_universal(
     n: int,
     p: float | None = None,
@@ -375,8 +337,10 @@ def simulate_universal(
     """Fully universal concentration of n copies of a two-qubit pure state.
 
     psi (a 2x2 coefficient matrix) overrides the (p, theta) parametrization.
-    The same real isometry V is applied to each party; the joint amplitude
-    table is V^T (psi tensor-power) V, tracked exactly up to float error.
+    One sparse pass per input pair: each entry expands by psi's nonzero
+    coefficients, both parties take their qubit (``_party_moves``), equal
+    keys add up and amplitudes of at most 1e-14 drop.  The result equals
+    V^T (psi tensor-power) V for the dense V of ``schur_transform``.
     """
     n = as_count(n, lo=1, cap=UNIVERSAL_CAP, error=SimulatorCapError)
     if psi is None:
@@ -389,14 +353,49 @@ def simulate_universal(
     nrm = float(np.sum(np.abs(psi) ** 2))
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError("psi is not normalized")
-    labels, matrix = _universal_isometry(n)
-    coeff = reduce(np.kron, [psi] * n)
-    joint = matrix.T @ coeff @ matrix
-    amps: dict = {}
-    for ia, ib in zip(*np.nonzero(np.abs(joint) > 1e-14)):
-        amps[(labels[ia], labels[ib])] = complex(joint[ia, ib])
+    terms = [(a, b, complex(psi[a, b])) for a in (0, 1) for b in (0, 1) if psi[a, b]]
+    registers = [PartyLabel(0, 0, 0, Tape(0, 0), 0)]  # by id
+    amps: dict = {0: 1.0}  # alice id * len(registers) + bob id -> amplitude
+    with _collector_paused():
+        for k in range(n):
+            size, (registers, moves) = len(registers), _party_moves(k, registers)
+            merged: defaultdict = defaultdict(complex)
+            for key, amp in amps.items():
+                alice, bob = divmod(key, size)
+                for a, b, c in terms:
+                    for alice2, ca in moves[alice][a]:
+                        amp_a, base = amp * c * ca, alice2 * len(registers)
+                        for bob2, cb in moves[bob][b]:
+                            merged[base + bob2] += amp_a * cb
+            amps = {key: amp for key, amp in merged.items() if abs(amp) > 1e-14}
+        size = len(registers)
+        amps = {(registers[key // size], registers[key % size]): amp for key, amp in amps.items()}
     meta = {"mode": "universal", "p": p, "theta": theta, "seeded": 0}
     return JointState(n, amps, meta=meta).validate()
+
+
+def _party_moves(k: int, registers: list) -> tuple[list, list]:
+    """Qubit k + 1 into each party register: the registers after, and per
+    register and qubit its [(id after, coefficient)].  ``coded_move`` checks
+    l <= n; the walk must end where ``cg_step`` does, and distinct (t, l,
+    tape, box bit) must land on distinct (t', l', tape'), or no isometry."""
+    walk = cache(partial(coded_move, move=qstep))  # per call, as in walk_tree
+    landed: dict = {}  # (t', l', tape') -> its (t, l, tape, box bit)
+    ids: dict = {}
+    moves = []
+    for t, u, l, tape, _ in registers:
+        moves.append(by_qubit := ([], []))
+        for qubit, out in enumerate(by_qubit):
+            for t2, u2, pbit, c in cg_step(k, t, u, qubit):
+                after, width, code = walk(ExtractorState(k, t, l), pbit)
+                if after.t != t2:
+                    raise AssertionError("walk endpoint disagrees with coupling label")
+                tape2 = tape << width | code
+                if landed.setdefault((t2, after.l, tape2), (t, l, tape, pbit)) != (t, l, tape, pbit):
+                    raise AssertionError("universal register labels collide")
+                label = PartyLabel(t2, u2, after.l, Tape(tape2, after.l), k + 1 - after.l)
+                out.append((ids.setdefault(label, len(ids)), c))
+    return list(ids), moves
 
 
 def emission_probability(state: JointState, k: int) -> float:
@@ -485,7 +484,7 @@ def pair_memory_product_gap(state: JointState, k: int) -> float:
     full = rho.reshape(4, nreg, 4, nreg)
     rho_pair = np.trace(full, axis1=1, axis2=3)
     rho_regs = np.trace(full, axis1=0, axis2=2)
-    gap = rho - np.kron(rho_pair, rho_regs)
+    gap = (full - rho_pair[:, None, :, None] * rho_regs[None, :, None, :]).reshape(rho.shape)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(gap))))
 
 
@@ -512,7 +511,8 @@ def register_distribution(state: JointState, name: str) -> dict:
 
 
 def distribution_entropy(dist: dict) -> float:
-    return 0.0 - sum(p * math.log2(p) for p in dist.values() if p > 0)  # no -0.0
+    # clamped, as a point mass may sum to 1 + 2^-52 and print -0.000000
+    return max(0.0, -sum(p * math.log2(p) for p in dist.values() if p > 0))
 
 
 def certain_pairs(state: JointState, tol: float = 1e-12) -> int:

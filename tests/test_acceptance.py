@@ -25,6 +25,7 @@ from eliastream.extractor import (
     walk_tree,
 )
 from eliastream.schursim import (
+    UNIVERSAL_CAP,
     collective_rotation,
     emission_probability,
     huffman_output_state,
@@ -155,6 +156,24 @@ def test_c07_known_basis_concentration():
     report(f"criterion 7 PASS: {checked} emitted pairs perfect, mixed, memory-free")
 
 
+def perfect_and_covariant(n, psi, rotations):
+    """Check every emitted pair of the universal state of psi^n: fidelity 1,
+    and the same fidelity under each collective rotation.  Returns the count."""
+    state = simulate_universal(n, psi=psi)
+    max_len = max(la.l for (la, _) in state.amps)
+    fidelities = {}
+    for k in range(1, max_len + 1):
+        if emission_probability(state, k) == 0:
+            continue
+        fidelities[k] = pair_fidelity(state, k)
+        assert abs(fidelities[k] - 1) < 1e-9, (n, k)
+    for unitary in rotations:
+        rotated = simulate_universal(n, psi=collective_rotation(psi, unitary))
+        for k, fid in fidelities.items():
+            assert abs(pair_fidelity(rotated, k) - fid) < 1e-9, (n, k)
+    return len(fidelities)
+
+
 def test_c08_universal_concentration_and_covariance():
     rotations = [
         np.array([[math.cos(0.45), -math.sin(0.45)], [math.sin(0.45), math.cos(0.45)]]),
@@ -164,24 +183,14 @@ def test_c08_universal_concentration_and_covariance():
     for n in range(1, 7):
         for theta in (0.3, 0.7, 1.1):
             for p in (0.3, 0.7):
-                psi = two_qubit_source(p, theta)
-                state = simulate_universal(n, psi=psi)
-                max_len = max(la.l for (la, _) in state.amps)
-                fidelities = {}
-                for k in range(1, max_len + 1):
-                    if emission_probability(state, k) == 0:
-                        continue
-                    fidelities[k] = pair_fidelity(state, k)
-                    assert abs(fidelities[k] - 1) < 1e-9, (n, theta, p, k)
-                    checked += 1
-                for unitary in rotations:
-                    rotated = simulate_universal(
-                        n, psi=collective_rotation(psi, unitary)
-                    )
-                    for k, fid in fidelities.items():
-                        assert abs(pair_fidelity(rotated, k) - fid) < 1e-9
+                checked += perfect_and_covariant(n, two_qubit_source(p, theta), rotations)
     assert checked >= 20
-    report(f"criterion 8 PASS: {checked} universal pairs perfect; rotations inert")
+    # and once at the simulator's cap, under one collective rotation of both kinds
+    at_cap = perfect_and_covariant(UNIVERSAL_CAP, two_qubit_source(0.3, 1.1),
+                                   [rotations[1] @ rotations[0]])
+    assert at_cap >= UNIVERSAL_CAP // 2
+    report(f"criterion 8 PASS: {checked} universal pairs perfect at n <= 6, {at_cap} at "
+           f"n = {UNIVERSAL_CAP}; rotations inert")
 
 
 def test_c09_young_lattice_dimensions():

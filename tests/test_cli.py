@@ -451,7 +451,7 @@ def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys
 
 
 @pytest.mark.parametrize("args", [("known", "4", "0"), ("known", "4", "1"),
-                                  ("universal", "3", "1")])
+                                  ("universal", "3", "1"), ("universal", "1", "0.5")])
 def test_point_mass_entropies_print_no_negative_zero(tmp_path, args):
     mode, n, p = args
     rep = tmp_path / "report.txt"

@@ -356,8 +356,7 @@ def test_every_size_entry_point_checks_its_size_alike(entry, case):
 
 
 # Public functions that take a lattice coordinate rather than a size, each fed
-# one non-integer value (schur_transform: an unhashable one, checked before
-# its cache sees it).
+# one non-integer value (schur_transform: an unhashable one).
 COORDINATE_CALLS = {
     "dim_n": (lambda: dim(2.5, 1), "n"),
     "dim_t": (lambda: dim(3, 0.5), "t"),

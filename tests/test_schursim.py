@@ -2,17 +2,18 @@ import cmath
 import functools
 import gc
 import math
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from eliastream import schursim
-from eliastream.extractor import run, walk_tree
+from eliastream.extractor import pack_code, run, walk_tree
 from eliastream.schursim import (
     JointState,
-    SCHUR_CAP,
     TAPE_BITS_MAX,
+    UNIVERSAL_CAP,
     VON_NEUMANN_CAP,
     PartyLabel,
     SimulatorCapError,
@@ -39,7 +40,7 @@ from eliastream.schursim import (
     tape_length_distribution,
     two_qubit_source,
 )
-from eliastream.young import dim
+from eliastream.young import dim, q_run
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / math.sqrt(2)
 
@@ -115,7 +116,7 @@ def test_cg_step_rejects_bad_registers():
 def test_schur_transform_single_qubit_is_relabeling():
     iso = schur_transform(1)
     assert np.allclose(iso.matrix, np.eye(2))
-    assert [lab.u for lab in iso.labels] == [0, 1]
+    assert [u for _, u, _ in iso.labels] == [0, 1]
 
 
 def test_schur_transform_two_qubits_singlet_triplet():
@@ -311,7 +312,7 @@ def test_universal_computational_basis_registers_track_lattice_walk():
 
 def test_universal_input_validation():
     with pytest.raises(SimulatorCapError):
-        simulate_universal(7, p=0.5)
+        simulate_universal(UNIVERSAL_CAP + 1, p=0.5)
     with pytest.raises(ValueError):
         simulate_universal(3)
     with pytest.raises(ValueError):
@@ -322,19 +323,60 @@ def test_universal_input_validation():
         simulate_universal(3, p=0.3, theta=math.nan)
 
 
+def dense_universal_amps(n, psi):
+    """V^T (psi tensor-power) V over the walk's labels, V the dense coupling
+    transform: the naive oracle of the streaming simulator."""
+    iso = schur_transform(n)
+    labels = []
+    for t, u, path in iso.labels:
+        tape, final = q_run(path)
+        assert final.t == t
+        labels.append(PartyLabel(t, u, final.l, Tape(pack_code(tape), final.l), n - final.l))
+    assert len(set(labels)) == len(labels)
+    joint = iso.matrix.T @ functools.reduce(np.kron, [psi] * n) @ iso.matrix
+    return {(labels[a], labels[b]): joint[a, b] for a, b in zip(*np.nonzero(np.abs(joint) > 1e-14))}
+
+
+PHASES = np.diag([cmath.exp(-0.55j), cmath.exp(0.55j)])  # c08's complex collective rotation
+
+
+@pytest.mark.parametrize("n,grid", [(n, list(product((0, 1e-3, 0.3, 1), (0.0, 0.7, 2.9))))
+                                    for n in range(1, 7)] + [(8, [(0.3, 1.1)])])
+def test_universal_simulator_equals_the_dense_oracle(n, grid):
+    for p, theta in grid:
+        source = two_qubit_source(p, theta)
+        for psi in (source, collective_rotation(source, PHASES)):
+            dense = dense_universal_amps(n, psi)
+            amps = simulate_universal(n, psi=psi).amps
+            assert amps.keys() == dense.keys(), (p, theta)
+            assert max(abs(amps[key] - dense[key]) for key in dense) <= 1e-12, (p, theta)
+
+
+def test_merged_tapes_fail_the_collision_check(monkeypatch):
+    coded_move = schursim.coded_move
+    # the memoised lattice move, with the values of the emitted bits lost
+    monkeypatch.setattr(schursim, "coded_move",
+                        lambda node, b, move: (*coded_move(node, b, move)[:2], 0))
+    with pytest.raises(AssertionError, match="universal register labels collide"):
+        simulate_universal(3, p=0.3, theta=0.7)
+
+
+def test_a_walk_that_leaves_the_coupling_label_fails(monkeypatch):
+    coded_move = schursim.coded_move
+
+    def off_by_one(node, b, move):
+        after, width, code = coded_move(node, b, move)
+        return after._replace(t=after.t + 1), width, code
+
+    monkeypatch.setattr(schursim, "coded_move", off_by_one)
+    with pytest.raises(AssertionError, match="walk endpoint disagrees with coupling label"):
+        simulate_universal(2, p=0.3, theta=0.7)
+
+
 def test_validate_rejects_a_nan_amplitude():
     label = text_label("0")
     with pytest.raises(AssertionError, match="nan"):
         JointState(1, {(label, label): math.nan}).validate()
-
-
-def test_cached_schur_transforms_are_read_only():
-    before = simulate_universal(3, p=0.3, theta=0.4).amps
-    with pytest.raises(ValueError):
-        schur_transform(3, cap=SCHUR_CAP).matrix *= 2
-    with pytest.raises(ValueError):
-        schur_transform(3).matrix[0, 0] = 2.0
-    assert simulate_universal(3, p=0.3, theta=0.4).amps == before
 
 
 # -- reduced-pair machinery ---------------------------------------------------
@@ -693,6 +735,29 @@ def test_the_table_build_pauses_the_collector_and_restores_it(enabled, monkeypat
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False, False]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_state_builds_pause_the_collector_and_restore_it(enabled, monkeypatch):
+    seen = []  # the collector's state at each coupling step and known-basis leaf
+    cg, tree = schursim.cg_step, schursim.walk_tree
+    monkeypatch.setattr(schursim, "cg_step", lambda *args: seen.append(gc.isenabled()) or cg(*args))
+    monkeypatch.setattr(schursim, "walk_tree",
+                        lambda n: (seen.append(gc.isenabled()) or leaf for leaf in tree(n)))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        simulate_universal(3, p=0.3, theta=0.7)
+        assert gc.isenabled() is enabled
+        simulate_known_basis(0.3, 3)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(schursim, "cg_step", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            simulate_universal(3, p=0.3, theta=0.7)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_certain_pairs_reports_incubation_boundary():
