@@ -7,6 +7,14 @@ schema field, written to a side channel (stderr by default).
 
 Exit codes: 0 success, 1 verification violation, 2 usage or I/O error.
 
+``extract`` streams.  It reads its input in fixed-size blocks, walks them
+through one ``StreamExtractor`` and writes each whole output byte once the
+next block is read, so its memory is bounded by the walk state and one
+block, not by the input; a ``--demand`` stops the reading once it is met.
+The input is opened before the output and both before the walk.  An
+``--output`` naming the ``--input`` file is refused (exit 2): opening it for
+writing would truncate the input before it is read.
+
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
 simulators inside ``simulate`` and the verification suites inside
@@ -16,11 +24,15 @@ simulators inside ``simulate`` and the verification suites inside
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import math
+import os
+import stat
 import sys
 import time
 
-from .extractor import _TEXT_BITS, StreamExtractor, pause_mode_run, walk_tree
+from .extractor import _TEXT_BITS, ExtractorState, StreamExtractor, walk_tree
 
 REPORT_SCHEMA = "eliastream/1"
 
@@ -46,22 +58,6 @@ def pack_bits(bits) -> tuple[bytes, int]:
     return (int(text or b"0", 2) << pad).to_bytes((len(text) + pad) // 8, "big"), pad
 
 
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as handle:
-        return handle.read()
-
-
-def _write_output(path: str, data: bytes) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as handle:
-            handle.write(data)
-
-
 def write_report(fields: dict, path: str | None) -> None:
     lines = [f"schema={REPORT_SCHEMA}"]
     lines += [f"{key}={value}" for key, value in fields.items()]
@@ -73,29 +69,84 @@ def write_report(fields: dict, path: str | None) -> None:
             handle.write(text)
 
 
+# Input bytes read, unpacked and walked at a time.  Measured on a 2-core Xeon,
+# one pinned core, on a 16 KiB input: the run raised peak RSS above the
+# imports by under 0.1 MB with blocks of 256 B to 2 KiB, 0.3 MB at 4 KiB and
+# 1.0 MB at 8 KiB (2.7 MB walking the whole input at once).  On the
+# benchmark's 16 KiB inputs, ops interleaved in one process against the
+# whole-input walk took x0.97-1.06 the time (median x1.00) at 1 KiB and
+# x0.93-1.05 (median x1.00) at 4 KiB.
+_BLOCK = 1024
+
+
+def _open(path: str, mode: str):
+    """The file at `path`, or for "-" the standard stream, left open on exit."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin.buffer if "r" in mode else sys.stdout.buffer)
+    return open(path, mode)
+
+
+def _same_file(src, path: str) -> bool:
+    """Whether `path` names the regular file that the open handle `src` reads."""
+    try:
+        there = os.stat(path)
+    except FileNotFoundError:
+        return False
+    here = os.fstat(src.fileno())
+    return stat.S_ISREG(here.st_mode) and os.path.samestat(here, there)
+
+
+def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int, int]:
+    """Walk the bytes of `src` block by block through one ``StreamExtractor``
+    and write the output to `sink`: (final state, bits delivered, pad length).
+
+    A demand stops the walk, and the reading, after the move that brings the
+    output to `demand` bits; the bits that move made past it are not
+    delivered.  Whole output bytes are written once the next block is in
+    hand, so the last block's bytes go out with the zero-padded tail in one
+    write, and an input of one block is packed once."""
+    machine = StreamExtractor()
+    walk = machine._walk
+    want = math.inf if demand is None else demand
+    written = 0  # output bits written, whole bytes
+    tail: list[int] = []  # output bits after those
+    block = src.read(_BLOCK) if want else b""
+    while block:
+        walk(unpack_bytes(block), want - machine.l, tail)
+        if machine.l >= want:
+            del tail[want - written:]
+            break
+        block = src.read(_BLOCK)
+        if block and len(tail) >= 8:
+            whole = len(tail) >> 3
+            sink.write(pack_bits(tail)[0][:whole])
+            tail = tail[whole << 3:]
+            written += whole << 3
+    packed, pad = pack_bits(tail)
+    sink.write(packed)
+    sink.flush()
+    return machine.state, written + len(tail), pad
+
+
 def cmd_extract(args) -> int:
     started = time.monotonic()
     if args.demand is not None and args.demand < 0:
         raise ValueError("--demand must be >= 0")
-    data = _read_input(args.input)
-    bits = unpack_bytes(data)
-    if args.demand is None:
-        machine = StreamExtractor()
-        delivered = machine.feed(bits)
-        state = machine.state
-        mode = "streaming"
-    else:
-        paused = pause_mode_run(bits, args.demand)
-        delivered, state = paused.output, paused.state
-        mode = "on-demand"
-    packed, pad = pack_bits(delivered)
-    _write_output(args.output, packed)
+    # Input before output, and both before the walk: a missing input leaves
+    # no output file, and an unwritable output walks nothing.  The output is
+    # written while the input is read, so it must not be the input file.
+    with _open(args.input, "rb") as src:
+        if args.output != "-" and _same_file(src, args.output):
+            raise ValueError("--output names the --input file")
+        with _open(args.output, "wb") as sink:
+            state, delivered, pad = _extract_blocks(src, sink, args.demand)
     # bits_read = bits_emitted + purity_len holds exactly; a multi-bit final
     # move can leave produced-but-undelivered bits, reported as pending.
     fields = {
-        "mode": mode, "bits_read": state.n, "bits_emitted": state.l,
-        "purity_len": state.n - state.l, "delivered": len(delivered),
-        "pending": state.l - len(delivered), "n": state.n, "t": state.t, "l": state.l,
+        "mode": "streaming" if args.demand is None else "on-demand",
+        "bits_read": state.n, "bits_emitted": state.l,
+        "purity_len": state.n - state.l, "delivered": delivered,
+        "pending": state.l - delivered, "n": state.n, "t": state.t, "l": state.l,
         "pad_len": pad, "elapsed": f"{time.monotonic() - started:.6f}",
     }
     write_report(fields, args.report)

@@ -42,8 +42,9 @@ allocates nothing.  On Pascal's triangle two things drive it:
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
   fixed-width window on it, with ``step`` itself as the exact fallback.
-  ``push``, ``feed`` and the on-demand ``pause_mode_run`` run one loop,
-  whose moves append straight to the output it returns.
+  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the CLI's
+  block-by-block ``extract`` run one loop, whose moves append straight to
+  the output it returns.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
@@ -276,7 +277,7 @@ def pause_mode_run(
         raise ValueError("more pending bits than the walk has emitted")
     n = machine.n
     if len(produced) < demand:
-        produced += machine._walk(bits, demand - len(produced))
+        machine._walk(bits, demand - len(produced), produced)
     # Only the last move can overshoot the demand.
     return PauseResult(tuple(produced[:demand]), machine.n - n, machine.state,
                        tuple(produced[demand:]), len(produced) >= demand)
@@ -335,7 +336,8 @@ class StreamExtractor:
     same quotients, ``walk_step`` runs on them and the move is exact.
     Otherwise the reference ``step`` makes the move and the window restarts
     from the exact coefficient; ``fallbacks`` counts these resyncs.
-    ``push``, ``feed`` and ``pause_mode_run`` all run one loop, ``_walk``.
+    ``push``, ``feed``, ``pause_mode_run`` and ``cli extract``, which walks
+    its input block by block, all run one loop, ``_walk``.
     """
 
     __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
@@ -374,13 +376,16 @@ class StreamExtractor:
         raises ValueError; the bits before it stay fed."""
         return tuple(self._walk(bits))
 
-    def _walk(self, bits: "Iterable[int] | str", demand: float = math.inf) -> list[int]:
+    def _walk(self, bits: "Iterable[int] | str", demand: float = math.inf,
+              out: list[int] | None = None) -> list[int]:
         """The one loop: fold bits through the exact phase, then the window
-        (handing over mid-call), and return what they emit, stopping after the
-        move that brings the output to `demand` bits.  The state lives in
-        locals, written back however the loop ends, so a bad bit raises
-        ValueError with the bits before it fed."""
-        out: list[int] = []
+        (handing over mid-call), append what they emit to `out` (a new list
+        by default) and return it, stopping after the move that brings this
+        call's output to `demand` bits.  The state lives in locals, written
+        back however the loop ends, so a bad bit raises ValueError with the
+        bits before it fed."""
+        if out is None:
+            out = []
         n, t, l, s, c0, c1 = self.n, self.t, self.l, self._s, self._c, self._c_up
         stop = l + demand
         bits = iter(_bit_source(bits))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eliastream
-from eliastream import extractor, verify
+from eliastream import cli, extractor, verify
 from eliastream.cli import build_parser, main, pack_bits, unpack_bytes, write_report
-from eliastream.extractor import StepResult
+from eliastream.extractor import StepResult, StreamExtractor, pause_mode_run
 from eliastream.extractor import step as extractor_step
 
 
@@ -369,6 +370,47 @@ def test_usage_errors_exit_two(tmp_path):
 
 def test_missing_input_is_io_error(tmp_path):
     assert main(["extract", "--input", str(tmp_path / "absent.bin")]) == 2
+    # the input is opened first, so no output file is left behind
+    out, rep = tmp_path / "out.bin", tmp_path / "report.txt"
+    assert main(["extract", "--input", str(tmp_path / "absent.bin"), "--output", str(out),
+                 "--report", str(rep)]) == 2
+    assert not out.exists() and not rep.exists()
+
+
+def test_unwritable_output_is_io_error_before_the_walk(tmp_path, monkeypatch):
+    def walk(self, *args):
+        raise AssertionError("walked before the output was opened")
+
+    monkeypatch.setattr(StreamExtractor, "_walk", walk)
+    inp, rep = tmp_path / "in.bin", tmp_path / "report.txt"
+    inp.write_bytes(b"\x60")
+    argv = ["extract", "--input", str(inp), "--report", str(rep), "--output"]
+    with pytest.raises(AssertionError, match="walked"):  # a run reaches the planted walk
+        main([*argv, str(tmp_path / "out.bin")])
+    assert main([*argv, str(tmp_path / "no-such-dir" / "out.bin")]) == 2
+    assert main([*argv, str(tmp_path)]) == 2
+    assert not rep.exists()
+
+
+def test_extract_refuses_to_write_over_its_input(tmp_path, capsys):
+    # The output is written while the input is read: opening the input file
+    # for writing would truncate it before it is walked.
+    data = hashlib.shake_256(PINNED_INPUT).digest(3 * cli._BLOCK)
+    inp, rep = tmp_path / "in.bin", tmp_path / "report.txt"
+    inp.write_bytes(data)
+    os.link(inp, tmp_path / "link.bin")
+    for out in (inp, tmp_path / "link.bin", tmp_path / "." / "in.bin"):
+        for demand in ((), ("--demand", "8")):
+            argv = ["extract", "--input", str(inp), "--output", str(out), "--report", str(rep)]
+            assert main([*argv, *demand]) == 2
+            assert capsys.readouterr().err == "error: --output names the --input file\n"
+    with inp.open("rb") as handle:  # the input file as stdin
+        proc = cli_fresh(["extract", "--output", str(inp)], tmp_path, handle)
+    assert (proc.returncode, proc.stderr) == (2, b"error: --output names the --input file\n")
+    assert inp.read_bytes() == data and not rep.exists()
+    # a device is no file to truncate
+    assert main(["extract", "--input", os.devnull, "--output", os.devnull,
+                 "--report", str(rep)]) == 0
 
 
 # SHA-256 of `extract` outputs on fixed inputs, recorded before the streaming
@@ -385,12 +427,100 @@ PINNED = {
 
 
 def cli_fresh(argv, cwd, stdin=b""):
-    """`python -m eliastream.cli` with `argv` in a new interpreter, on this package."""
+    """`python -m eliastream.cli` with `argv` in a new interpreter, on this
+    package; `stdin` is bytes to pipe in or an open file to read from."""
     env = dict(os.environ)
     src = str(Path(eliastream.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "eliastream.cli", *argv], input=stdin,
+    source = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    return subprocess.run([sys.executable, "-m", "eliastream.cli", *argv], **source,
                           capture_output=True, cwd=cwd, env=env, timeout=120)
+
+
+def whole_input_extract(data, demand=None):
+    """`extract`'s output and report lines (the timing line dropped) from one
+    walk over the whole input: ``feed`` when streaming, the on-demand
+    ``pause_mode_run`` for a demand."""
+    bits = unpack_bytes(data)
+    if demand is None:
+        machine = StreamExtractor()
+        delivered, state = machine.feed(bits), machine.state
+    else:
+        paused = pause_mode_run(bits, demand)
+        delivered, state = paused.output, paused.state
+    packed, pad = pack_bits(delivered)
+    fields = {
+        "schema": "eliastream/1", "mode": "streaming" if demand is None else "on-demand",
+        "bits_read": state.n, "bits_emitted": state.l, "purity_len": state.n - state.l,
+        "delivered": len(delivered), "pending": state.l - len(delivered),
+        "n": state.n, "t": state.t, "l": state.l, "pad_len": pad,
+    }
+    return packed, [f"{key}={value}" for key, value in fields.items()]
+
+
+def report_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("elapsed=")]
+
+
+BLOCK_SIZES = [0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 3 * cli._BLOCK + 5]
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_extract_in_blocks_equals_one_whole_input_walk(tmp_path, size):
+    data = hashlib.shake_256(PINNED_INPUT).digest(size)
+    inp, out, rep = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.txt"
+    inp.write_bytes(data)
+    # Demands: ending exactly at the last bit emitted by the first and by the
+    # last block, halfway to each (mid-block), and one past the end.
+    blocks = -(-size // cli._BLOCK)
+    ends = [len(StreamExtractor().feed(unpack_bytes(data[:k * cli._BLOCK])))
+            for k in sorted({1, blocks})]
+    demands = sorted({0, *ends, *(end // 2 for end in ends), ends[-1] + 1})
+    for demand in [None, *demands]:
+        args = () if demand is None else ("--demand", str(demand))
+        out.unlink(missing_ok=True)
+        assert main(["extract", "--input", str(inp), "--output", str(out),
+                     "--report", str(rep), *args]) == 0
+        assert (out.read_bytes(), report_lines(rep.read_text())) == whole_input_extract(data, demand)
+
+
+def test_extract_in_blocks_pipes_stdin_to_stdout_in_a_fresh_process(tmp_path):
+    data = hashlib.shake_256(PINNED_INPUT).digest(BLOCK_SIZES[-1])
+    proc = cli_fresh(["extract"], tmp_path, data)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, report_lines(proc.stderr.decode())) == whole_input_extract(data)
+
+
+def traced_peak(argv):
+    """Peak bytes ``tracemalloc`` traces while `main(argv)` runs, the parser
+    built beforehand."""
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_is_bounded_by_the_walk_not_the_input(tmp_path):
+    def extract(data, *args):
+        inp, rep = tmp_path / "in.bin", tmp_path / "report.txt"
+        inp.write_bytes(data)
+        peak = traced_peak(["extract", "--input", str(inp), "--output", str(tmp_path / "out.bin"),
+                            "--report", str(rep), *args])
+        return peak, read_report(rep)
+
+    # a demand reads only what it needs, however long the input
+    peak, fields = extract(hashlib.shake_256(PINNED_INPUT).digest(8 << 20), "--demand", "64")
+    assert peak < 1_000_000 and int(fields["bits_read"]) < 1_000
+    # A stream 4x as long costs no more memory.  Zero bytes keep every
+    # coefficient at 1, so the traced walk stays fast (8 KiB of random bytes
+    # take ~4.6 s under tracemalloc), while walking the whole input at once
+    # would still hold a list of one int per input bit.
+    (short, _), (long, fields) = extract(bytes(4 << 10)), extract(bytes(16 << 10))
+    assert int(fields["bits_read"]) == 8 * (16 << 10)
+    assert abs(long - short) < 500_000
 
 
 @pytest.mark.parametrize("extra", list(PINNED))
@@ -435,8 +565,7 @@ def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys
     def files(prefix):  # output and report, the report's timing line dropped
         out, rep = tmp_path / f"{prefix}.out", tmp_path / f"{prefix}.rep"
         return (out.read_bytes() if out.exists() else None,
-                [line for line in rep.read_text().splitlines() if not line.startswith("elapsed=")]
-                if rep.exists() else None)
+                report_lines(rep.read_text()) if rep.exists() else None)
 
     statuses = []
     for i, args in enumerate([(), ("--demand", "64"), ("--demand", "-1"), ()]):
