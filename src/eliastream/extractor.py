@@ -26,11 +26,11 @@ to 0, on the purity tape.  So the output tape holds l bits and the purity
 tape the other n - l; ``fold_steps`` and ``walk_tree`` check after every
 move the two conditions that can fail, len(output) == l and l <= n.
 
-The move itself lives in one place, ``walk_step``, which sees only three
-node sizes and so runs on any lattice with Pascal's additive recursion
-(binomial coefficients here, Young-diagram dimensions in ``young``).  It
-appends what it emits to the caller's list and returns the new l, so a move
-allocates nothing.  On Pascal's triangle two things drive it:
+The reference rule is ``walk_step``, which sees only three node sizes and
+so runs on any lattice with Pascal's additive recursion (binomial
+coefficients here, Young-diagram dimensions in ``young``).  It appends what
+it emits to the caller's list and returns the new l, so a move allocates
+nothing.  On Pascal's triangle two things use it:
 
 * ``step``/``run``: the reference walk, checking the node it leaves and
   reading exact sizes from ``binom`` (``math.comb``, no size cap).  Tests
@@ -41,10 +41,12 @@ allocates nothing.  On Pascal's triangle two things drive it:
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a
-  fixed-width window on it, with ``step`` itself as the exact fallback.
-  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the CLI's
-  block-by-block ``extract`` run one loop, whose moves append straight to
-  the output it returns.
+  fixed-width window on it, with one exact read and ``walk_step`` as the
+  fallback.  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the
+  CLI's block-by-block ``extract`` run one loop, whose moves append
+  straight to the output it returns.  Its two per-bit phases carry the
+  rule inline, so no input bit pays for a function call; the
+  engine-vs-``step`` tests pin both copies to ``walk_step``.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
@@ -296,17 +298,17 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon, one pinned core.  The exact update costs 1.8 /
-# 2.1 / 3.1 us per bit at l = 1,000 / 2,000 / 4,000 and grows linearly with l;
-# the window costs 1.5-1.7 us at any l.  Yet a window from the apex loses on
-# short streams (1.57x slower per 512-bit demand from 4,096-bit inputs): while
-# C(n, t) is short, one exact update costs less than the window's two bounds
-# and three quotient checks.  Handing over at l = 512 / 1,024 / 2,048 / 4,096,
-# in paired runs (medians of 3): the benchmark's extract_short made 267 / 306 /
-# 289 / 269 ops/s and extract_long 665k / 702k / 678k / 624k input bits/s; the
-# streaming walk on the 512-byte inputs took 0.91 / 0.86 / 0.85 / 1 of its
-# time at 4,096.  So the window takes over at l = 1,024, and a 512-bit demand
-# stays exact.
+# Measured on a 2-core Xeon, one pinned core, p = 0.3.  The exact update costs
+# 0.93 / 1.05 / 1.34 / 1.88 us per bit at l = 500 / 1,000 / 2,000 / 4,000 and
+# grows linearly with l; the window costs 0.70-0.74 us at any l.  Yet a window
+# from the apex loses on short streams (1.45-1.77x slower per 512-bit demand
+# from 4,096-bit inputs at p = 0.05 / 0.3 / 0.5): while C(n, t) is short, one
+# exact update costs less than the window's two bounds and three quotient
+# checks.  Handing over at l = 512 / 1,024 / 2,048, in 6 alternating rounds of
+# 15 s benchmark runs (medians): extract_short made 363 / 378 / 376 ops/s and
+# extract_long 878k / 889k / 906k input bits/s, 2,048 winning 4 of 6 rounds
+# there and 2 of 6 on extract_short.  So the window takes over at l = 1,024,
+# and a 512-bit demand stays exact.
 _CROSSOVER = 1024
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since
@@ -333,11 +335,14 @@ class StreamExtractor:
     the upper bound of every size, with s trailing l by ``_GUARD`` to
     ``2 * _GUARD`` bits, so each bit costs the same however long the stream.
     The rule reads only the quotients C >> l: where both bounds give the
-    same quotients, ``walk_step`` runs on them and the move is exact.
-    Otherwise the reference ``step`` makes the move and the window restarts
-    from the exact coefficient; ``fallbacks`` counts these resyncs.
-    ``push``, ``feed``, ``pause_mode_run`` and ``cli extract``, which walks
-    its input block by block, all run one loop, ``_walk``.
+    same quotients, the rule runs on them and the move is exact.  Otherwise
+    one exact read of C(n, t) gives the move's sizes by the same ratios,
+    ``walk_step`` makes the move, and the window restarts from the exact
+    C(n+1, t'); ``fallbacks`` counts these resyncs.  ``push``, ``feed``,
+    ``pause_mode_run`` and ``cli extract``, which walks its input block by
+    block, all run one loop, ``_walk``.  Its two phases carry ``walk_step``'s
+    emit test and carry cascade inline, on the exact sizes at bit l and on
+    the quotients at bit 0; the tests against ``step`` keep them equal.
     """
 
     __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
@@ -357,7 +362,7 @@ class StreamExtractor:
 
     @property
     def fallbacks(self) -> int:
-        """Moves the window could not decide, redone by ``step``."""
+        """Moves the window could not decide, redone from the exact C(n, t)."""
         return self._fallbacks
 
     @property
@@ -393,15 +398,21 @@ class StreamExtractor:
             if s is None:
                 crossover = _CROSSOVER
                 for b in bits:
+                    if b.__class__ is not int or b >> 1:  # as in walk_step
+                        b = as_bit(b)
                     if b:  # C(n, t+1) and C(n, t)
                         hi, lo, t1 = c0 * (n - t) // (t + 1), c0, t + 1
                     else:  # C(n, t) and C(n, t-1)
                         hi, lo, t1 = c0, c0 * t // (n - t + 1), t
                     here = hi + lo
-                    l1 = walk_step(here, hi, lo, b, l, out)
                     n, t, c0 = n + 1, t1, here
-                    if l1 != l:
-                        l = l1
+                    # walk_step, inline: emit test at bit l, then the cascade
+                    if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
+                        out.append(b)
+                        l += 1
+                        while (hi >> l) & 1 != (lo >> l) & 1:
+                            out.append((hi >> l) & 1)
+                            l += 1
                         if l >= crossover:
                             s, c0, c1 = _window(c0, l)
                             break
@@ -412,6 +423,8 @@ class StreamExtractor:
             guard, k = _GUARD, l - s
             if l < stop:
                 for b in bits:
+                    if b.__class__ is not int or b >> 1:
+                        b = as_bit(b)
                     # The same sizes on bounds of C/2^s: floor lower, ceil upper.
                     # (Assignments of at most three names build no tuple.)
                     if b:
@@ -425,17 +438,31 @@ class StreamExtractor:
                     h0, h1 = hi0 + lo0, hi1 + lo1
                     q_here, q_hi, q_lo = h0 >> k, hi0 >> k, lo0 >> k
                     if q_here == h1 >> k and q_hi == hi1 >> k and q_lo == lo1 >> k:
-                        moved = walk_step(q_here, q_hi, q_lo, b, 0, out)
                         n, t = n + 1, t1
                         c0, c1 = h0, h1
-                        if not moved:
+                        # walk_step, inline, at bit 0 of the quotients C >> l
+                        if q_here & 1 and not ((q_hi if b else q_lo) & 1):
                             continue
-                        l += moved
-                    else:  # undecided: the reference step makes the move
-                        (n, t, l), emitted = step(ExtractorState(n, t, l), b)
+                        out.append(b)
+                        l += 1
+                        q_hi >>= 1
+                        q_lo >>= 1
+                        while (q_hi ^ q_lo) & 1:
+                            out.append(q_hi & 1)
+                            l += 1
+                            q_hi >>= 1
+                            q_lo >>= 1
+                    else:  # undecided: one exact read, walk_step makes the move
+                        c = binom(n, t)
+                        if b:
+                            hi, lo, t1 = c * (n - t) // (t + 1), c, t + 1
+                        else:
+                            hi, lo, t1 = c, c * t // (n - t + 1), t
+                        here = hi + lo
+                        l = walk_step(here, hi, lo, b, l, out)
+                        n, t = n + 1, t1
                         self._fallbacks += 1
-                        s, c0, c1 = _window(binom(n, t), l)
-                        out += emitted
+                        s, c0, c1 = _window(here, l)
                     k = l - s
                     if k >= 2 * guard:  # renormalise: s back to l - guard
                         s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard

@@ -463,10 +463,20 @@ def test_window_matches_reference_on_long_inputs(guard, bits):
 def test_window_falls_back_to_exact_moves():
     rng = random.Random(1)
     bits = [int(rng.random() < 0.3) for _ in range(600)]
-    with window_from_apex(1):
+    reference = run(bits)
+    comb, reads = math.comb, []
+
+    def counted(n, t):
+        reads.append((n, t))
+        return comb(n, t)
+
+    with window_from_apex(1), pytest.MonkeyPatch.context() as mp:
         narrow = StreamExtractor()
-        assert narrow.feed(bits) == run(bits).output
+        mp.setattr(math, "comb", counted)
+        assert narrow.feed(bits) == reference.output
+    assert narrow.state == reference.final
     assert narrow.fallbacks > 0
+    assert len(reads) == narrow.fallbacks  # one exact coefficient per fallback
     exact = StreamExtractor()  # 600 bits stay below the crossover
     exact.feed(bits)
     assert exact.fallbacks == 0
@@ -637,6 +647,21 @@ def test_window_matches_exact_engine_at_benchmark_scale(monkeypatch):
     assert windowed.l >= extractor._CROSSOVER
     assert windowed.fallbacks == 0
     assert windowed.window_bits < 3 * extractor._GUARD
+    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
+    exact = StreamExtractor()
+    assert exact.feed(bits) == output
+    assert exact.state == windowed.state
+
+
+@pytest.mark.parametrize("p", [0.01, 0.99])
+def test_extreme_biases_stream_through_both_phases(monkeypatch, p):
+    # the longest silent runs, the moves the window skips without emitting
+    rng = random.Random(40_000)
+    bits = [int(rng.random() < p) for _ in range(40_000)]
+    windowed = StreamExtractor()
+    output = windowed.feed(bits)
+    assert windowed.l >= extractor._CROSSOVER
+    assert windowed.fallbacks == 0
     monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
     exact = StreamExtractor()
     assert exact.feed(bits) == output
