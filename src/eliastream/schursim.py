@@ -15,8 +15,9 @@ at construction.  Every pair statistic (emission probability, reduced pair,
 fidelity, marginals, memory gap) and every register distribution reads one
 column table per state, built on first use: the amplitudes and, per party,
 the l and tape columns as read and dense ids of the other fields.  The
-branches holding pair k are gathered from it with numpy, once per
-(k, registers).
+branches holding pair k are gathered from it into cells once per (k,
+registers).  The report path runs on plain Python: numpy is imported only by
+the functions that return arrays.
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
@@ -36,19 +37,21 @@ from __future__ import annotations
 
 import gc
 import math
+from array import array
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import product
+from itertools import product, repeat
 from types import MappingProxyType
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .extractor import ExtractorState, as_bit, as_count, coded_move, pack_code, von_neumann, walk_tree
 from .young import qstep
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 15
@@ -96,23 +99,16 @@ class VNLabel(NamedTuple):
     purity: int
 
 
-# Tapes are gathered as int64 codes, so a tape may hold at most this many
-# qubits; every simulator's cap keeps its tapes far shorter.
+# A tape may hold at most this many qubits, so its code fits a signed 64-bit
+# integer; every simulator's cap keeps its tapes far shorter.
 TAPE_BITS_MAX = 62
 
 
-def _dense_ids(keys) -> tuple[np.ndarray, list]:
-    """Number hashable keys 0, 1, ... in order of first appearance: the ids
-    as an array, and the distinct keys by id."""
+def _dense_ids(keys) -> tuple[list, list]:
+    """Number hashable keys 0, 1, ... in order of first appearance: the id of
+    each key in turn, and the distinct keys by id."""
     ids: dict = {}
-    column = np.fromiter((ids.setdefault(key, len(ids)) for key in keys), dtype=np.int64)
-    return column, list(ids)
-
-
-def _renumber(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """The column's values replaced by their ranks, and the number of ranks."""
-    _, ranks = np.unique(column, return_inverse=True)
-    return ranks, int(ranks.max()) + 1
+    return [ids.setdefault(key, len(ids)) for key in keys], list(ids)
 
 
 @contextmanager
@@ -128,27 +124,11 @@ def _collector_paused():
             gc.enable()
 
 
-def _first_appearance_ids(columns, rows: int) -> np.ndarray:
-    """Number the distinct rows of nonnegative int64 columns 0, 1, ... in
-    order of first appearance (all zeros when there are no columns)."""
-    key, size = np.zeros(rows, dtype=np.int64), 1
-    for column in columns:
-        span = int(column.max()) + 1
-        if size * span > 1 << 62:  # renumber densely before the key overflows
-            key, size = _renumber(key)
-            column, span = _renumber(column)
-        key, size = key * span + column, size * span
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return rank[inverse]
-
-
 class PartyColumns(NamedTuple):
     """One party's labels as columns, one row per amplitude-map entry."""
 
-    length: np.ndarray  # tape lengths, the l field
-    code: np.ndarray  # tapes, the tape field
+    length: tuple  # tape lengths, the l field
+    code: tuple  # tapes, the tape field
     fields: dict  # every field but the tape: name -> (dense ids, values by id)
 
     @classmethod
@@ -157,14 +137,13 @@ class PartyColumns(NamedTuple):
         if others or not {"l", "tape"} <= set(getattr(kind, "_fields", ())):
             raise ValueError("a party's labels must share one label type with l and tape fields")
         columns = dict(zip(kind._fields, zip(*labels)))
-        tape_ids, tapes = _dense_ids(zip(columns["l"], columns.pop("tape")))
+        length, code = columns["l"], columns.pop("tape")
         if not all(isinstance(l, int) and 0 <= l <= TAPE_BITS_MAX and isinstance(tape, int)
-                   and 0 <= tape < 1 << l for l, tape in tapes):
+                   and 0 <= tape < 1 << l for l, tape in dict.fromkeys(zip(length, code))):
             raise ValueError(f"a tape must be an int in [0, 2^l), l <= {TAPE_BITS_MAX}")
-        length, code = np.array(tapes, dtype=np.int64).T[:, tape_ids]
         return cls(length, code, {name: _dense_ids(col) for name, col in columns.items()})
 
-    def field(self, name: str) -> tuple[np.ndarray, list]:
+    def field(self, name: str) -> tuple[list, list]:
         if name not in self.fields:
             raise ValueError(f"labels have no register field {name!r}")
         return self.fields[name]
@@ -173,33 +152,25 @@ class PartyColumns(NamedTuple):
 class ColumnTable:
     """A joint state's amplitude map as columns, rows in map order.
 
-    Per row: the amplitude and its weight |a|^2 (computed by Python, so sums
-    over rows in map order reproduce the map's own sums digit for digit); per
-    party, the tape length, the tape code and the dense ids of the other
-    label fields.  Pair gathers are memoised per (k, registers), so a pair's
-    fidelity, marginals and memory gap share them (see ``_pair_amplitudes``).
+    Per row: the amplitude and its weight |a|^2, so sums over rows in map
+    order reproduce the map's own sums digit for digit; per party, the tape
+    length, the tape code and the dense ids of the other label fields.  Pair
+    gathers are memoised per (k, registers), so a pair's fidelity, marginals
+    and memory gap share them (see ``_gather``).
     """
 
     def __init__(self, amps) -> None:
         if not amps:
             raise ValueError("joint state has no amplitudes")
         with _collector_paused():
-            values = list(amps.values())
-            self.amps = np.array(values)
-            self.weights = np.array([abs(a) ** 2 for a in values])
+            self.amps = list(amps.values())
+            self.weights = [abs(a) ** 2 for a in self.amps]
             alice, bob = zip(*amps)
             self.alice = PartyColumns.build(alice)
             self.bob = self.alice if bob == alice else PartyColumns.build(bob)
-        self.gathers: dict = {}  # (k, registers) -> read-only pair gather
-
-    def held(self, k) -> np.ndarray:
-        """Mask of the rows where both tapes hold pair k."""
-        k = as_count(k, "pair index", lo=1)
-        return (self.alice.length >= k) & (self.bob.length >= k)
-
-    def weight_sum(self, rows) -> float:
-        """Summed weight of the selected rows, added in map order."""
-        return float(sum(self.weights[rows].tolist()))
+        self.gathers: dict = {}  # (k, registers) -> cells of the pair gather
+        self.arrays: dict = {}  # (k, registers) -> the cells as a dense array
+        self.row_ids: dict = {}  # registers -> per row, its register and environment ids
 
 
 @dataclass(frozen=True)
@@ -266,6 +237,7 @@ class PartyIsometry(NamedTuple):
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     """The full n-qubit change of basis into (t, u, path) labels, each basis
     string coupled in qubit by qubit: the universal simulator's dense oracle."""
+    import numpy as np
     n = as_count(n, cap=cap, error=SimulatorCapError)
     columns: dict[tuple, np.ndarray] = {}  # (t, u, path) -> column
     for s in range(1 << n):
@@ -309,34 +281,37 @@ def _diagonal_state(n: int, p: float, branches, mode: str) -> JointState:
     return JointState(n, amps, meta={"mode": mode, "p": p, "seeded": 0}).validate()
 
 
-def two_qubit_source(p: float, theta: float = 0.0) -> np.ndarray:
-    """Coefficient matrix of sqrt(p)|e0 e0> + sqrt(1-p)|e1 e1>.
+def _source_rows(p: float, theta: float) -> list[list[float]]:
+    """Coefficients psi[a][b] of sqrt(p)|e0 e0> + sqrt(1-p)|e1 e1>.
 
     e0, e1 is the computational basis rotated by theta, so theta = 0 gives a
     computational-basis diagonal state and theta = pi/4 the |++>/|--> pair.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    e0 = np.array([math.cos(theta), math.sin(theta)])
-    e1 = np.array([-math.sin(theta), math.cos(theta)])
-    return math.sqrt(p) * np.outer(e0, e0) + math.sqrt(1 - p) * np.outer(e1, e1)
+    e0, e1 = (math.cos(theta), math.sin(theta)), (-math.sin(theta), math.cos(theta))
+    return [[math.sqrt(p) * (e0[a] * e0[b]) + math.sqrt(1 - p) * (e1[a] * e1[b]) for b in (0, 1)]
+            for a in (0, 1)]
+
+
+def two_qubit_source(p: float, theta: float = 0.0) -> np.ndarray:
+    """``_source_rows`` as a 2x2 coefficient matrix."""
+    import numpy as np
+    return np.array(_source_rows(p, theta))
 
 
 def collective_rotation(psi: np.ndarray, unitary: np.ndarray) -> np.ndarray:
     """Apply the same single-qubit unitary to both halves of a pair state."""
+    import numpy as np
     unitary = np.asarray(unitary)
     return unitary @ psi @ unitary.T
 
 
-def simulate_universal(
-    n: int,
-    p: float | None = None,
-    theta: float = 0.0,
-    psi: np.ndarray | None = None,
-) -> JointState:
+def simulate_universal(n: int, p: float | None = None, theta: float = 0.0,
+                       psi: np.ndarray | None = None) -> JointState:
     """Fully universal concentration of n copies of a two-qubit pure state.
 
-    psi (a 2x2 coefficient matrix) overrides the (p, theta) parametrization.
+    psi (2x2 coefficients, read as psi[a][b]) overrides the (p, theta) parametrization.
     One sparse pass per input pair: each entry expands by psi's nonzero
     coefficients, both parties take their qubit (``_party_moves``), equal
     keys add up and amplitudes of at most 1e-14 drop.  The result equals
@@ -346,14 +321,17 @@ def simulate_universal(
     if psi is None:
         if p is None:
             raise ValueError("pass either p (with theta) or psi")
-        psi = two_qubit_source(p, theta)
-    psi = np.asarray(psi)
-    if psi.shape != (2, 2):
+        psi = _source_rows(p, theta)
+    try:
+        psi = [[complex(c) for c in row] for row in psi]
+    except TypeError:  # not a matrix of numbers
+        psi = []
+    if len(psi) != 2 or any(len(row) != 2 for row in psi):
         raise ValueError("psi must be a 2x2 coefficient matrix")
-    nrm = float(np.sum(np.abs(psi) ** 2))
+    nrm = sum(abs(c) ** 2 for row in psi for c in row)
     if not abs(nrm - 1.0) <= 1e-9:  # a NaN norm fails too
         raise ValueError("psi is not normalized")
-    terms = [(a, b, complex(psi[a, b])) for a in (0, 1) for b in (0, 1) if psi[a, b]]
+    terms = [(a, b, psi[a][b]) for a in (0, 1) for b in (0, 1) if psi[a][b]]
     registers = [PartyLabel(0, 0, 0, Tape(0, 0), 0)]  # by id
     amps: dict = {0: 1.0}  # alice id * len(registers) + bob id -> amplitude
     with _collector_paused():
@@ -400,44 +378,61 @@ def _party_moves(k: int, registers: list) -> tuple[list, list]:
 
 def emission_probability(state: JointState, k: int) -> float:
     """Probability that both output tapes hold at least k qubits."""
-    table = state.table
-    return table.weight_sum(table.held(k))
+    table, k = state.table, as_count(k, "pair index", lo=1)
+    rows = zip(table.weights, table.alice.length, table.bob.length)
+    return float(sum(weight for weight, a, b in rows if a >= k and b >= k))
+
+
+def _gather(state: JointState, k: int, registers: tuple[str, ...] = ()) -> tuple:
+    """The branches holding pair k, read from the column table once per
+    (k, registers): a cell per row that holds it, in map order, as four columns
+    (pair bits |a b> = 2a + b at slot k, register ids, environment ids, amplitudes).
+    Register ids number the joint values of the named label fields, environment
+    ids the rest of both labels, the tape minus slot k; both by first appearance.
+    """
+    table, key = state.table, (as_count(k, "pair index", lo=1), tuple(registers))
+    if key in table.gathers:
+        return table.gathers[key]
+    (k, registers), alice, bob = key, table.alice, table.bob
+    if registers not in table.row_ids:  # the label fields as ids, read once per registers
+        reg_columns = [party.field(name)[0] for party in (alice, bob) for name in registers]
+        env_columns = [alice.length, bob.length] + [
+            ids for party in (alice, bob)
+            for name, (ids, _) in party.fields.items() if name not in registers]
+        table.row_ids[registers] = (_dense_ids(zip(*reg_columns))[0] if registers else repeat(0),
+                                    _dense_ids(zip(*env_columns))[0])
+    regs, envs = {}, {}  # register and environment ids by key
+    pairs, reg_ids, env_ids, amps = cells = array("B"), array("q"), array("q"), []
+    for a_len, a_code, b_len, b_code, reg, others, amp in zip(
+            alice.length, alice.code, bob.length, bob.code, *table.row_ids[registers], table.amps):
+        if a_len < k or b_len < k:
+            continue
+        a_bit, b_bit = a_code >> (a_len - k) & 1, b_code >> (b_len - k) & 1
+        # beside its length (in others), a tape with slot k cleared stands for the rest
+        env = (a_code ^ a_bit << (a_len - k), b_code ^ b_bit << (b_len - k), others)
+        pairs.append(2 * a_bit + b_bit)
+        reg_ids.append(regs.setdefault(reg, len(regs)))
+        env_ids.append(envs.setdefault(env, len(envs)))
+        amps.append(amp)
+    if not amps:
+        raise UndefinedPairError(f"pair {k} never exists in this state")
+    table.gathers[key] = cells
+    return cells
 
 
 def _pair_amplitudes(state: JointState, k: int, registers: tuple[str, ...] = ()) -> np.ndarray:
-    """Amplitudes of the branches holding pair k as one dense, read-only
-    array of shape (pair bits |a b> = 2a + b at tape slot k, register,
-    environment).  The register axis runs over the joint values of the named
-    label fields, the environment axis over the rest of both labels, the tape
-    minus slot k; both number their values in order of first appearance in
-    the map.  Gathered from the state's column table once per (k, registers).
-    """
-    table = state.table
-    key = (as_count(k, "pair index", lo=1), tuple(registers))
-    if key in table.gathers:
-        return table.gathers[key]
-    k, registers = key
-    rows = np.flatnonzero(table.held(k))
-    if not rows.size:
-        raise UndefinedPairError(f"pair {k} never exists in this state")
-    pair = np.zeros(rows.size, dtype=np.int64)
-    reg_columns, env_columns = [], []
-    for weight, party in ((2, table.alice), (1, table.bob)):
-        length, code = party.length[rows], party.code[rows]
-        after = length - k  # tape bits after slot k
-        pair += weight * ((code >> after) & 1)
-        rest = (code >> (after + 1) << after) | (code & ((1 << after) - 1))
-        reg_columns += [party.field(name)[0][rows] for name in registers]
-        env_columns += [length, rest]
-        env_columns += [ids[rows] for name, (ids, _) in party.fields.items() if name not in registers]
-    reg = _first_appearance_ids(reg_columns, rows.size)
-    env = _first_appearance_ids(env_columns, rows.size)
-    psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
-    # (pair bits, register, environment) rebuilds both labels: one cell per row
-    psi[pair, reg, env] = table.amps[rows]
-    psi.flags.writeable = False
-    table.gathers[key] = psi
-    return psi
+    """The cells of ``_gather`` as one dense, read-only array of shape (pair
+    bits, register, environment), made once per (k, registers); the three
+    ids rebuild both labels, so every cell has its own place."""
+    import numpy as np
+    cells, arrays, key = _gather(state, k, registers), state.table.arrays, (k, tuple(registers))
+    if key not in arrays:
+        pair, reg, env, amps = cells
+        psi = np.zeros((4, max(reg) + 1, max(env) + 1), dtype=complex)
+        psi[np.asarray(pair), np.asarray(reg), np.asarray(env)] = amps
+        psi.flags.writeable = False
+        arrays[key] = psi
+    return arrays[key]
 
 
 def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
@@ -448,17 +443,20 @@ def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
     |a b> for Alice bit a, Bob bit b.
     """
     psi = _pair_amplitudes(state, k).reshape(4, -1)
-    prob = float(np.sum(np.abs(psi) ** 2))
+    prob = float((abs(psi) ** 2).sum())
     return psi @ psi.conj().T / prob, prob
 
 
-_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
-
-
 def pair_fidelity(state: JointState, k: int) -> float:
-    """Fidelity of the k-th output pair with the maximally entangled target."""
-    rho, _ = reduced_pair(state, k)
-    return float(np.real(_PHI_PLUS @ rho @ _PHI_PLUS))
+    """Fidelity of the k-th output pair with the maximally entangled target:
+    the sum over environments of |psi_00 + psi_11|^2 / (2 prob)."""
+    pairs, _, envs, amps = _gather(state, k)
+    overlaps, prob = [0.0] * (max(envs) + 1), 0.0
+    for pair, env, amp in zip(pairs, envs, amps):
+        prob += abs(amp) ** 2
+        if pair == 0 or pair == 3:
+            overlaps[env] += amp
+    return sum(abs(c) ** 2 for c in overlaps) / (2 * prob)
 
 
 def pair_marginal(state: JointState, k: int, party: int = 0) -> np.ndarray:
@@ -466,8 +464,7 @@ def pair_marginal(state: JointState, k: int, party: int = 0) -> np.ndarray:
     if party not in (0, 1):
         raise ValueError("party must be 0 (Alice) or 1 (Bob)")
     rho, _ = reduced_pair(state, k)
-    rho = rho.reshape(2, 2, 2, 2)
-    return np.trace(rho, axis1=1 - party, axis2=3 - party)
+    return rho.reshape(2, 2, 2, 2).trace(axis1=1 - party, axis2=3 - party)
 
 
 def pair_memory_product_gap(state: JointState, k: int) -> float:
@@ -476,6 +473,7 @@ def pair_memory_product_gap(state: JointState, k: int) -> float:
     Zero means the emitted pair is exactly uncorrelated with both parties'
     lattice position, which is what makes streaming emission safe.
     """
+    import numpy as np
     psi = _pair_amplitudes(state, k, registers=("t", "l"))
     nreg = psi.shape[1]
     psi = psi.reshape(4 * nreg, -1)
@@ -488,17 +486,19 @@ def pair_memory_product_gap(state: JointState, k: int) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(gap))))
 
 
-def _weights_by(table: ColumnTable, column: np.ndarray) -> dict[int, float]:
-    """Summed weight of the rows holding each value of a nonnegative int
-    column; bincount adds each value's rows in map order, one by one."""
-    totals = np.bincount(column, weights=table.weights).tolist()
-    return {value: totals[value] for value in np.flatnonzero(np.bincount(column)).tolist()}
+def _weights_by(table: ColumnTable, column) -> dict:
+    """Summed weight of the rows holding each value of a column, each
+    value's rows added one by one in map order."""
+    totals: dict = {}
+    for value, weight in zip(column, table.weights):
+        totals[value] = totals.get(value, 0.0) + weight
+    return totals
 
 
 def tape_length_distribution(state: JointState) -> dict[int, float]:
-    """Probability of each output-tape length (Alice side)."""
+    """Probability of each output-tape length (Alice side), by length."""
     table = state.table
-    return _weights_by(table, table.alice.length)
+    return dict(sorted(_weights_by(table, table.alice.length).items()))
 
 
 def register_distribution(state: JointState, name: str) -> dict:

@@ -640,6 +640,46 @@ def test_table_gather_equals_naive_gather_on_fixed_and_hand_built_states():
         assert assert_gathers_equal_naive(state, BOTH_GATHERS)
 
 
+def assert_fidelity_equals_dense_oracle(state):
+    """The pure-Python fidelity of every emitted pair against <Phi+|rho|Phi+>
+    of the brute-force partial trace.  The emission probabilities and the
+    tape-length distribution of these states are checked against per-row sums
+    in map order by ``assert_gathers_equal_naive``."""
+    for k in range(1, max(la.l for (la, _) in state.amps) + 1):
+        if emission_probability(state, k) > 0:
+            rho, _ = brute_force_reduced_pair(state, k)
+            assert abs(pair_fidelity(state, k) - (PHI_PLUS @ rho @ PHI_PLUS).real) <= 1e-12, k
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_fidelity_equals_the_dense_oracle_on_known_states(n):
+    for p in [k / 10 for k in range(1, 10)]:
+        assert_fidelity_equals_dense_oracle(simulate_known_basis(p, n))
+
+
+@pytest.mark.parametrize("p,theta", [(0.3, 1.1), (0.7, 0.3), (0.5, 0.7)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_fidelity_equals_the_dense_oracle_on_universal_states(n, p, theta):
+    assert_fidelity_equals_dense_oracle(simulate_universal(n, p=p, theta=theta))
+
+
+def test_pair_fidelity_equals_the_dense_oracle_on_fixed_and_hand_built_states():
+    for pairs in range(1, 5):
+        assert_fidelity_equals_dense_oracle(simulate_von_neumann(0.3, pairs))
+    for state in [huffman_output_state(), *hand_built_states()]:
+        assert_fidelity_equals_dense_oracle(state)
+
+
+def test_fidelity_reads_the_cells_the_dense_gather_is_made_from():
+    state = simulate_universal(5, p=0.3, theta=0.7)
+    pair_fidelity(state, 1)
+    assert list(state.table.gathers) == [(1, ())] and not state.table.arrays
+    psi = _pair_amplitudes(state, 1)
+    pairs, regs, envs, amps = state.table.gathers[(1, ())]
+    assert np.count_nonzero(psi) == len(amps) == len(pairs) == len(regs) == len(envs)
+    assert all(psi[pair, reg, env] == amp for pair, reg, env, amp in zip(pairs, regs, envs, amps))
+
+
 def test_pair_gathers_are_memoised_and_read_only():
     state = simulate_known_basis(0.3, 6)
     psi = _pair_amplitudes(state, 1)

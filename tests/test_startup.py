@@ -5,6 +5,7 @@ In-process tests cannot see this: by the time they run, pytest and the
 other test modules have loaded numpy, mpmath and every eliastream module.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import eliastream
 from eliastream.extractor import StreamExtractor
+from test_cli import PINNED_REPORTS
 
 SRC = Path(eliastream.__file__).resolve().parents[1]
 HEAVY = ("numpy", "mpmath", "eliastream.schursim", "eliastream.verify", "eliastream.elias")
@@ -89,10 +91,18 @@ def test_verify_exhaustive_suites_load_no_numeric_library(tmp_path):
 
 @pytest.mark.parametrize("mode", ["known", "universal", "huffman", "vonneumann"])
 def test_simulate_never_loads_mpmath(tmp_path, mode):
-    # nor the block oracle: HEAVY holds eliastream.elias
+    # nor numpy, nor the block oracle: HEAVY holds both
     got = loaded(["simulate", "--mode", mode, "--n", "3", "--report", str(tmp_path / "r.txt")],
                  tmp_path)
-    assert got == {"eliastream.schursim", "numpy"}
+    assert got == {"eliastream.schursim"}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORTS))
+def test_simulate_runs_where_numpy_cannot_be_imported(tmp_path, args):
+    blocked = "import sys; sys.modules['numpy'] = None\n" + PROBE
+    proc = python_fresh(["-c", blocked, "simulate", *args, "--report", "r.txt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "r.txt").read_bytes()).hexdigest() == PINNED_REPORTS[args]
 
 
 def test_extract_loads_only_the_walk(tmp_path):
