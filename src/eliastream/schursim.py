@@ -15,9 +15,11 @@ at construction.  Every pair statistic (emission probability, reduced pair,
 fidelity, marginals, memory gap) and every register distribution reads one
 column table per state, built on first use: the amplitudes and, per party,
 the l and tape columns as read and dense ids of the other fields.  The
-branches holding pair k are gathered from it into cells once per (k,
-registers).  The report path runs on plain Python: numpy is imported only by
-the functions that return arrays.
+report's two statistics of pair k, its emission probability and fidelity,
+come from one pass over the rows per k, memoised per table, that keeps only
+a sum per environment.  The array statistics gather the branches holding
+pair k into cells once per (k, registers).  The report path runs on plain
+Python: numpy is imported only by the functions that return arrays.
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
@@ -41,7 +43,6 @@ from array import array
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import product, repeat
 from types import MappingProxyType
@@ -154,9 +155,10 @@ class ColumnTable:
 
     Per row: the amplitude and its weight |a|^2, so sums over rows in map
     order reproduce the map's own sums digit for digit; per party, the tape
-    length, the tape code and the dense ids of the other label fields.  Pair
-    gathers are memoised per (k, registers), so a pair's fidelity, marginals
-    and memory gap share them (see ``_gather``).
+    length, the tape code and the dense ids of the other label fields.  The
+    report statistics are memoised per k (see ``_pair_statistics``), and
+    pair gathers per (k, registers), so a pair's reduced state, marginals and
+    memory gap share them (see ``_gather``).
     """
 
     def __init__(self, amps) -> None:
@@ -168,25 +170,39 @@ class ColumnTable:
             alice, bob = zip(*amps)
             self.alice = PartyColumns.build(alice)
             self.bob = self.alice if bob == alice else PartyColumns.build(bob)
+        self.pairs: dict = {}  # k -> (emission probability, fidelity numerator or None)
         self.gathers: dict = {}  # (k, registers) -> cells of the pair gather
         self.arrays: dict = {}  # (k, registers) -> the cells as a dense array
         self.row_ids: dict = {}  # registers -> per row, its register and environment ids
 
 
-@dataclass(frozen=True)
 class JointState:
     """Sparse amplitude map over (Alice label, Bob label) pairs.
 
-    The map is frozen into a read-only view at construction, so the column
-    table built from it on first use can never go stale.
+    The map is frozen into a read-only view of the state's own copy at
+    construction, and the fields cannot be reassigned, so the column table
+    built from it on first use can never go stale.  States compare equal by
+    (n, amps, meta).
     """
 
-    n: int
-    amps: Mapping
-    meta: dict = field(default_factory=dict)
+    def __init__(self, n: int, amps: Mapping, meta: dict | None = None) -> None:
+        fields = self.__dict__
+        fields["n"], fields["amps"] = n, MappingProxyType(dict(amps))
+        fields["meta"] = {} if meta is None else meta
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amps", MappingProxyType(dict(self.amps)))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.amps, self.meta) == (other.n, other.amps, other.meta)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, amps={self.amps!r}, meta={self.meta!r})"
 
     @cached_property
     def table(self) -> ColumnTable:
@@ -267,16 +283,18 @@ def simulate_known_basis(p: float, n: int) -> JointState:
 
 def _diagonal_state(n: int, p: float, branches, mode: str) -> JointState:
     """Both parties hold the same label per classical n-bit string: one term
-    sqrt(p^(n-t) (1-p)^t) per (label, t) branch, zero terms dropped.  Two
-    branches with one label would make the map irreversible, so they raise."""
+    sqrt(p^(n-t) (1-p)^t) per (label, t) branch, computed once per t, zero
+    terms dropped.  Two branches with one label would make the map
+    irreversible, so they raise."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
+    by_ones = [math.sqrt(p ** (n - t) * (1 - p) ** t) for t in range(n + 1)]
     amps: dict = {}
     with _collector_paused():
         for label, t in branches:
             if (label, label) in amps:
                 raise AssertionError(f"{mode} register labels collide")
-            amps[(label, label)] = math.sqrt(p ** (n - t) * (1 - p) ** t)
+            amps[(label, label)] = by_ones[t]
     amps = {key: amp for key, amp in amps.items() if amp}
     return JointState(n, amps, meta={"mode": mode, "p": p, "seeded": 0}).validate()
 
@@ -378,9 +396,54 @@ def _party_moves(k: int, registers: list) -> tuple[list, list]:
 
 def emission_probability(state: JointState, k: int) -> float:
     """Probability that both output tapes hold at least k qubits."""
+    return _pair_statistics(state, k)[0]
+
+
+def _pair_statistics(state: JointState, k: int) -> tuple[float, float | None]:
+    """Pair k's emission probability and fidelity numerator, the sum over
+    environments of |psi_00 + psi_11|^2 (None where no row holds pair k).
+
+    One pass over the rows per k, memoised per table: each row holding the
+    pair adds its weight to the probability, and where both of its bits at
+    slot k agree, its amplitude to the overlap of its environment (both
+    labels but slot k).  Rows are read in map order and environments kept in
+    order of first appearance, so the sums add as the gather's cells do.
+    """
     table, k = state.table, as_count(k, "pair index", lo=1)
-    rows = zip(table.weights, table.alice.length, table.bob.length)
-    return float(sum(weight for weight, a, b in rows if a >= k and b >= k))
+    if k in table.pairs:
+        return table.pairs[k]
+    alice, bob = table.alice, table.bob
+    prob, overlaps = 0.0, {}
+    for a_len, a_code, b_len, b_code, others, weight, amp in zip(
+            alice.length, alice.code, bob.length, bob.code, _row_ids(table, ())[1],
+            table.weights, table.amps):
+        if a_len < k or b_len < k:
+            continue
+        prob += weight
+        a_bit, b_bit = a_code >> (a_len - k) & 1, b_code >> (b_len - k) & 1
+        # beside its length (in others), a tape with slot k cleared stands for the rest
+        env = (a_code ^ a_bit << (a_len - k), b_code ^ b_bit << (b_len - k), others)
+        if a_bit == b_bit:
+            overlaps[env] = overlaps.get(env, 0.0) + amp
+        else:  # adds nothing, but keeps the environments in first-appearance order
+            overlaps.setdefault(env, 0.0)
+    table.pairs[k] = prob, sum(abs(c) ** 2 for c in overlaps.values()) if overlaps else None
+    return table.pairs[k]
+
+
+def _row_ids(table: ColumnTable, registers: tuple[str, ...]) -> tuple:
+    """Per row, the register id of the named label fields' joint value and the
+    environment id of the rest of both labels but the tapes, both by first
+    appearance; read once per registers."""
+    if registers not in table.row_ids:
+        alice, bob = table.alice, table.bob
+        reg_columns = [party.field(name)[0] for party in (alice, bob) for name in registers]
+        env_columns = [alice.length, bob.length] + [
+            ids for party in (alice, bob)
+            for name, (ids, _) in party.fields.items() if name not in registers]
+        table.row_ids[registers] = (_dense_ids(zip(*reg_columns))[0] if registers else repeat(0),
+                                    _dense_ids(zip(*env_columns))[0])
+    return table.row_ids[registers]
 
 
 def _gather(state: JointState, k: int, registers: tuple[str, ...] = ()) -> tuple:
@@ -389,22 +452,17 @@ def _gather(state: JointState, k: int, registers: tuple[str, ...] = ()) -> tuple
     (pair bits |a b> = 2a + b at slot k, register ids, environment ids, amplitudes).
     Register ids number the joint values of the named label fields, environment
     ids the rest of both labels, the tape minus slot k; both by first appearance.
+    The array statistics read it; the report's statistics do not (see
+    ``_pair_statistics``).
     """
     table, key = state.table, (as_count(k, "pair index", lo=1), tuple(registers))
     if key in table.gathers:
         return table.gathers[key]
     (k, registers), alice, bob = key, table.alice, table.bob
-    if registers not in table.row_ids:  # the label fields as ids, read once per registers
-        reg_columns = [party.field(name)[0] for party in (alice, bob) for name in registers]
-        env_columns = [alice.length, bob.length] + [
-            ids for party in (alice, bob)
-            for name, (ids, _) in party.fields.items() if name not in registers]
-        table.row_ids[registers] = (_dense_ids(zip(*reg_columns))[0] if registers else repeat(0),
-                                    _dense_ids(zip(*env_columns))[0])
     regs, envs = {}, {}  # register and environment ids by key
     pairs, reg_ids, env_ids, amps = cells = array("B"), array("q"), array("q"), []
     for a_len, a_code, b_len, b_code, reg, others, amp in zip(
-            alice.length, alice.code, bob.length, bob.code, *table.row_ids[registers], table.amps):
+            alice.length, alice.code, bob.length, bob.code, *_row_ids(table, registers), table.amps):
         if a_len < k or b_len < k:
             continue
         a_bit, b_bit = a_code >> (a_len - k) & 1, b_code >> (b_len - k) & 1
@@ -450,13 +508,10 @@ def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
 def pair_fidelity(state: JointState, k: int) -> float:
     """Fidelity of the k-th output pair with the maximally entangled target:
     the sum over environments of |psi_00 + psi_11|^2 / (2 prob)."""
-    pairs, _, envs, amps = _gather(state, k)
-    overlaps, prob = [0.0] * (max(envs) + 1), 0.0
-    for pair, env, amp in zip(pairs, envs, amps):
-        prob += abs(amp) ** 2
-        if pair == 0 or pair == 3:
-            overlaps[env] += amp
-    return sum(abs(c) ** 2 for c in overlaps) / (2 * prob)
+    prob, overlap = _pair_statistics(state, k)
+    if overlap is None:
+        raise UndefinedPairError(f"pair {as_count(k, 'pair index')} never exists in this state")
+    return overlap / (2 * prob)
 
 
 def pair_marginal(state: JointState, k: int, party: int = 0) -> np.ndarray:

@@ -19,6 +19,7 @@ from eliastream.schursim import (
     SimulatorCapError,
     Tape,
     UndefinedPairError,
+    _gather,
     _pair_amplitudes,
     certain_pairs,
     cg_step,
@@ -599,14 +600,66 @@ def naive_distribution(state, key):
     return dist
 
 
+def naive_emission_probability(state, k):
+    """Weight of the rows whose tapes both hold slot k, summed per k in map
+    order: the oracle of the one-pass emission probability."""
+    return float(sum(abs(a) ** 2 for (la, lb), a in state.amps.items() if la.l >= k and lb.l >= k))
+
+
+def gather_fidelity(state, k):
+    """The fidelity read from the gather's cells, environments in id order:
+    the oracle of the one-pass fidelity, adding in the same order."""
+    pairs, _, envs, amps = _gather(state, k)
+    overlaps, prob = [0.0] * (max(envs) + 1), 0.0
+    for pair, env, amp in zip(pairs, envs, amps):
+        prob += abs(amp) ** 2
+        if pair == 0 or pair == 3:
+            overlaps[env] += amp
+    return sum(abs(c) ** 2 for c in overlaps) / (2 * prob)
+
+
+def lopsided_states():
+    """Hand-made states whose parties hold tapes of different lengths, so a
+    slot is held by one party only (probability zero) or no pair is held at
+    all (last), and two whose environments are shared by rows with equal and
+    with unequal pair bits, met in either order, with complex amplitudes.
+    Their seeds make the fidelity's sum over environments differ in its last
+    digit when the environments are taken in any other order than first
+    appearance."""
+    amp = 1 / math.sqrt(2)
+
+    def mixed(seed):
+        rng = np.random.default_rng(seed)
+
+        def label():
+            tape = "".join(map(str, rng.integers(0, 2, int(rng.integers(1, 4)))))
+            return text_label(tape, t=int(rng.integers(0, 3)))
+
+        return JointState(1, {(label(), label()): complex(*rng.normal(size=2)) for _ in range(60)})
+
+    return [
+        JointState(1, {(text_label("01"), text_label("1")): amp,
+                       (text_label("1"), text_label("10", t=1)): amp}),
+        mixed(8),
+        mixed(9),
+        JointState(1, {(text_label("011"), text_label("")): 1.0}),
+    ]
+
+
 def assert_gathers_equal_naive(state, registers_options):
+    """Every pair up to one past the longest tape: the emission probability
+    and fidelity equal their oracles exactly, a pair no row holds has no
+    fidelity, and the dense gathers of the held ones equal the per-label
+    gather.  Returns whether some row holds a pair."""
     held_any = False
-    for k in range(1, max(la.l for (la, _) in state.amps) + 1):
-        if emission_probability(state, k) == 0:
+    for k in range(1, max(max(la.l, lb.l) for la, lb in state.amps) + 2):
+        assert emission_probability(state, k) == naive_emission_probability(state, k), k
+        if not any(la.l >= k and lb.l >= k for la, lb in state.amps):
+            with pytest.raises(UndefinedPairError, match=f"^pair {k} never exists in this state$"):
+                pair_fidelity(state, k)
             continue
         held_any = True
-        held = [a for (la, lb), a in state.amps.items() if la.l >= k and lb.l >= k]
-        assert emission_probability(state, k) == float(sum(abs(a) ** 2 for a in held))
+        assert pair_fidelity(state, k) == gather_fidelity(state, k), k
         for registers in registers_options:
             expected = naive_pair_amplitudes(state, k, registers)
             assert np.array_equal(_pair_amplitudes(state, k, registers), expected), (k, registers)
@@ -636,8 +689,19 @@ def test_table_gather_equals_naive_gather_on_fixed_and_hand_built_states():
     for pairs in range(7):
         assert assert_gathers_equal_naive(simulate_von_neumann(0.3, pairs), ((),)) == (pairs > 0)
     assert assert_gathers_equal_naive(huffman_output_state(), BOTH_GATHERS)
-    for state in [*hand_built_states(), long_tape_state(), *key_edge_states()]:
+    *lopsided, nothing_held = lopsided_states()
+    for state in [*hand_built_states(), long_tape_state(), *key_edge_states(), *lopsided]:
         assert assert_gathers_equal_naive(state, BOTH_GATHERS)
+    assert not assert_gathers_equal_naive(nothing_held, BOTH_GATHERS)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_table_gather_equals_naive_gather_on_a_complex_source(n):
+    # the acceptance suite's covariance source: both collective rotations, complex psi
+    psi = collective_rotation(two_qubit_source(0.3, 1.1), rotation(1.1, "z") @ rotation(0.9, "y"))
+    state = simulate_universal(n, psi=psi)
+    assert any(isinstance(a, complex) and a.imag for a in state.amps.values())
+    assert_gathers_equal_naive(state, BOTH_GATHERS)
 
 
 def assert_fidelity_equals_dense_oracle(state):
@@ -670,12 +734,33 @@ def test_pair_fidelity_equals_the_dense_oracle_on_fixed_and_hand_built_states():
         assert_fidelity_equals_dense_oracle(state)
 
 
-def test_fidelity_reads_the_cells_the_dense_gather_is_made_from():
+@pytest.mark.parametrize("k", [0, -1, 1.0, 1.5, "1", None])
+def test_report_statistics_reject_the_pair_indices_the_gather_rejects(k):
+    state = simulate_universal(4, p=0.3, theta=0.7)
+    with pytest.raises(ValueError) as expected:
+        _gather(state, k)
+    for statistic in (emission_probability, pair_fidelity):
+        with pytest.raises(ValueError) as caught:
+            statistic(state, k)
+        assert str(caught.value) == str(expected.value)
+    assert not state.table.pairs
+
+
+def test_report_statistics_gather_nothing():
     state = simulate_universal(5, p=0.3, theta=0.7)
-    pair_fidelity(state, 1)
-    assert list(state.table.gathers) == [(1, ())] and not state.table.arrays
+    longest = max(la.l for la, _ in state.amps)
+    for k in range(1, longest + 1):
+        if emission_probability(state, k) > 0:
+            pair_fidelity(state, k)
+    assert list(state.table.pairs) == list(range(1, longest + 1))
+    assert not state.table.gathers and not state.table.arrays
+
+
+def test_the_dense_gather_holds_the_gathered_cells():
+    state = simulate_universal(5, p=0.3, theta=0.7)
+    pairs, regs, envs, amps = _gather(state, 1)
     psi = _pair_amplitudes(state, 1)
-    pairs, regs, envs, amps = state.table.gathers[(1, ())]
+    assert list(state.table.gathers) == [(1, ())]
     assert np.count_nonzero(psi) == len(amps) == len(pairs) == len(regs) == len(envs)
     assert all(psi[pair, reg, env] == amp for pair, reg, env, amp in zip(pairs, regs, envs, amps))
 
@@ -700,6 +785,22 @@ def test_joint_state_amplitudes_are_read_only():
     amps[(label, label)] = 0.5  # the state keeps its own copy
     assert state.amps == {(label, label): 1.0}
     assert pair_fidelity(state, 1) == pytest.approx(0.5)
+
+
+def test_joint_states_compare_by_their_fields_and_stay_frozen():
+    label = text_label("0")
+    state = JointState(1, {(label, label): 1.0})
+    assert state.meta == {} and state.meta is not JointState(1, state.amps).meta
+    assert state == JointState(1, dict(state.amps), {})
+    assert state != JointState(2, state.amps) and state != JointState(1, state.amps, {"p": 0.5})
+    assert repr(state) == f"JointState(n=1, amps={state.amps!r}, meta={{}})"
+    assert state.table is state.table
+    with pytest.raises(AttributeError):
+        state.meta = {}
+    with pytest.raises(AttributeError):
+        del state.n
+    with pytest.raises(TypeError):
+        hash(state)
 
 
 @pytest.mark.parametrize("k", [1.5, "1", None])

@@ -91,9 +91,10 @@ def test_verify_exhaustive_suites_load_no_numeric_library(tmp_path):
 
 @pytest.mark.parametrize("mode", ["known", "universal", "huffman", "vonneumann"])
 def test_simulate_never_loads_mpmath(tmp_path, mode):
-    # nor numpy, nor the block oracle: HEAVY holds both
+    # nor numpy, nor the block oracle (HEAVY holds both), nor dataclasses and
+    # the inspect module it imports
     got = loaded(["simulate", "--mode", mode, "--n", "3", "--report", str(tmp_path / "r.txt")],
-                 tmp_path)
+                 tmp_path, watch=(*HEAVY, "dataclasses", "inspect"))
     assert got == {"eliastream.schursim"}
 
 
