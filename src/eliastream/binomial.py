@@ -3,13 +3,15 @@
 ``binom`` is the package's one source of exact lattice sizes: ``math.comb``,
 integer-exact, with no size cap and nothing kept between calls.  No module
 of the package reads the Pascal table below: 64 fixed rows that never
-grow, kept only because the benchmark replay reads ``shared_table().max_n``.
+grow, kept only because the benchmark replay reads ``shared_table().max_n``,
+and built on that first call, so no other process pays for it.
 ``build_table`` builds rows by addition alone, so the tests use it as an
 oracle for ``math.comb`` independent of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -56,12 +58,10 @@ def build_table(max_n: int) -> BinomialTable:
     return BinomialTable(tuple(rows))
 
 
-_SHARED = build_table(64)
-
-
+@functools.cache
 def shared_table() -> BinomialTable:
-    """The module's fixed 64-row table."""
-    return _SHARED
+    """The module's fixed 64-row table, built on the first call."""
+    return build_table(64)
 
 
 def binom(n: int, t: int) -> int:

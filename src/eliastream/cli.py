@@ -40,10 +40,16 @@ REPORT_SCHEMA = "eliastream/1"
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _bit_bytes(data: bytes) -> bytes:
+    """Bytes to bits, one byte 0 or 1 per bit, most significant bit of each
+    byte first.  The leading 1 byte keeps the leading zero bits in the
+    binary numeral."""
+    return bin(int.from_bytes(b"\x01" + data, "big"))[3:].encode().translate(_TEXT_BITS)
+
+
 def unpack_bytes(data: bytes) -> list[int]:
-    """Bytes to bits, most significant bit of each byte first.  The leading
-    1 byte keeps the leading zero bits in the binary numeral."""
-    return list(bin(int.from_bytes(b"\x01" + data, "big"))[3:].encode().translate(_TEXT_BITS))
+    """Bytes to a list of bits, MSB first (see ``_bit_bytes``)."""
+    return list(_bit_bytes(data))
 
 
 def pack_bits(bits) -> tuple[bytes, int]:
@@ -104,7 +110,9 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
     output to `demand` bits; the bits that move made past it are not
     delivered.  Whole output bytes are written once the next block is in
     hand, so the last block's bytes go out with the zero-padded tail in one
-    write, and an input of one block is packed once."""
+    write, and an input of one block is packed once.  Each block reaches the
+    walk as the bytes ``_bit_bytes`` makes, bits by construction, so no bit
+    is checked and no list of bits is built."""
     machine = StreamExtractor()
     walk = machine._walk
     want = math.inf if demand is None else demand
@@ -112,7 +120,7 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
     tail: list[int] = []  # output bits after those
     block = src.read(_BLOCK) if want else b""
     while block:
-        walk(unpack_bytes(block), want - machine.l, tail)
+        walk(_bit_bytes(block), want - machine.l, tail)
         if machine.l >= want:
             del tail[want - written:]
             break

@@ -46,12 +46,18 @@ nothing.  On Pascal's triangle two things use it:
   CLI's block-by-block ``extract`` run one loop, whose moves append
   straight to the output it returns.  Its two per-bit phases carry the
   rule inline, so no input bit pays for a function call; the
-  engine-vs-``step`` tests pin both copies to ``walk_step``.
+  engine-vs-``step`` tests pin both copies to ``walk_step``.  In the
+  window the carried coefficient's floor bound always gives its exact
+  quotient, so a move compares bounds only for the two sizes it computes.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
 coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
-from here, so the engine loads no oracle.
+from here, so the engine loads no oracle.  The engine's loop tests no bit:
+each call's input is checked once, up front (``_checked_bits``: text, and
+a list or tuple in one pass as bytes), or lazily as it is taken (any other
+iterable, and a list holding a non-bit), so a bad bit raises ValueError
+only if the walk reaches it, with the bits before it fed.
 """
 
 from __future__ import annotations
@@ -109,16 +115,39 @@ def is_text(bits) -> bool:
     return isinstance(bits, (str, bytes, bytearray, memoryview))
 
 
+def _text_bits(text) -> bytes:
+    """'0'/'1' text (see ``is_text``) as bytes, one 0 or 1 per bit; any
+    other character raises ValueError."""
+    # UnicodeEncodeError is a ValueError
+    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    if bad := raw.translate(None, b"01"):
+        raise ValueError(f"invalid bit characters {bad[:8]!r}")
+    return raw.translate(_TEXT_BITS)
+
+
 def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
     """Normalize a bit source (text such as '0110', see ``is_text``, or an
     iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
-    if not is_text(bits):
-        return tuple(map(as_bit, bits))
-    # UnicodeEncodeError is a ValueError
-    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
-    if bad := text.translate(None, b"01"):
-        raise ValueError(f"invalid bit characters {bad[:8]!r}")
-    return tuple(text.translate(_TEXT_BITS))
+    return tuple(_text_bits(bits) if is_text(bits) else map(as_bit, bits))
+
+
+def _checked_bits(bits: "Iterable[int] | str") -> Iterable[int]:
+    """A bit source as plain 0/1 ints, checked once per call.  Text goes
+    through ``parse_bits``' rule and raises before any bit is taken; a list
+    or tuple of bits is checked in one pass, as bytes.  Anything else, and a
+    list or tuple holding a non-bit, is checked lazily by ``as_bit``, so a
+    walk that takes bits one by one raises only on reaching a bad one."""
+    if is_text(bits):
+        return _text_bits(bits)
+    if isinstance(bits, (list, tuple)):
+        try:
+            raw = bytes(bits)
+        except (TypeError, ValueError):  # a non-integer, or one outside 0..255
+            pass
+        else:
+            if not raw.translate(None, b"\x00\x01"):
+                return raw
+    return map(as_bit, bits)
 
 
 class ExtractorState(NamedTuple):
@@ -238,15 +267,9 @@ def pack_code(bits: Iterable[int]) -> int:
     return code
 
 
-def _bit_source(bits: "Iterable[int] | str") -> Iterable[int]:
-    """Parse text (see ``is_text``); pass integer iterables through to
-    the walk, which checks every bit as it takes it."""
-    return parse_bits(bits) if is_text(bits) else bits
-
-
 def run(bits: "Iterable[int] | str") -> RunResult:
     """Fold step() over an input string from the apex."""
-    return fold_steps(step, _bit_source(bits))
+    return fold_steps(step, _checked_bits(bits))
 
 
 class PauseResult(NamedTuple):
@@ -279,7 +302,7 @@ def pause_mode_run(
         raise ValueError("more pending bits than the walk has emitted")
     n = machine.n
     if len(produced) < demand:
-        machine._walk(bits, demand - len(produced), produced)
+        machine._walk(_checked_bits(bits), demand - len(produced), produced)
     # Only the last move can overshoot the demand.
     return PauseResult(tuple(produced[:demand]), machine.n - n, machine.state,
                        tuple(produced[demand:]), len(produced) >= demand)
@@ -303,7 +326,7 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
 # grows linearly with l; the window costs 0.70-0.74 us at any l.  Yet a window
 # from the apex loses on short streams (1.45-1.77x slower per 512-bit demand
 # from 4,096-bit inputs at p = 0.05 / 0.3 / 0.5): while C(n, t) is short, one
-# exact update costs less than the window's two bounds and three quotient
+# exact update costs less than the window's two bounds and their quotient
 # checks.  Handing over at l = 512 / 1,024 / 2,048, in 6 alternating rounds of
 # 15 s benchmark runs (medians): extract_short made 363 / 378 / 376 ops/s and
 # extract_long 878k / 889k / 906k input bits/s, 2,048 winning 4 of 6 rounds
@@ -313,6 +336,9 @@ _CROSSOVER = 1024
 # Window bits kept below the emission position l.  The window never decides
 # a move wrongly; it fails to decide one with odds growing like (bits since
 # the last resync) / 2^_GUARD.  64 gave no fallback on a 10^7-bit stream.
+# A fallback, like a machine resumed from a deep node, pays one exact read:
+# math.comb(131072, 39321), a 115,504-bit value, takes 0.15-0.16 s on that
+# host, and a coefficient at n = 2^20 takes 5-6.5 s.
 _GUARD = 64
 
 
@@ -334,15 +360,22 @@ class StreamExtractor:
     engine keeps integer bounds on C/2^s, floor for the lower and ceil for
     the upper bound of every size, with s trailing l by ``_GUARD`` to
     ``2 * _GUARD`` bits, so each bit costs the same however long the stream.
-    The rule reads only the quotients C >> l: where both bounds give the
-    same quotients, the rule runs on them and the move is exact.  Otherwise
-    one exact read of C(n, t) gives the move's sizes by the same ratios,
-    ``walk_step`` makes the move, and the window restarts from the exact
-    C(n+1, t'); ``fallbacks`` counts these resyncs.  ``push``, ``feed``,
-    ``pause_mode_run`` and ``cli extract``, which walks its input block by
-    block, all run one loop, ``_walk``.  Its two phases carry ``walk_step``'s
-    emit test and carry cascade inline, on the exact sizes at bit l and on
-    the quotients at bit 0; the tests against ``step`` keep them equal.
+    The rule reads only the quotients C >> l.  The carried coefficient's
+    floor bound always gives its exact quotient (see ``_walk``); where both
+    bounds of the two sizes a move computes give the same quotients, the
+    rule runs on them and the move is exact.  Otherwise one exact read of
+    C(n, t) gives the move's sizes by the same ratios, ``walk_step`` makes
+    the move, and the window restarts from the exact C(n+1, t');
+    ``fallbacks`` counts these resyncs.  The exact read is the one costly
+    step: about 0.15 s at n = 2^17 and 5 s or more at n = 2^20 (see
+    ``_GUARD``), paid by each fallback and by a machine built at a deep
+    node.  ``push``, ``feed``, ``pause_mode_run`` and ``cli extract``, which
+    walks its input block by block, all run one loop, ``_walk``.  Its two
+    phases carry ``walk_step``'s emit test and carry cascade inline, on the
+    exact sizes at bit l and on the quotients at bit 0; the tests against
+    ``step`` keep them equal.  ``push`` checks its one bit, ``feed`` and
+    ``pause_mode_run`` their input once per call (``_checked_bits``); the
+    loop itself tests no bit.
     """
 
     __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
@@ -374,32 +407,44 @@ class StreamExtractor:
     def push(self, b: int) -> tuple[int, ...]:
         """Feed one bit; return the bits emitted by this move.  A value
         other than 0 or 1 raises ValueError and leaves the state unchanged."""
+        if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
+            b = as_bit(b)
         return tuple(self._walk((b,)))
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:
         """Feed many bits; return the concatenated output.  A bad bit
         raises ValueError; the bits before it stay fed."""
-        return tuple(self._walk(bits))
+        return tuple(self._walk(_checked_bits(bits)))
 
-    def _walk(self, bits: "Iterable[int] | str", demand: float = math.inf,
+    def _walk(self, bits: Iterable[int], demand: float = math.inf,
               out: list[int] | None = None) -> list[int]:
         """The one loop: fold bits through the exact phase, then the window
         (handing over mid-call), append what they emit to `out` (a new list
         by default) and return it, stopping after the move that brings this
-        call's output to `demand` bits.  The state lives in locals, written
-        back however the loop ends, so a bad bit raises ValueError with the
-        bits before it fed."""
+        call's output to `demand` bits.
+
+        `bits` are plain 0/1 ints, checked once per call by the caller (see
+        ``_checked_bits``), so the loops test no bit; a lazily checked source
+        raises ValueError on reaching a bad bit.  The state lives in locals,
+        written back however the loop ends, so the bits before it stay fed.
+
+        The window rests on one invariant: at the start of every window move
+        the floor bound's quotient is exact, C(n, t) >> l == c0 >> k.
+        ``_window`` sets c0 from an exact coefficient; a decided move checks
+        the quotients of `here` before `here` becomes the carried
+        coefficient; an emission only raises k; a renormalisation by j bits
+        lowers k by exactly j.  So of a move's three sizes only `here` and
+        the neighbour the ratio gives need their two bounds compared.
+        """
         if out is None:
             out = []
         n, t, l, s, c0, c1 = self.n, self.t, self.l, self._s, self._c, self._c_up
         stop = l + demand
-        bits = iter(_bit_source(bits))
+        bits = iter(bits)
         try:
             if s is None:
                 crossover = _CROSSOVER
                 for b in bits:
-                    if b.__class__ is not int or b >> 1:  # as in walk_step
-                        b = as_bit(b)
                     if b:  # C(n, t+1) and C(n, t)
                         hi, lo, t1 = c0 * (n - t) // (t + 1), c0, t + 1
                     else:  # C(n, t) and C(n, t-1)
@@ -420,38 +465,38 @@ class StreamExtractor:
                             return out
                 else:
                     return out
-            guard, k = _GUARD, l - s
+            guard, top, k = _GUARD, 2 * _GUARD, l - s
             if l < stop:
                 for b in bits:
-                    if b.__class__ is not int or b >> 1:
-                        b = as_bit(b)
-                    # The same sizes on bounds of C/2^s: floor lower, ceil upper.
-                    # (Assignments of at most three names build no tuple.)
-                    if b:
+                    # The neighbour x the ratio gives and here = x + c on bounds
+                    # of C/2^s, floor lower and ceil upper; c, the carried
+                    # coefficient, keeps its exact quotient c0 >> k.
+                    if b:  # x = C(n, t+1) = hi; c = C(n, t) = lo
                         u, t1 = n - t, t + 1
-                        hi0, hi1 = c0 * u // t1, (c1 * u + t) // t1
-                        lo0, lo1 = c0, c1
-                    else:
+                        x0, x1 = c0 * u // t1, (c1 * u + t) // t1
+                    else:  # x = C(n, t-1) = lo; c = C(n, t) = hi
                         u, t1 = n - t + 1, t
-                        hi0, hi1 = c0, c1
-                        lo0, lo1 = c0 * t // u, (c1 * t + u - 1) // u
-                    h0, h1 = hi0 + lo0, hi1 + lo1
-                    q_here, q_hi, q_lo = h0 >> k, hi0 >> k, lo0 >> k
-                    if q_here == h1 >> k and q_hi == hi1 >> k and q_lo == lo1 >> k:
+                        x0, x1 = c0 * t // u, (c1 * t + u - 1) // u
+                    h0, h1 = x0 + c0, x1 + c1
+                    q_here, q_x = h0 >> k, x0 >> k
+                    if q_here == h1 >> k and q_x == x1 >> k:
                         n, t = n + 1, t1
-                        c0, c1 = h0, h1
+                        c, c0, c1 = c0, h0, h1
                         # walk_step, inline, at bit 0 of the quotients C >> l
-                        if q_here & 1 and not ((q_hi if b else q_lo) & 1):
+                        if q_here & 1 and not q_x & 1:
                             continue
                         out.append(b)
                         l += 1
-                        q_hi >>= 1
-                        q_lo >>= 1
-                        while (q_hi ^ q_lo) & 1:
-                            out.append(q_hi & 1)
+                        q_x >>= 1
+                        q_c = c >> k + 1
+                        while (q_x ^ q_c) & 1:
+                            out.append((q_x if b else q_c) & 1)  # hi's bit
                             l += 1
-                            q_hi >>= 1
-                            q_lo >>= 1
+                            q_x >>= 1
+                            q_c >>= 1
+                        k = l - s
+                        if k >= top:  # renormalise: s back to l - guard
+                            s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard
                     else:  # undecided: one exact read, walk_step makes the move
                         c = binom(n, t)
                         if b:
@@ -463,9 +508,7 @@ class StreamExtractor:
                         n, t = n + 1, t1
                         self._fallbacks += 1
                         s, c0, c1 = _window(here, l)
-                    k = l - s
-                    if k >= 2 * guard:  # renormalise: s back to l - guard
-                        s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard
+                        k = l - s
                     if l >= stop:
                         break
             return out

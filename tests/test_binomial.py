@@ -137,11 +137,23 @@ print(binomial.shared_table().max_n)
 """
 
 
-def test_no_walk_or_oracle_grows_the_shared_table():
-    # a fresh interpreter, as the benchmark replay reads the table
+def python_fresh(code):
+    """Run `code` in a fresh interpreter that imports eliastream from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", NO_TABLE_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["64"]
+    return proc.stdout.split()
+
+
+def test_no_walk_or_oracle_grows_the_shared_table():
+    # a fresh interpreter, as the benchmark replay reads the table
+    assert python_fresh(NO_TABLE_PROBE) == ["64"]
+
+
+def test_importing_the_cli_builds_no_table():
+    probe = ("import eliastream.cli\n"
+             "from eliastream import binomial\n"
+             "print(binomial.shared_table.cache_info().currsize)")
+    assert python_fresh(probe) == ["0"]

@@ -4,6 +4,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -666,3 +667,54 @@ def test_extreme_biases_stream_through_both_phases(monkeypatch, p):
     exact = StreamExtractor()
     assert exact.feed(bits) == output
     assert exact.state == windowed.state
+
+
+# Each call checks its input once: a list or tuple in one pass, any other
+# iterable lazily, so a bad bit raises only when the walk reaches it.
+def test_an_integer_array_feeds_as_its_list():
+    bits = np.arange(64) % 2
+    assert StreamExtractor().feed(bits) == StreamExtractor().feed(bits.tolist())
+
+
+def test_an_array_of_numpy_bools_is_rejected():
+    engine = StreamExtractor()
+    with pytest.raises(ValueError):
+        engine.feed(np.array([True, False, True]))
+    assert engine.state == initial_state()
+
+
+@pytest.mark.parametrize("at", [300, 30_000])
+def test_a_bad_bit_deep_in_a_list_raises_after_the_bits_before_it(at):
+    rng = random.Random(at)
+    bits = [int(rng.random() < 0.3) for _ in range(40_000)]
+    before = StreamExtractor()
+    head = before.feed(bits[:at])
+    assert (before.l < extractor._CROSSOVER) == (at == 300)
+    engine, out = StreamExtractor(), []
+    with pytest.raises(ValueError):
+        engine._walk(extractor._checked_bits(bits[:at] + [2] + bits[at:]), out=out)
+    assert tuple(out) == head
+    assert (engine.state, engine.fallbacks, engine.window_bits) == (
+        before.state,
+        before.fallbacks,
+        before.window_bits,
+    )
+
+
+@pytest.mark.parametrize("bad", [2, -1, None, 0.5])
+def test_a_bad_bit_after_a_met_demand_raises_nothing(bad):
+    rng = random.Random(11)
+    bits = [int(rng.random() < 0.3) for _ in range(6_000)]
+    whole = pause_mode_run(bits, 1_500)
+    assert whole.satisfied and whole.state.l >= extractor._CROSSOVER
+    assert pause_mode_run(bits + [bad], 1_500) == whole
+    assert pause_mode_run(bits[: whole.consumed] + [bad] + bits, 1_500) == whole
+
+
+def test_pause_mode_leaves_the_rest_of_a_generator_unread():
+    rng = random.Random(12)
+    bits = [int(rng.random() < 0.3) for _ in range(6_000)]
+    source = iter(bits)
+    paused = pause_mode_run((b for b in source), 1_500)
+    assert paused.satisfied and paused.consumed < len(bits)
+    assert list(source) == bits[paused.consumed :]
