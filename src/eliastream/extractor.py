@@ -54,10 +54,9 @@ The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
 coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
 from here, so the engine loads no oracle.  The engine's loop tests no bit:
-each call's input is checked once, up front (``_checked_bits``: text, and
-a list or tuple in one pass as bytes), or lazily as it is taken (any other
-iterable, and a list holding a non-bit), so a bad bit raises ValueError
-only if the walk reaches it, with the bits before it fed.
+each call's input is checked once (``_checked_bits``), text up front and
+any other iterable lazily as the walk takes it, so a bad bit raises
+ValueError only if the walk reaches it, with the bits before it fed.
 """
 
 from __future__ import annotations
@@ -115,39 +114,27 @@ def is_text(bits) -> bool:
     return isinstance(bits, (str, bytes, bytearray, memoryview))
 
 
-def _text_bits(text) -> bytes:
-    """'0'/'1' text (see ``is_text``) as bytes, one 0 or 1 per bit; any
-    other character raises ValueError."""
-    # UnicodeEncodeError is a ValueError
-    raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    if bad := raw.translate(None, b"01"):
-        raise ValueError(f"invalid bit characters {bad[:8]!r}")
-    return raw.translate(_TEXT_BITS)
-
-
 def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
     """Normalize a bit source (text such as '0110', see ``is_text``, or an
     iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
-    return tuple(_text_bits(bits) if is_text(bits) else map(as_bit, bits))
+    if not is_text(bits):
+        return tuple(map(as_bit, bits))
+    # UnicodeEncodeError is a ValueError
+    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
+    if bad := text.translate(None, b"01"):
+        raise ValueError(f"invalid bit characters {bad[:8]!r}")
+    return tuple(text.translate(_TEXT_BITS))
 
 
 def _checked_bits(bits: "Iterable[int] | str") -> Iterable[int]:
-    """A bit source as plain 0/1 ints, checked once per call.  Text goes
-    through ``parse_bits``' rule and raises before any bit is taken; a list
-    or tuple of bits is checked in one pass, as bytes.  Anything else, and a
-    list or tuple holding a non-bit, is checked lazily by ``as_bit``, so a
-    walk that takes bits one by one raises only on reaching a bad one."""
+    """A bit source as plain 0/1 ints, checked once per call.  Text is
+    parsed by ``parse_bits`` and raises before any bit is taken.  Any other
+    iterable is checked lazily, one cheap test per bit and ``as_bit`` only
+    on a miss, so a walk that takes bits one by one raises only on reaching
+    a bad one."""
     if is_text(bits):
-        return _text_bits(bits)
-    if isinstance(bits, (list, tuple)):
-        try:
-            raw = bytes(bits)
-        except (TypeError, ValueError):  # a non-integer, or one outside 0..255
-            pass
-        else:
-            if not raw.translate(None, b"\x00\x01"):
-                return raw
-    return map(as_bit, bits)
+        return parse_bits(bits)
+    return (b if b.__class__ is int and not b >> 1 else as_bit(b) for b in bits)
 
 
 class ExtractorState(NamedTuple):
@@ -268,8 +255,9 @@ def pack_code(bits: Iterable[int]) -> int:
 
 
 def run(bits: "Iterable[int] | str") -> RunResult:
-    """Fold step() over an input string from the apex."""
-    return fold_steps(step, _checked_bits(bits))
+    """Fold step() over an input string from the apex.  Text is parsed up
+    front; other bits go to ``step``, which checks each one itself."""
+    return fold_steps(step, parse_bits(bits) if is_text(bits) else bits)
 
 
 class PauseResult(NamedTuple):

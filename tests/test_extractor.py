@@ -669,8 +669,8 @@ def test_extreme_biases_stream_through_both_phases(monkeypatch, p):
     assert exact.state == windowed.state
 
 
-# Each call checks its input once: a list or tuple in one pass, any other
-# iterable lazily, so a bad bit raises only when the walk reaches it.
+# Each call checks its input once: text up front, any other iterable lazily,
+# so a bad bit raises only when the walk reaches it.
 def test_an_integer_array_feeds_as_its_list():
     bits = np.arange(64) % 2
     assert StreamExtractor().feed(bits) == StreamExtractor().feed(bits.tolist())
