@@ -6,7 +6,7 @@ whole-block extraction at every prefix length.  The same walk, run on the
 two-row Young lattice behind a qubit-coupling transform, concentrates
 streams of identical partially entangled pairs into perfect EPR pairs
 without knowing the input state.  Brute-force oracles, symbolic balance
-checks, and a dense state-vector simulator verify every desk-scale claim.
+checks, and sparse state simulators verify every desk-scale claim.
 
 Each module is its own API, listed in the README's layout table: import a
 name from its module (``from eliastream.extractor import run``).

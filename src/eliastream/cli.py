@@ -13,7 +13,9 @@ next block is read, so its memory is bounded by the walk state and one
 block, not by the input; a ``--demand`` stops the reading once it is met.
 The input is opened before the output and both before the walk.  An
 ``--output`` naming the ``--input`` file is refused (exit 2): opening it for
-writing would truncate the input before it is read.
+writing would truncate the input before it is read.  So is a ``--report``
+naming either file, before any file is opened for writing: the report,
+written last, would replace it.
 
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
@@ -93,12 +95,19 @@ def _open(path: str, mode: str):
 
 
 def _same_file(src, path: str) -> bool:
-    """Whether `path` names the regular file that the open handle `src` reads."""
+    """Whether `path` names the regular file that `src` stands for: an open
+    handle, or a path, which may name no file yet."""
     try:
         there = os.stat(path)
     except FileNotFoundError:
+        # No file yet: the same one only if both paths resolve to one place.
+        # realpath stats every component, so it runs only on equal base names.
+        return (isinstance(src, str) and os.path.basename(src) == os.path.basename(path)
+                and os.path.realpath(src) == os.path.realpath(path))
+    try:
+        here = os.stat(src) if isinstance(src, str) else os.fstat(src.fileno())
+    except FileNotFoundError:
         return False
-    here = os.fstat(src.fileno())
     return stat.S_ISREG(here.st_mode) and os.path.samestat(here, there)
 
 
@@ -142,10 +151,16 @@ def cmd_extract(args) -> int:
         raise ValueError("--demand must be >= 0")
     # Input before output, and both before the walk: a missing input leaves
     # no output file, and an unwritable output walks nothing.  The output is
-    # written while the input is read, so it must not be the input file.
+    # written while the input is read, so it must not be the input file, and
+    # the report is written last, so it must be neither.
     with _open(args.input, "rb") as src:
         if args.output != "-" and _same_file(src, args.output):
             raise ValueError("--output names the --input file")
+        if args.report not in (None, "-"):
+            if _same_file(src, args.report):
+                raise ValueError("--report names the --input file")
+            if args.output != "-" and _same_file(args.output, args.report):
+                raise ValueError("--report names the --output file")
         with _open(args.output, "wb") as sink:
             state, delivered, pad = _extract_blocks(src, sink, args.demand)
     # bits_read = bits_emitted + purity_len holds exactly; a multi-bit final

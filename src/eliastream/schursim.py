@@ -11,15 +11,15 @@ labeled registers per party:
     purity  count of banked clean |0> qubits
 
 Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
-at construction.  Every pair statistic (emission probability, reduced pair,
-fidelity, marginals, memory gap) and every register distribution reads one
-column table per state, built on first use: the amplitudes and, per party,
-the l and tape columns as read and dense ids of the other fields.  The
-report's two statistics of pair k, its emission probability and fidelity,
-come from one pass over the rows per k, memoised per table, that keeps only
-a sum per environment.  The array statistics gather the branches holding
-pair k into cells once per (k, registers).  The report path runs on plain
-Python: numpy is imported only by the functions that return arrays.
+at construction.  The pair statistics (emission probability and fidelity)
+and the register distributions read one column table per state, built on
+first use: the amplitudes, their weights and, per party, each label field
+as a column.  Pair k's two statistics come from one pass over the rows per
+k, memoised per table, that keeps only a sum per environment.  All of it is
+plain Python: numpy is imported only by ``schur_transform``, the dense
+oracle.  The array statistics that certify a pair's decoupling from the
+lattice registers (reduced pair, marginals, memory gap) are test oracles,
+built on a naive per-label gather in ``tests/oracles.py``.
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import gc
 import math
-from array import array
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import cache, cached_property, partial
-from itertools import product, repeat
+from itertools import product
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -105,13 +104,6 @@ class VNLabel(NamedTuple):
 TAPE_BITS_MAX = 62
 
 
-def _dense_ids(keys) -> tuple[list, list]:
-    """Number hashable keys 0, 1, ... in order of first appearance: the id of
-    each key in turn, and the distinct keys by id."""
-    ids: dict = {}
-    return [ids.setdefault(key, len(ids)) for key in keys], list(ids)
-
-
 @contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector for a state build, which makes
@@ -130,7 +122,7 @@ class PartyColumns(NamedTuple):
 
     length: tuple  # tape lengths, the l field
     code: tuple  # tapes, the tape field
-    fields: dict  # every field but the tape: name -> (dense ids, values by id)
+    fields: dict  # every field but the tape: name -> its column
 
     @classmethod
     def build(cls, labels: tuple) -> "PartyColumns":
@@ -142,9 +134,9 @@ class PartyColumns(NamedTuple):
         if not all(isinstance(l, int) and 0 <= l <= TAPE_BITS_MAX and isinstance(tape, int)
                    and 0 <= tape < 1 << l for l, tape in dict.fromkeys(zip(length, code))):
             raise ValueError(f"a tape must be an int in [0, 2^l), l <= {TAPE_BITS_MAX}")
-        return cls(length, code, {name: _dense_ids(col) for name, col in columns.items()})
+        return cls(length, code, columns)
 
-    def field(self, name: str) -> tuple[list, list]:
+    def field(self, name: str) -> tuple:
         if name not in self.fields:
             raise ValueError(f"labels have no register field {name!r}")
         return self.fields[name]
@@ -155,10 +147,8 @@ class ColumnTable:
 
     Per row: the amplitude and its weight |a|^2, so sums over rows in map
     order reproduce the map's own sums digit for digit; per party, the tape
-    length, the tape code and the dense ids of the other label fields.  The
-    report statistics are memoised per k (see ``_pair_statistics``), and
-    pair gathers per (k, registers), so a pair's reduced state, marginals and
-    memory gap share them (see ``_gather``).
+    length, the tape code and the column of every other label field.  The
+    pair statistics are memoised per k (see ``_pair_statistics``).
     """
 
     def __init__(self, amps) -> None:
@@ -171,9 +161,14 @@ class ColumnTable:
             self.alice = PartyColumns.build(alice)
             self.bob = self.alice if bob == alice else PartyColumns.build(bob)
         self.pairs: dict = {}  # k -> (emission probability, fidelity numerator or None)
-        self.gathers: dict = {}  # (k, registers) -> cells of the pair gather
-        self.arrays: dict = {}  # (k, registers) -> the cells as a dense array
-        self.row_ids: dict = {}  # registers -> per row, its register and environment ids
+
+    @cached_property
+    def env_ids(self) -> list[int]:
+        """Per row, the id of both labels' fields but the tapes, numbered 0,
+        1, ... in order of first appearance."""
+        ids: dict = {}
+        envs = zip(*self.alice.fields.values(), *self.bob.fields.values())
+        return [ids.setdefault(env, len(ids)) for env in envs]
 
 
 class JointState:
@@ -312,19 +307,6 @@ def _source_rows(p: float, theta: float) -> list[list[float]]:
             for a in (0, 1)]
 
 
-def two_qubit_source(p: float, theta: float = 0.0) -> np.ndarray:
-    """``_source_rows`` as a 2x2 coefficient matrix."""
-    import numpy as np
-    return np.array(_source_rows(p, theta))
-
-
-def collective_rotation(psi: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """Apply the same single-qubit unitary to both halves of a pair state."""
-    import numpy as np
-    unitary = np.asarray(unitary)
-    return unitary @ psi @ unitary.T
-
-
 def simulate_universal(n: int, p: float | None = None, theta: float = 0.0,
                        psi: np.ndarray | None = None) -> JointState:
     """Fully universal concentration of n copies of a two-qubit pure state.
@@ -407,7 +389,8 @@ def _pair_statistics(state: JointState, k: int) -> tuple[float, float | None]:
     pair adds its weight to the probability, and where both of its bits at
     slot k agree, its amplitude to the overlap of its environment (both
     labels but slot k).  Rows are read in map order and environments kept in
-    order of first appearance, so the sums add as the gather's cells do.
+    order of first appearance, so the sums add as the cells of the naive
+    per-label gather in ``tests/oracles.py`` do.
     """
     table, k = state.table, as_count(k, "pair index", lo=1)
     if k in table.pairs:
@@ -415,8 +398,7 @@ def _pair_statistics(state: JointState, k: int) -> tuple[float, float | None]:
     alice, bob = table.alice, table.bob
     prob, overlaps = 0.0, {}
     for a_len, a_code, b_len, b_code, others, weight, amp in zip(
-            alice.length, alice.code, bob.length, bob.code, _row_ids(table, ())[1],
-            table.weights, table.amps):
+            alice.length, alice.code, bob.length, bob.code, table.env_ids, table.weights, table.amps):
         if a_len < k or b_len < k:
             continue
         prob += weight
@@ -431,80 +413,6 @@ def _pair_statistics(state: JointState, k: int) -> tuple[float, float | None]:
     return table.pairs[k]
 
 
-def _row_ids(table: ColumnTable, registers: tuple[str, ...]) -> tuple:
-    """Per row, the register id of the named label fields' joint value and the
-    environment id of the rest of both labels but the tapes, both by first
-    appearance; read once per registers."""
-    if registers not in table.row_ids:
-        alice, bob = table.alice, table.bob
-        reg_columns = [party.field(name)[0] for party in (alice, bob) for name in registers]
-        env_columns = [alice.length, bob.length] + [
-            ids for party in (alice, bob)
-            for name, (ids, _) in party.fields.items() if name not in registers]
-        table.row_ids[registers] = (_dense_ids(zip(*reg_columns))[0] if registers else repeat(0),
-                                    _dense_ids(zip(*env_columns))[0])
-    return table.row_ids[registers]
-
-
-def _gather(state: JointState, k: int, registers: tuple[str, ...] = ()) -> tuple:
-    """The branches holding pair k, read from the column table once per
-    (k, registers): a cell per row that holds it, in map order, as four columns
-    (pair bits |a b> = 2a + b at slot k, register ids, environment ids, amplitudes).
-    Register ids number the joint values of the named label fields, environment
-    ids the rest of both labels, the tape minus slot k; both by first appearance.
-    The array statistics read it; the report's statistics do not (see
-    ``_pair_statistics``).
-    """
-    table, key = state.table, (as_count(k, "pair index", lo=1), tuple(registers))
-    if key in table.gathers:
-        return table.gathers[key]
-    (k, registers), alice, bob = key, table.alice, table.bob
-    regs, envs = {}, {}  # register and environment ids by key
-    pairs, reg_ids, env_ids, amps = cells = array("B"), array("q"), array("q"), []
-    for a_len, a_code, b_len, b_code, reg, others, amp in zip(
-            alice.length, alice.code, bob.length, bob.code, *_row_ids(table, registers), table.amps):
-        if a_len < k or b_len < k:
-            continue
-        a_bit, b_bit = a_code >> (a_len - k) & 1, b_code >> (b_len - k) & 1
-        # beside its length (in others), a tape with slot k cleared stands for the rest
-        env = (a_code ^ a_bit << (a_len - k), b_code ^ b_bit << (b_len - k), others)
-        pairs.append(2 * a_bit + b_bit)
-        reg_ids.append(regs.setdefault(reg, len(regs)))
-        env_ids.append(envs.setdefault(env, len(envs)))
-        amps.append(amp)
-    if not amps:
-        raise UndefinedPairError(f"pair {k} never exists in this state")
-    table.gathers[key] = cells
-    return cells
-
-
-def _pair_amplitudes(state: JointState, k: int, registers: tuple[str, ...] = ()) -> np.ndarray:
-    """The cells of ``_gather`` as one dense, read-only array of shape (pair
-    bits, register, environment), made once per (k, registers); the three
-    ids rebuild both labels, so every cell has its own place."""
-    import numpy as np
-    cells, arrays, key = _gather(state, k, registers), state.table.arrays, (k, tuple(registers))
-    if key not in arrays:
-        pair, reg, env, amps = cells
-        psi = np.zeros((4, max(reg) + 1, max(env) + 1), dtype=complex)
-        psi[np.asarray(pair), np.asarray(reg), np.asarray(env)] = amps
-        psi.flags.writeable = False
-        arrays[key] = psi
-    return arrays[key]
-
-
-def reduced_pair(state: JointState, k: int) -> tuple[np.ndarray, float]:
-    """Reduced 4x4 state of the k-th (1-based) output pair, and its weight.
-
-    Conditions on both tapes holding at least k qubits by projecting and
-    renormalizing; branches without the pair never mix in.  Basis order is
-    |a b> for Alice bit a, Bob bit b.
-    """
-    psi = _pair_amplitudes(state, k).reshape(4, -1)
-    prob = float((abs(psi) ** 2).sum())
-    return psi @ psi.conj().T / prob, prob
-
-
 def pair_fidelity(state: JointState, k: int) -> float:
     """Fidelity of the k-th output pair with the maximally entangled target:
     the sum over environments of |psi_00 + psi_11|^2 / (2 prob)."""
@@ -512,33 +420,6 @@ def pair_fidelity(state: JointState, k: int) -> float:
     if overlap is None:
         raise UndefinedPairError(f"pair {as_count(k, 'pair index')} never exists in this state")
     return overlap / (2 * prob)
-
-
-def pair_marginal(state: JointState, k: int, party: int = 0) -> np.ndarray:
-    """Single-party 2x2 reduced state of the k-th output qubit; 0 is Alice."""
-    if party not in (0, 1):
-        raise ValueError("party must be 0 (Alice) or 1 (Bob)")
-    rho, _ = reduced_pair(state, k)
-    return rho.reshape(2, 2, 2, 2).trace(axis1=1 - party, axis2=3 - party)
-
-
-def pair_memory_product_gap(state: JointState, k: int) -> float:
-    """Trace distance between (pair k + t,l registers) and its product form.
-
-    Zero means the emitted pair is exactly uncorrelated with both parties'
-    lattice position, which is what makes streaming emission safe.
-    """
-    import numpy as np
-    psi = _pair_amplitudes(state, k, registers=("t", "l"))
-    nreg = psi.shape[1]
-    psi = psi.reshape(4 * nreg, -1)
-    rho = psi @ psi.conj().T
-    rho /= np.trace(rho).real
-    full = rho.reshape(4, nreg, 4, nreg)
-    rho_pair = np.trace(full, axis1=1, axis2=3)
-    rho_regs = np.trace(full, axis1=0, axis2=2)
-    gap = (full - rho_pair[:, None, :, None] * rho_regs[None, :, None, :]).reshape(rho.shape)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(gap))))
 
 
 def _weights_by(table: ColumnTable, column) -> dict:
@@ -560,8 +441,7 @@ def register_distribution(state: JointState, name: str) -> dict:
     """Probability of each value of a named Alice label field other than the
     tape (t, u, l or purity; kept for von Neumann labels)."""
     table = state.table
-    ids, values = table.alice.field(name)
-    dist = {values[i]: weight for i, weight in _weights_by(table, ids).items()}
+    dist = _weights_by(table, table.alice.field(name))
     return dict(sorted(dist.items(), key=lambda kv: (kv[0] is None, kv[0])))
 
 
@@ -570,14 +450,18 @@ def distribution_entropy(dist: dict) -> float:
     return max(0.0, -sum(p * math.log2(p) for p in dist.values() if p > 0))
 
 
-def certain_pairs(state: JointState, tol: float = 1e-12) -> int:
+# A tape length of at most this probability counts as never taken.
+CERTAIN_TOL = 1e-12
+
+
+def certain_pairs(state: JointState) -> int:
     """Number of leading tape slots occupied with probability 1.
 
     Slots past this point exist only in superposition of tape lengths
     (the incubation region) and should not yet be consumed.
     """
     lengths = tape_length_distribution(state)
-    return min(l for l, pr in lengths.items() if pr > tol)
+    return min(l for l, pr in lengths.items() if pr > CERTAIN_TOL)
 
 
 # -- fixed small scenarios -------------------------------------------------

@@ -413,6 +413,43 @@ def test_extract_refuses_to_write_over_its_input(tmp_path, capsys):
                  "--report", str(rep)]) == 0
 
 
+def test_extract_refuses_a_report_over_its_input_or_output(tmp_path, capsys, monkeypatch):
+    # The report is written last: over the output it would replace the
+    # extracted bits, over the input it would overwrite it.  Both are refused
+    # before any file is opened for writing.
+    def walk(self, *args):
+        raise AssertionError("walked a refused run")
+
+    monkeypatch.setattr(StreamExtractor, "_walk", walk)
+    data = hashlib.shake_256(PINNED_INPUT).digest(2048)
+    inp, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    inp.write_bytes(data)
+    out.write_bytes(b"earlier output")
+    os.link(out, tmp_path / "out-link.bin")
+    os.link(inp, tmp_path / "in-link.bin")
+    os.symlink(tmp_path, tmp_path / "dir-link")
+    cases = [(out, out, "output"), (out, tmp_path / "out-link.bin", "output"),
+             (tmp_path / "new.bin", tmp_path / "." / "new.bin", "output"),
+             (tmp_path / "new.bin", tmp_path / "dir-link" / "new.bin", "output"),
+             (out, inp, "input"), (out, tmp_path / "in-link.bin", "input")]
+    for output, report, named in cases:
+        for demand in ((), ("--demand", "8")):
+            argv = ["extract", "--input", str(inp), "--output", str(output), "--report", str(report)]
+            assert main([*argv, *demand]) == 2
+            assert capsys.readouterr().err == f"error: --report names the --{named} file\n"
+            assert inp.read_bytes() == data and out.read_bytes() == b"earlier output"
+            assert not (tmp_path / "new.bin").exists()
+    with inp.open("rb") as handle:  # the input file as stdin
+        proc = cli_fresh(["extract", "--report", str(inp)], tmp_path, handle)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: --report names the --input file\n"
+    assert inp.read_bytes() == data
+    # a device, named twice, is no file to replace
+    monkeypatch.undo()
+    assert main(["extract", "--input", str(inp), "--output", os.devnull,
+                 "--report", os.devnull]) == 0
+
+
 # SHA-256 of `extract` outputs on fixed inputs, recorded before the streaming
 # engine was rewritten to carry one coefficient (the 512-byte ones: before the
 # window took over at l = 1,024); the same digests are checked on the

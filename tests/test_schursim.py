@@ -7,9 +7,18 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from oracles import (
+    collective_rotation,
+    naive_pair_amplitudes,
+    pair_marginal,
+    pair_memory_product_gap,
+    reduced_pair,
+    tape_text,
+    two_qubit_source,
+)
 
 from eliastream import schursim
-from eliastream.extractor import pack_code, run, walk_tree
+from eliastream.extractor import as_count, pack_code, run, walk_tree
 from eliastream.schursim import (
     JointState,
     TAPE_BITS_MAX,
@@ -19,37 +28,24 @@ from eliastream.schursim import (
     SimulatorCapError,
     Tape,
     UndefinedPairError,
-    _gather,
-    _pair_amplitudes,
     certain_pairs,
     cg_step,
-    collective_rotation,
     distribution_entropy,
     emission_probability,
     huffman_counterexample,
     huffman_output_state,
     nonhalting_amplitude,
     pair_fidelity,
-    pair_marginal,
-    pair_memory_product_gap,
-    reduced_pair,
     register_distribution,
     schur_transform,
     simulate_known_basis,
     simulate_universal,
     simulate_von_neumann,
     tape_length_distribution,
-    two_qubit_source,
 )
 from eliastream.young import dim, q_run
 
 PHI_PLUS = np.array([1, 0, 0, 1]) / math.sqrt(2)
-
-
-@functools.lru_cache(maxsize=1 << 16)  # the gather oracle reads each label again per k
-def tape_text(label):
-    """A label's tape as 0/1 text, MSB first: the naive view of its code."""
-    return format(label.tape, f"0{label.l}b") if label.l else ""
 
 
 def text_label(tape, t=0, purity=0):
@@ -513,37 +509,6 @@ def test_memory_gap_detects_a_pair_entangled_with_its_register():
     assert pair_memory_product_gap(product, 1) < 1e-12
 
 
-def naive_pair_amplitudes(state, k, registers=()):
-    """Per-label gather, the oracle for the column table: label fields are
-    read from the label objects row by row, and register and environment
-    values are numbered by dict in order of first appearance."""
-
-    def dense_ids(keys):
-        ids = {}
-        return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=int)
-
-    held = [
-        (la, lb, amp)
-        for (la, lb), amp in state.amps.items()
-        if la.l >= k and lb.l >= k
-    ]
-    alice, bob, amps = zip(*held)
-    pair = np.zeros(len(amps), dtype=int)
-    reg_columns, env_columns = [], []
-    for weight, labels in ((2, alice), (1, bob)):
-        columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
-        del columns["tape"]
-        tapes = [tape_text(label) for label in labels]
-        pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
-        reg_columns += [columns.pop(name) for name in registers]
-        env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
-    reg = dense_ids(zip(*reg_columns)) if registers else np.zeros_like(pair)
-    env = dense_ids(zip(*env_columns))
-    psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
-    psi[pair, reg, env] = amps
-    return psi
-
-
 def hand_built_states():
     """The small hand-made states of this file: perfect pair (also the
     gap-free product case), product pair, Alice-first, and the coherent and
@@ -607,15 +572,13 @@ def naive_emission_probability(state, k):
 
 
 def gather_fidelity(state, k):
-    """The fidelity read from the gather's cells, environments in id order:
-    the oracle of the one-pass fidelity, adding in the same order."""
-    pairs, _, envs, amps = _gather(state, k)
-    overlaps, prob = [0.0] * (max(envs) + 1), 0.0
-    for pair, env, amp in zip(pairs, envs, amps):
-        prob += abs(amp) ** 2
-        if pair == 0 or pair == 3:
-            overlaps[env] += amp
-    return sum(abs(c) ** 2 for c in overlaps) / (2 * prob)
+    """The fidelity read from the naive gather, environments in id order: the
+    oracle of the one-pass fidelity, adding in the same order.  An
+    environment holds at most one row per pair-bit value, so each overlap is
+    a sum of two terms, the same in either order."""
+    psi = naive_pair_amplitudes(state, k)[:, 0]
+    overlaps = (complex(a) + complex(b) for a, b in zip(psi[0], psi[3]))
+    return sum(abs(c) ** 2 for c in overlaps) / (2 * naive_emission_probability(state, k))
 
 
 def lopsided_states():
@@ -646,11 +609,11 @@ def lopsided_states():
     ]
 
 
-def assert_gathers_equal_naive(state, registers_options):
+def assert_gathers_equal_naive(state):
     """Every pair up to one past the longest tape: the emission probability
-    and fidelity equal their oracles exactly, a pair no row holds has no
-    fidelity, and the dense gathers of the held ones equal the per-label
-    gather.  Returns whether some row holds a pair."""
+    and fidelity equal their oracles exactly, and a pair no row holds has no
+    fidelity; every distribution of an Alice label field but the tape equals
+    its per-row sum.  Returns whether some row holds a pair."""
     held_any = False
     for k in range(1, max(max(la.l, lb.l) for la, lb in state.amps) + 2):
         assert emission_probability(state, k) == naive_emission_probability(state, k), k
@@ -660,39 +623,37 @@ def assert_gathers_equal_naive(state, registers_options):
             continue
         held_any = True
         assert pair_fidelity(state, k) == gather_fidelity(state, k), k
-        for registers in registers_options:
-            expected = naive_pair_amplitudes(state, k, registers)
-            assert np.array_equal(_pair_amplitudes(state, k, registers), expected), (k, registers)
     assert tape_length_distribution(state) == naive_distribution(state, lambda la: la.l)
-    if isinstance(next(iter(state.amps))[0], PartyLabel):
-        assert register_distribution(state, "t") == naive_distribution(state, lambda la: la.t)
+    # t, u, l and purity of a PartyLabel; l, kept and purity of a VNLabel
+    for name in next(iter(state.amps))[0]._fields:
+        if name != "tape":
+            expected = naive_distribution(state, lambda la: getattr(la, name))
+            dist = register_distribution(state, name)
+            assert dist == expected and list(dist) == sorted(expected, key=lambda v: (v is None, v)), name
     return held_any
-
-
-BOTH_GATHERS = ((), ("t", "l"))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_table_gather_equals_naive_gather_on_known_states(n):
     for p in [k / 10 for k in range(1, 10)]:  # the acceptance suite's P_GRID
-        assert_gathers_equal_naive(simulate_known_basis(p, n), BOTH_GATHERS)
+        assert_gathers_equal_naive(simulate_known_basis(p, n))
 
 
 @pytest.mark.parametrize("p,theta", [(0.3, 1.1), (0.7, 0.3), (0.5, 0.7)])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_table_gather_equals_naive_gather_on_universal_states(n, p, theta):
     state = simulate_universal(n, p=p, theta=theta)
-    assert_gathers_equal_naive(state, BOTH_GATHERS)
+    assert_gathers_equal_naive(state)
 
 
 def test_table_gather_equals_naive_gather_on_fixed_and_hand_built_states():
     for pairs in range(7):
-        assert assert_gathers_equal_naive(simulate_von_neumann(0.3, pairs), ((),)) == (pairs > 0)
-    assert assert_gathers_equal_naive(huffman_output_state(), BOTH_GATHERS)
+        assert assert_gathers_equal_naive(simulate_von_neumann(0.3, pairs)) == (pairs > 0)
+    assert assert_gathers_equal_naive(huffman_output_state())
     *lopsided, nothing_held = lopsided_states()
     for state in [*hand_built_states(), long_tape_state(), *key_edge_states(), *lopsided]:
-        assert assert_gathers_equal_naive(state, BOTH_GATHERS)
-    assert not assert_gathers_equal_naive(nothing_held, BOTH_GATHERS)
+        assert assert_gathers_equal_naive(state)
+    assert not assert_gathers_equal_naive(nothing_held)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
@@ -701,7 +662,7 @@ def test_table_gather_equals_naive_gather_on_a_complex_source(n):
     psi = collective_rotation(two_qubit_source(0.3, 1.1), rotation(1.1, "z") @ rotation(0.9, "y"))
     state = simulate_universal(n, psi=psi)
     assert any(isinstance(a, complex) and a.imag for a in state.amps.values())
-    assert_gathers_equal_naive(state, BOTH_GATHERS)
+    assert_gathers_equal_naive(state)
 
 
 def assert_fidelity_equals_dense_oracle(state):
@@ -738,7 +699,7 @@ def test_pair_fidelity_equals_the_dense_oracle_on_fixed_and_hand_built_states():
 def test_report_statistics_reject_the_pair_indices_the_gather_rejects(k):
     state = simulate_universal(4, p=0.3, theta=0.7)
     with pytest.raises(ValueError) as expected:
-        _gather(state, k)
+        as_count(k, "pair index", lo=1)
     for statistic in (emission_probability, pair_fidelity):
         with pytest.raises(ValueError) as caught:
             statistic(state, k)
@@ -747,31 +708,14 @@ def test_report_statistics_reject_the_pair_indices_the_gather_rejects(k):
 
 
 def test_report_statistics_gather_nothing():
+    # both statistics of pair k share one pass, memoised per k: no cells kept
     state = simulate_universal(5, p=0.3, theta=0.7)
     longest = max(la.l for la, _ in state.amps)
     for k in range(1, longest + 1):
         if emission_probability(state, k) > 0:
             pair_fidelity(state, k)
     assert list(state.table.pairs) == list(range(1, longest + 1))
-    assert not state.table.gathers and not state.table.arrays
-
-
-def test_the_dense_gather_holds_the_gathered_cells():
-    state = simulate_universal(5, p=0.3, theta=0.7)
-    pairs, regs, envs, amps = _gather(state, 1)
-    psi = _pair_amplitudes(state, 1)
-    assert list(state.table.gathers) == [(1, ())]
-    assert np.count_nonzero(psi) == len(amps) == len(pairs) == len(regs) == len(envs)
-    assert all(psi[pair, reg, env] == amp for pair, reg, env, amp in zip(pairs, regs, envs, amps))
-
-
-def test_pair_gathers_are_memoised_and_read_only():
-    state = simulate_known_basis(0.3, 6)
-    psi = _pair_amplitudes(state, 1)
-    assert _pair_amplitudes(state, 1) is psi
-    assert _pair_amplitudes(state, 1, ("t", "l")) is not psi
-    with pytest.raises(ValueError):
-        psi[0, 0, 0] = 1.0
+    assert all(len(stats) == 2 for stats in state.table.pairs.values())
 
 
 def test_joint_state_amplitudes_are_read_only():
