@@ -1,4 +1,4 @@
-"""Exact binomial coefficients: single-bit queries and bin layouts.
+"""Exact binomial coefficients and their bin layouts.
 
 ``binom`` is the package's one source of exact lattice sizes: ``math.comb``,
 integer-exact, with no size cap and nothing kept between calls.  No module
@@ -13,15 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
-
-
-class BinLayout(NamedTuple):
-    """Binary expansion of C(n, t) as bins of size 2^L, exponents descending."""
-
-    n: int
-    t: int
-    bins: tuple[int, ...]
 
 
 class BinomialTable:
@@ -71,15 +62,8 @@ def binom(n: int, t: int) -> int:
     return math.comb(n, t) if 0 <= t <= n else 0
 
 
-def binom_bit(n: int, t: int, l: int) -> int:
-    """Bit l of C(n, t); zero whenever t < 0 or t > n."""
-    if n < 0 or l < 0:
-        raise ValueError("n and l must be >= 0")
-    return (binom(n, t) >> l) & 1
-
-
-def bin_layout(n: int, t: int) -> BinLayout:
-    """Decompose C(n, t) into bins of size 2^L, largest first.
+def bin_layout(n: int, t: int) -> tuple[int, ...]:
+    """Decompose C(n, t) into bins of size 2^L: the exponents L, largest first.
 
     The exponents are exactly the set-bit positions of C(n, t).
     """
@@ -87,5 +71,4 @@ def bin_layout(n: int, t: int) -> BinLayout:
         raise ValueError(f"t={t} out of range for n={n}")
     value = binom(n, t)
     top = value.bit_length() - 1
-    bins = tuple(top - i for i, digit in enumerate(bin(value)[2:]) if digit == "1")
-    return BinLayout(n, t, bins)
+    return tuple(top - i for i, digit in enumerate(bin(value)[2:]) if digit == "1")

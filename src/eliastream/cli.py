@@ -14,8 +14,10 @@ block, not by the input; a ``--demand`` stops the reading once it is met.
 The input is opened before the output and both before the walk.  An
 ``--output`` naming the ``--input`` file is refused (exit 2): opening it for
 writing would truncate the input before it is read.  So is a ``--report``
-naming either file, before any file is opened for writing: the report,
-written last, would replace it.
+naming either file, or the file a redirected stdout writes to, before any
+file is opened for writing: the report, written last, would replace it.  A
+standard stream the process started without (closed, so Python set it to
+None) is an I/O error when a command reads or writes it.
 
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import math
 import os
 import stat
@@ -66,12 +69,21 @@ def pack_bits(bits) -> tuple[bytes, int]:
     return (int(text or b"0", 2) << pad).to_bytes((len(text) + pad) // 8, "big"), pad
 
 
+def _std(name: str):
+    """``sys.stdin``, ``sys.stdout`` or ``sys.stderr`` by name; OSError where
+    the process started with that stream closed and Python set it to None."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def write_report(fields: dict, path: str | None) -> None:
     lines = [f"schema={REPORT_SCHEMA}"]
     lines += [f"{key}={value}" for key, value in fields.items()]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
-        sys.stderr.write(text)
+        _std("stderr").write(text)
     else:
         with open(path, "w") as handle:
             handle.write(text)
@@ -90,13 +102,14 @@ _BLOCK = 1024
 def _open(path: str, mode: str):
     """The file at `path`, or for "-" the standard stream, left open on exit."""
     if path == "-":
-        return contextlib.nullcontext(sys.stdin.buffer if "r" in mode else sys.stdout.buffer)
+        return contextlib.nullcontext(_std("stdin" if "r" in mode else "stdout").buffer)
     return open(path, mode)
 
 
 def _same_file(src, path: str) -> bool:
     """Whether `path` names the regular file that `src` stands for: an open
-    handle, or a path, which may name no file yet."""
+    handle, or a path, which may name no file yet.  A handle with no file
+    descriptor (an in-memory stream) stands for no file."""
     try:
         there = os.stat(path)
     except FileNotFoundError:
@@ -106,7 +119,7 @@ def _same_file(src, path: str) -> bool:
                 and os.path.realpath(src) == os.path.realpath(path))
     try:
         here = os.stat(src) if isinstance(src, str) else os.fstat(src.fileno())
-    except FileNotFoundError:
+    except (FileNotFoundError, io.UnsupportedOperation):
         return False
     return stat.S_ISREG(here.st_mode) and os.path.samestat(here, there)
 
@@ -152,14 +165,15 @@ def cmd_extract(args) -> int:
     # Input before output, and both before the walk: a missing input leaves
     # no output file, and an unwritable output walks nothing.  The output is
     # written while the input is read, so it must not be the input file, and
-    # the report is written last, so it must be neither.
+    # the report is written last, so it must be neither, nor the stdout file.
     with _open(args.input, "rb") as src:
         if args.output != "-" and _same_file(src, args.output):
             raise ValueError("--output names the --input file")
         if args.report not in (None, "-"):
             if _same_file(src, args.report):
                 raise ValueError("--report names the --input file")
-            if args.output != "-" and _same_file(args.output, args.report):
+            output = _std("stdout").buffer if args.output == "-" else args.output
+            if _same_file(output, args.report):
                 raise ValueError("--report names the --output file")
         with _open(args.output, "wb") as sink:
             state, delivered, pad = _extract_blocks(src, sink, args.demand)
@@ -293,7 +307,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # SimulatorCapError is a ValueError
-        sys.stderr.write(f"error: {exc}\n")
+        if sys.stderr is not None:
+            sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

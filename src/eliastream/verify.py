@@ -30,8 +30,9 @@ BALANCED_CAP = 14
 YIELD_P_VALUES = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
 # Yield-to-bound gaps, in bits, that floats decide; float error at these sizes
 # is ~1e-14 and the smallest gap over n <= 23 is 1.25 bits.  Closer pairs go
-# to the 40-digit theorem_bound.
+# to theorem_bound, at YIELD_DPS decimal digits.
 YIELD_FLOAT_MARGIN = 1e-9
+YIELD_DPS = 40
 
 
 class _Checked:  # a suite's report passes when it records no violation
@@ -145,9 +146,9 @@ def exhaustive_equivalence(n: int, tallies: dict | None = None) -> EquivalenceRe
         if sum(sizes.values()) != binom(n, t):
             report.violations.append(f"type {t}: node sizes sum to {sum(sizes.values())}, "
                                      f"want C({n},{t})={binom(n, t)}")
-        if set(sizes) != set(bin_layout(n, t).bins):
+        if set(sizes) != set(bin_layout(n, t)):
             report.violations.append(f"type {t}: l values {sorted(sizes)} != layout "
-                                     f"{sorted(bin_layout(n, t).bins)}")
+                                     f"{sorted(bin_layout(n, t))}")
     return report
 
 
@@ -178,11 +179,11 @@ def balanced_paths(n: int, tallies: dict | None = None) -> BalancedReport:
     return report
 
 
-def theorem_bound(n: int, p: Fraction, dps: int = 40) -> mpmath.mpf:
-    """n H(p) - log2(n+1) - 2 at high precision."""
+def theorem_bound(n: int, p: Fraction) -> mpmath.mpf:
+    """n H(p) - log2(n+1) - 2 at ``YIELD_DPS`` decimal digits."""
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(YIELD_DPS):
         if p in (0, 1):
             h = mpmath.mpf(0)
         else:
@@ -202,7 +203,7 @@ def yield_bound_sweep(max_n: int) -> YieldBoundReport:
     """Exact expected yield against the entropy bound for every n >= 1 and
     every p in ``YIELD_P_VALUES``.  A pair further apart than
     ``YIELD_FLOAT_MARGIN`` is compared in floats, any other against the
-    40-digit ``theorem_bound``; the report holds the float bound either way."""
+    ``YIELD_DPS``-digit ``theorem_bound``; the report holds the float bound."""
     max_n = as_count(max_n, "max_n", lo=1)
     report = YieldBoundReport(max_n, YIELD_P_VALUES)
     for n in range(1, max_n + 1):
@@ -215,7 +216,7 @@ def yield_bound_sweep(max_n: int) -> YieldBoundReport:
             else:
                 import mpmath
 
-                with mpmath.workdps(40):
+                with mpmath.workdps(YIELD_DPS):
                     below = mpmath.mpf(exact.numerator) / exact.denominator < theorem_bound(n, p)
             if below:
                 report.violations.append(f"n={n} p={p}: yield {value:.6f} < bound {bound:.6f}")

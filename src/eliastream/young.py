@@ -1,19 +1,18 @@
 """Two-row Young diagrams and the lattice walk that concentrates them.
 
 A node (n, t) is the diagram with n - t boxes in row one and t in row two;
-validity requires 0 <= t <= n - t.  Its symmetric-group irrep dimension is
-available three independent ways (closed form, literal hook lengths, path
-counting), and the dimensions satisfy the same additive recursion as
-binomial coefficients once invalid nodes count as zero.  That recursion is
-all the transition rule ``extractor.walk_step`` ever uses, so handing it
-dimensions in place of binomial coefficients gives the same machine on this
-lattice: qstep(), the extractor's ``step`` on ``dim``, with the extractor's
-state and step types.
+validity requires 0 <= t <= n - t.  ``dim`` gives its symmetric-group irrep
+dimension in closed form; the naive hook-length and path-counting references
+it is tested against are test oracles.  The dimensions satisfy the same
+additive recursion as binomial coefficients once invalid nodes count as
+zero.  That recursion is all the transition rule ``extractor.walk_step``
+ever uses, so handing it dimensions in place of binomial coefficients gives
+the same machine on this lattice: qstep(), the extractor's ``step`` on
+``dim``, with the extractor's state and step types.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 from .binomial import binom
@@ -42,49 +41,6 @@ def dim(n: int, t: int) -> int:
     if rem:
         raise AssertionError(f"closed form not integral at ({n}, {t})")
     return div
-
-
-def hook_dim_oracle(n: int, t: int) -> int:
-    """Dimension computed literally from per-box hook lengths.
-
-    hook(x) = boxes to the right + boxes below + 1; dim = n! / prod(hooks).
-    """
-    n, t = as_node(n, t)
-    if not is_valid(n, t):
-        raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
-    if n == 0:
-        return 1
-    r1, r2 = n - t, t
-    hooks = 1
-    for c in range(r1):
-        hooks *= (r1 - 1 - c) + (1 if c < r2 else 0) + 1
-    for c in range(r2):
-        hooks *= (r2 - 1 - c) + 1
-    quotient, rem = divmod(math.factorial(n), hooks)
-    if rem:
-        raise AssertionError("hook product does not divide n!")
-    return quotient
-
-
-def path_count(n: int, t: int) -> int:
-    """Number of box-add paths from the empty diagram that stay valid.
-
-    Forward count over the lattice, one level at a time; no closed form
-    is consulted.
-    """
-    n, t = as_node(n, t)
-    if not is_valid(n, t):
-        raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
-    level = {0: 1}
-    for m in range(n):
-        nxt: dict[int, int] = {}
-        for tt, ways in level.items():
-            if is_valid(m + 1, tt):
-                nxt[tt] = nxt.get(tt, 0) + ways
-            if is_valid(m + 1, tt + 1):
-                nxt[tt + 1] = nxt.get(tt + 1, 0) + ways
-        level = nxt
-    return level.get(t, 0)
 
 
 def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:

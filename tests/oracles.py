@@ -1,19 +1,157 @@
-"""Naive oracles of the coherent simulators, shared by the test modules.
+"""Naive oracles shared by the test modules; pytest collects no tests here.
 
-pytest collects no tests from this file.  ``naive_pair_amplitudes`` gathers
-the branches that hold output pair k by reading each label object field by
-field, with no column table.  On it rest the array statistics that certify
-an emitted pair: its reduced state, its single-party marginals and its
-memory gap to the lattice registers.  The source helpers build the
-two-qubit inputs of the universal simulator as numpy matrices.
+Block extraction: the whole-block map string -> codeword (T, L, alpha), by
+combinadic rank and a fixed canonical binning (descending bin order), and
+the source model's string and type probabilities.  The streaming machine
+induces a different per-string map; the two agree at the level of per-(T, L)
+counts, which is what the equivalence harness checks, and
+``elias.expected_yield`` is certified against the per-string sum.
+
+Young lattice: the irrep dimension of a two-row diagram from literal hook
+lengths and by counting box-add paths, the two references for the closed
+form ``young.dim``.
+
+Coherent simulators: ``naive_pair_amplitudes`` gathers the branches that
+hold output pair k by reading each label object field by field, with no
+column table.  On it rest the array statistics that certify an emitted
+pair: its reduced state, its single-party marginals and its memory gap to
+the lattice registers.  The source helpers build the two-qubit inputs of
+the universal simulator as numpy matrices.
 """
 
 import functools
+import math
+from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from eliastream.extractor import as_count
+from eliastream.binomial import bin_layout, binom
+from eliastream.extractor import as_count, as_node, parse_bits
 from eliastream.schursim import UndefinedPairError, _source_rows
+from eliastream.young import is_valid
+
+Bits = Iterable[int]
+
+
+def p1(model) -> Fraction:
+    """The probability of a 1 bit under a ``SourceModel``."""
+    return 1 - model.p0
+
+
+def type_prob(model, n: int, t: int) -> Fraction:
+    """Probability that an n-bit draw has Hamming weight t."""
+    return binom(n, t) * string_prob(model, n, t)
+
+
+def string_prob(model, n: int, t: int) -> Fraction:
+    """Probability of any single n-bit string of weight t."""
+    return model.p0 ** (n - t) * p1(model)**t
+
+
+class BlockCodeword(NamedTuple):
+    t: int
+    l: int
+    alpha: int
+
+
+def rank_in_type(bits: "Bits | str") -> int:
+    """Combinadic (colexicographic) rank among same-length, same-weight strings.
+
+    Reading the string as a binary numeral (first character most significant),
+    the ones sit at bit positions p_1 < p_2 < ... < p_t, and the rank is
+    sum_i C(p_i, i).  This is a bijection onto [0, C(n, t)).
+    """
+    s = parse_bits(bits)
+    n = len(s)
+    rank = 0
+    i = 0
+    for pos in range(n - 1, -1, -1):  # LSB first
+        if s[pos]:
+            i += 1
+            rank += binom(n - 1 - pos, i)
+    return rank
+
+
+def bin_of_rank(n: int, t: int, rank: int) -> BlockCodeword:
+    """Assign a within-type rank to its bin, largest bins first."""
+    (n, t), rank = as_node(n, t), as_count(rank, "rank", lo=None)
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} out of range for n={n}")
+    if not 0 <= rank < binom(n, t):
+        raise ValueError(f"rank={rank} out of range for C({n},{t})={binom(n, t)}")
+    offset = rank
+    for l in bin_layout(n, t):
+        size = 1 << l
+        if offset < size:
+            return BlockCodeword(t, l, offset)
+        offset -= size
+    raise AssertionError("unreachable: layout covers [0, C(n, t))")
+
+
+def block_codeword(bits: "Bits | str") -> BlockCodeword:
+    """Full block map: string -> (T, L, alpha)."""
+    s = parse_bits(bits)
+    return bin_of_rank(len(s), sum(s), rank_in_type(s))
+
+
+def conditional_bin_entropy(n: int, t: int) -> float:
+    """H(L | T=t) in bits: entropy of the bin-size distribution 2^L / C(n, t).
+
+    Majorized by the geometric distribution 2^-l, so always below 2 bits.
+    """
+    n, t = as_node(n, t)
+    if not 0 <= t <= n:
+        raise ValueError(f"t={t} out of range for n={n}")
+    c = binom(n, t)
+    h = 0.0
+    for l in bin_layout(n, t):
+        pr = (1 << l) / c
+        h -= pr * math.log2(pr)
+    return h
+
+
+def hook_dim_oracle(n: int, t: int) -> int:
+    """Dimension computed literally from per-box hook lengths.
+
+    hook(x) = boxes to the right + boxes below + 1; dim = n! / prod(hooks).
+    """
+    n, t = as_node(n, t)
+    if not is_valid(n, t):
+        raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
+    if n == 0:
+        return 1
+    r1, r2 = n - t, t
+    hooks = 1
+    for c in range(r1):
+        hooks *= (r1 - 1 - c) + (1 if c < r2 else 0) + 1
+    for c in range(r2):
+        hooks *= (r2 - 1 - c) + 1
+    quotient, rem = divmod(math.factorial(n), hooks)
+    if rem:
+        raise AssertionError("hook product does not divide n!")
+    return quotient
+
+
+def path_count(n: int, t: int) -> int:
+    """Number of box-add paths from the empty diagram that stay valid.
+
+    Forward count over the lattice, one level at a time; no closed form
+    is consulted.
+    """
+    n, t = as_node(n, t)
+    if not is_valid(n, t):
+        raise ValueError(f"({n}, {t}) is not a valid two-row diagram")
+    level = {0: 1}
+    for m in range(n):
+        nxt: dict[int, int] = {}
+        for tt, ways in level.items():
+            if is_valid(m + 1, tt):
+                nxt[tt] = nxt.get(tt, 0) + ways
+            if is_valid(m + 1, tt + 1):
+                nxt[tt + 1] = nxt.get(tt + 1, 0) + ways
+        level = nxt
+    return level.get(t, 0)
 
 
 @functools.lru_cache(maxsize=1 << 16)  # the gather oracle reads each label again per k

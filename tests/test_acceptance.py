@@ -13,16 +13,19 @@ import numpy as np
 import pytest
 from oracles import (
     collective_rotation,
+    conditional_bin_entropy,
+    hook_dim_oracle,
     naive_pair_amplitudes,
     pair_and_memory_gap,
     party_marginal,
+    path_count,
     reduced_pair,
     two_qubit_source,
 )
 
 from eliastream import extractor
 from eliastream.binomial import binom
-from eliastream.elias import SourceModel, conditional_bin_entropy, expected_yield
+from eliastream.elias import SourceModel, expected_yield
 from eliastream.extractor import (
     ExtractorState,
     StreamExtractor,
@@ -48,7 +51,7 @@ from eliastream.verify import (
     tally,
     theorem_bound,
 )
-from eliastream.young import dim, hook_dim_oracle, path_count
+from eliastream.young import dim
 
 P_GRID = [Fraction(k, 10) for k in range(1, 10)]
 
@@ -86,7 +89,7 @@ def test_c02_yield_meets_entropy_bound_at_large_n():
     for n in (100, 1000):
         for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             exact = expected_yield(n, SourceModel(p), cap=n)
-            bound = theorem_bound(n, p, dps=40)
+            bound = theorem_bound(n, p)
             with mpmath.workdps(40):
                 value = mpmath.mpf(exact.numerator) / exact.denominator
                 assert value >= bound, (n, p, float(value), float(bound))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eliastream
-from eliastream.binomial import bin_layout, binom, binom_bit, build_table
+from eliastream.binomial import bin_layout, binom, build_table
 
 SRC = Path(eliastream.__file__).resolve().parents[1]
 
@@ -51,8 +51,6 @@ def test_pascal_recursion_holds_everywhere():
 def test_out_of_range_convention():
     assert binom(0, -1) == 0
     assert binom(5, 6) == 0
-    assert binom_bit(0, -1, 0) == 0
-    assert binom_bit(3, 7, 0) == 0
 
 
 @pytest.mark.parametrize(
@@ -60,7 +58,8 @@ def test_out_of_range_convention():
     [(2, 1, 0, 0), (2, 1, 1, 1), (4, 2, 1, 1), (0, -1, 0, 0)],
 )
 def test_binom_bit_examples(n, t, l, expected):
-    assert binom_bit(n, t, l) == expected
+    # bit l of C(n, t), zero whenever t < 0 or t > n
+    assert binom(n, t) >> l & 1 == expected
 
 
 @given(
@@ -70,8 +69,11 @@ def test_binom_bit_examples(n, t, l, expected):
 )
 @settings(max_examples=500)
 def test_binom_bit_matches_stdlib_bit_extraction(n, t, l):
+    # the set bits of C(n, t) are exactly the exponents of its bin layout
     reference = math.comb(n, t) if 0 <= t <= n else 0
-    assert binom_bit(n, t, l) == (reference >> l) & 1
+    assert binom(n, t) >> l & 1 == (reference >> l) & 1
+    if 0 <= t <= n:
+        assert (l in bin_layout(n, t)) == (reference >> l) & 1
 
 
 def test_binom_bit_ten_thousand_random_triples():
@@ -83,13 +85,16 @@ def test_binom_bit_ten_thousand_random_triples():
         t = rnd.randint(-2, n + 2)
         l = rnd.randint(0, 210)
         reference = math.comb(n, t) if 0 <= t <= n else 0
-        assert binom_bit(n, t, l) == (reference >> l) & 1
+        assert binom(n, t) >> l & 1 == (reference >> l) & 1
+        if 0 <= t <= n:
+            assert (l in bin_layout(n, t)) == (reference >> l) & 1
 
 
 def test_binom_bit_pure():
-    triples = [(17, 5, 3), (200, 100, 64), (1, 0, 0)]
-    first = [binom_bit(*tr) for tr in triples]
-    assert [binom_bit(*tr) for tr in triples] == first
+    # nothing is kept between calls: a repeated query gives the same layout
+    nodes = [(17, 5), (200, 100), (1, 0)]
+    first = [bin_layout(*node) for node in nodes]
+    assert [bin_layout(*node) for node in nodes] == first
 
 
 @pytest.mark.parametrize(
@@ -97,7 +102,7 @@ def test_binom_bit_pure():
     [(5, 2, (3, 1)), (4, 2, (2, 1)), (6, 3, (4, 2)), (2, 1, (1,)), (3, 0, (0,))],
 )
 def test_bin_layout_examples(n, t, bins):
-    assert bin_layout(n, t).bins == bins
+    assert bin_layout(n, t) == bins
 
 
 def test_bin_layout_rejects_out_of_range():
@@ -111,9 +116,9 @@ def test_layout_sums_to_coefficient_everywhere():
     for n in range(65):
         for t in range(n + 1):
             layout = bin_layout(n, t)
-            assert sum(1 << l for l in layout.bins) == binom(n, t)
-            assert list(layout.bins) == sorted(layout.bins, reverse=True)
-            assert len(set(layout.bins)) == len(layout.bins)
+            assert sum(1 << l for l in layout) == binom(n, t)
+            assert list(layout) == sorted(layout, reverse=True)
+            assert len(set(layout)) == len(layout)
 
 
 def test_negative_max_n_rejected():

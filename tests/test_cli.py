@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -463,15 +464,18 @@ PINNED = {
 }
 
 
-def cli_fresh(argv, cwd, stdin=b""):
+def cli_fresh(argv, cwd, stdin=b"", **streams):
     """`python -m eliastream.cli` with `argv` in a new interpreter, on this
-    package; `stdin` is bytes to pipe in or an open file to read from."""
+    package; `stdin` is bytes to pipe in or an open file to read from.
+    `streams` replaces ``subprocess.run``'s captured stdout or stderr, or
+    sets its ``preexec_fn``."""
     env = dict(os.environ)
     src = str(Path(eliastream.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     source = {"input": stdin} if isinstance(stdin, bytes) else {"stdin": stdin}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
     return subprocess.run([sys.executable, "-m", "eliastream.cli", *argv], **source,
-                          capture_output=True, cwd=cwd, env=env, timeout=120)
+                          **streams, cwd=cwd, env=env, timeout=120)
 
 
 def whole_input_extract(data, demand=None):
@@ -519,6 +523,50 @@ def test_extract_in_blocks_equals_one_whole_input_walk(tmp_path, size):
         assert main(["extract", "--input", str(inp), "--output", str(out),
                      "--report", str(rep), *args]) == 0
         assert (out.read_bytes(), report_lines(rep.read_text())) == whole_input_extract(data, demand)
+
+
+def test_extract_refuses_a_report_over_a_redirected_stdout(tmp_path, capsysbinary):
+    # The shell opens the file behind stdout before extract runs, truncating
+    # it (">") or not (">>").  A --report naming that file would replace the
+    # extracted bytes, or the file's earlier contents; it is refused before
+    # anything is written.
+    data = hashlib.shake_256(PINNED_INPUT).digest(2048)
+    inp, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    inp.write_bytes(data)
+    argv = ["extract", "--input", str(inp), "--report"]
+    for mode, left in (("wb", b""), ("ab", b"earlier output")):
+        out.write_bytes(b"earlier output")
+        with out.open(mode) as sink:
+            proc = cli_fresh([*argv, str(out)], tmp_path, stdout=sink)
+        assert (proc.returncode, proc.stderr) == (2, b"error: --report names the --output file\n")
+        assert out.read_bytes() == left
+    # a device or a pipe as stdout is no file to replace
+    with open(os.devnull, "wb") as sink:
+        proc = cli_fresh([*argv, os.devnull], tmp_path, stdout=sink)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rep = tmp_path / "report.txt"
+    proc = cli_fresh([*argv, str(rep)], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (proc.stdout, report_lines(rep.read_text())) == whole_input_extract(data)
+    # nor is an in-memory stdout, with no file descriptor (pytest's capture)
+    assert main([*argv, str(rep)]) == 0
+    assert (capsysbinary.readouterr().out, report_lines(rep.read_text())) == whole_input_extract(data)
+
+
+@pytest.mark.parametrize("fd, argv, error", [
+    (0, ["extract", "--output", "out.bin"], b"error: stdin is closed\n"),
+    (1, ["extract", "--input", "in.bin"], b"error: stdout is closed\n"),
+    (1, ["extract", "--input", "in.bin", "--report", "report.txt"], b"error: stdout is closed\n"),
+    (2, ["verify", "--max-n", "3"], b""),
+], ids=["stdin", "stdout", "stdout-with-report", "stderr"])
+def test_a_closed_standard_stream_is_an_io_error(tmp_path, fd, argv, error):
+    # Python sets a standard stream the process started without to None.
+    # Reading or writing it is an I/O error (exit 2), not a verification
+    # violation (1), and with stderr closed the error line is not written.
+    (tmp_path / "in.bin").write_bytes(hashlib.shake_256(PINNED_INPUT).digest(64))
+    proc = cli_fresh(argv, tmp_path, preexec_fn=functools.partial(os.close, fd))
+    assert (proc.returncode, proc.stderr) == (2, error)
+    assert not (tmp_path / "out.bin").exists() and not (tmp_path / "report.txt").exists()
 
 
 def test_extract_in_blocks_pipes_stdin_to_stdout_in_a_fresh_process(tmp_path):

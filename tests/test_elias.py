@@ -7,18 +7,21 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 import pytest
-
-from eliastream.binomial import bin_layout, binom
-from eliastream.elias import (
+from oracles import (
     BlockCodeword,
-    SourceModel,
     bin_of_rank,
     block_codeword,
     conditional_bin_entropy,
-    expected_yield,
+    hook_dim_oracle,
+    p1,
+    path_count,
     rank_in_type,
-    type_of,
+    string_prob,
+    type_prob,
 )
+
+from eliastream.binomial import bin_layout, binom
+from eliastream.elias import SourceModel, expected_yield
 from eliastream import schursim, verify
 from eliastream.extractor import (
     ExtractorState,
@@ -32,7 +35,7 @@ from eliastream.extractor import (
     walk_tree,
 )
 from eliastream.schursim import SimulatorCapError, cg_step
-from eliastream.young import ballot_paths, dim, hook_dim_oracle, path_count, qstep
+from eliastream.young import ballot_paths, dim, qstep
 
 
 def strings_of_weight(n, t):
@@ -56,7 +59,7 @@ def colex_rank_oracle(s):
 
 @pytest.mark.parametrize("s,weight", [("", 0), ("0110", 2), ("111", 3)])
 def test_type_of(s, weight):
-    assert type_of(s) == weight
+    assert block_codeword(s).t == weight
 
 
 def test_rank_two_bit_strings():
@@ -105,7 +108,7 @@ def test_bin_assignment_is_bijection():
             for rank in range(binom(n, t)):
                 cw = bin_of_rank(n, t, rank)
                 assert 0 <= cw.alpha < (1 << cw.l)
-                assert cw.l in bin_layout(n, t).bins
+                assert cw.l in bin_layout(n, t)
                 seen.add((cw.l, cw.alpha))
             assert len(seen) == binom(n, t)
 
@@ -122,7 +125,7 @@ def exhaustive_yield(n, model):
     for s in range(1 << n):
         bits = format(s, f"0{n}b") if n else ""
         cw = block_codeword(bits)
-        total += model.string_prob(n, cw.t) * cw.l
+        total += string_prob(model, n, cw.t) * cw.l
     return total
 
 
@@ -165,8 +168,8 @@ def per_type_yield(n, model):
     total = Fraction(0)
     for t in range(n + 1):
         c = binom(n, t)
-        mean_l = sum(Fraction(1 << l, c) * l for l in bin_layout(n, t).bins)
-        total += model.type_prob(n, t) * mean_l
+        mean_l = sum(Fraction(1 << l, c) * l for l in bin_layout(n, t))
+        total += type_prob(model, n, t) * mean_l
     return total
 
 
@@ -196,9 +199,9 @@ def test_source_model_validation():
     with pytest.raises(ValueError):
         SourceModel(Fraction(3, 2))
     model = SourceModel(Fraction(3, 10))
-    assert model.p1 == Fraction(7, 10)
-    assert model.type_prob(2, 1) == 2 * Fraction(3, 10) * Fraction(7, 10)
-    assert sum(model.type_prob(9, t) for t in range(10)) == 1
+    assert p1(model) == Fraction(7, 10)
+    assert type_prob(model, 2, 1) == 2 * Fraction(3, 10) * Fraction(7, 10)
+    assert sum(type_prob(model, 9, t) for t in range(10)) == 1
 
 
 def test_theorem_bound_reference_value():
@@ -274,7 +277,6 @@ BIT_ENTRY_POINTS = {
     "qstep": lambda bad: qstep(ExtractorState(1, 0, 0), bad),  # (2, 1) is valid either way
     "pause_mode_run": lambda bad: pause_mode_run([0, 1, bad], 5),
     "pause_mode_run_pending": lambda bad: pause_mode_run([], 3, ExtractorState(2, 1, 1), (bad,)),
-    "type_of": lambda bad: type_of([0, bad]),
     "rank_in_type": lambda bad: rank_in_type([0, bad]),
     "block_codeword": lambda bad: block_codeword([0, 1, bad]),
     "von_neumann": lambda bad: von_neumann([0, bad]),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eliastream import extractor
-from eliastream.binomial import binom_bit
+from eliastream.binomial import binom
 from eliastream.extractor import (
     ExtractorState,
     StepResult,
@@ -33,7 +33,7 @@ bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
 def test_initial_state_is_apex():
     state = initial_state()
     assert state == ExtractorState(0, 0, 0)
-    assert binom_bit(state.n, state.t, state.l) == 1
+    assert binom(state.n, state.t) >> state.l & 1 == 1
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_node_residency_and_conservation(bits):
     for b in bits:
         state, emitted = step(state, b)
         emitted_total += len(emitted)
-        assert binom_bit(state.n, state.t, state.l) == 1
+        assert binom(state.n, state.t) >> state.l & 1 == 1
         assert 0 <= state.t <= state.n
         assert state.l == emitted_total
         assert state.n - state.l >= 0
@@ -95,8 +95,6 @@ def test_node_residency_and_conservation(bits):
 @settings(max_examples=300)
 def test_output_length_bounded_by_node_capacity(bits):
     # l is a set-bit position of C(n, t), so 2^l <= C(n, t)
-    from eliastream.binomial import binom
-
     n, t, l = run(bits).final
     assert (1 << l) <= binom(n, t)
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import string_prob
 
 from eliastream import verify
 from eliastream.extractor import walk_tree
@@ -161,7 +162,7 @@ def test_streamed_yield_equals_block_yield_exactly():
         for p in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
             model = SourceModel(p)
             mean = sum(
-                count * l * model.string_prob(n, t)
+                count * l * string_prob(model, n, t)
                 for (t, l), count in node_counts.items()
             )
             assert mean == expected_yield(n, model)

@@ -1,4 +1,5 @@
 import pytest
+from oracles import hook_dim_oracle, path_count
 
 from eliastream.binomial import binom
 from eliastream.extractor import ExtractorState, initial_state, walk_step
@@ -6,9 +7,7 @@ from eliastream.young import (
     InvalidNodeError,
     ballot_paths,
     dim,
-    hook_dim_oracle,
     is_valid,
-    path_count,
     q_run,
     qstep,
 )
