@@ -12,12 +12,14 @@ through one ``StreamExtractor`` and writes each whole output byte once the
 next block is read, so its memory is bounded by the walk state and one
 block, not by the input; a ``--demand`` stops the reading once it is met.
 The input is opened before the output and both before the walk.  An
-``--output`` naming the ``--input`` file is refused (exit 2): opening it for
-writing would truncate the input before it is read.  So is a ``--report``
-naming either file, or the file a redirected stdout writes to, before any
-file is opened for writing: the report, written last, would replace it.  A
-standard stream the process started without (closed, so Python set it to
-None) is an I/O error when a command reads or writes it.
+``--output`` naming the ``--input`` file is refused (exit 2), and so is a
+stdout that is the input file: opening it for writing would truncate the
+input before it is read, and appending to it (``>> input``) would grow it
+as fast as it is read.  So is a ``--report`` naming either file, or the
+file a redirected stdout writes to, before any file is opened for writing:
+the report, written last, would replace it.  A standard stream the process
+started without (closed, so Python set it to None) is an I/O error when a
+command reads or writes it.
 
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
@@ -106,19 +108,26 @@ def _open(path: str, mode: str):
     return open(path, mode)
 
 
-def _same_file(src, path: str) -> bool:
-    """Whether `path` names the regular file that `src` stands for: an open
-    handle, or a path, which may name no file yet.  A handle with no file
+def _stat(file) -> os.stat_result:
+    """The status of a path, or of an open handle's file descriptor."""
+    return os.stat(file) if isinstance(file, str) else os.fstat(file.fileno())
+
+
+def _same_file(src, dst) -> bool:
+    """Whether `src` and `dst`, each an open handle or a path, stand for one
+    regular file.  A path may name no file yet; a handle with no file
     descriptor (an in-memory stream) stands for no file."""
     try:
-        there = os.stat(path)
+        there = _stat(dst)
     except FileNotFoundError:
         # No file yet: the same one only if both paths resolve to one place.
         # realpath stats every component, so it runs only on equal base names.
-        return (isinstance(src, str) and os.path.basename(src) == os.path.basename(path)
-                and os.path.realpath(src) == os.path.realpath(path))
+        return (isinstance(src, str) and os.path.basename(src) == os.path.basename(dst)
+                and os.path.realpath(src) == os.path.realpath(dst))
+    except io.UnsupportedOperation:
+        return False
     try:
-        here = os.stat(src) if isinstance(src, str) else os.fstat(src.fileno())
+        here = _stat(src)
     except (FileNotFoundError, io.UnsupportedOperation):
         return False
     return stat.S_ISREG(here.st_mode) and os.path.samestat(here, there)
@@ -163,16 +172,17 @@ def cmd_extract(args) -> int:
     if args.demand is not None and args.demand < 0:
         raise ValueError("--demand must be >= 0")
     # Input before output, and both before the walk: a missing input leaves
-    # no output file, and an unwritable output walks nothing.  The output is
-    # written while the input is read, so it must not be the input file, and
-    # the report is written last, so it must be neither, nor the stdout file.
+    # no output file, and an unwritable output walks nothing.  The output, a
+    # path or stdout, is written while the input is read, so it must not be
+    # the input file, and the report is written last, so it must be neither,
+    # nor the stdout file.
     with _open(args.input, "rb") as src:
-        if args.output != "-" and _same_file(src, args.output):
+        output = _std("stdout").buffer if args.output == "-" else args.output
+        if _same_file(src, output):
             raise ValueError("--output names the --input file")
         if args.report not in (None, "-"):
             if _same_file(src, args.report):
                 raise ValueError("--report names the --input file")
-            output = _std("stdout").buffer if args.output == "-" else args.output
             if _same_file(output, args.report):
                 raise ValueError("--report names the --output file")
         with _open(args.output, "wb") as sink:

@@ -40,23 +40,22 @@ nothing.  On Pascal's triangle two things use it:
   of its bits.
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
-  small multiply/divide per bit; past a crossover it keeps only a
-  fixed-width window on it, with one exact read and ``walk_step`` as the
-  fallback.  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the
-  CLI's block-by-block ``extract`` run one loop, whose moves append
-  straight to the output it returns.  Its two per-bit phases carry the
-  rule inline, so no input bit pays for a function call; the
-  engine-vs-``step`` tests pin both copies to ``walk_step``.  In the
-  window the carried coefficient's floor bound always gives its exact
-  quotient, so a move compares bounds only for the two sizes it computes.
+  small multiply/divide per bit; past a crossover it keeps only a floor
+  bound on it, a fixed number of bits below l, with one exact read and
+  ``walk_step`` as the fallback.  ``push``, ``feed``, the on-demand
+  ``pause_mode_run`` and the CLI's block-by-block ``extract`` run one loop,
+  whose moves append straight to the output it returns.  Its two per-bit
+  phases carry the rule inline, so no input bit pays for a function call;
+  the engine-vs-``step`` tests pin both copies to ``walk_step``.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
 coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
 from here, so the engine loads no oracle.  The engine's loop tests no bit:
-each call's input is checked once (``_checked_bits``), text up front and
-any other iterable lazily as the walk takes it, so a bad bit raises
-ValueError only if the walk reaches it, with the bits before it fed.
+each call's input is checked once (``_checked_bits``), text and lists of
+bits up front and any other iterable lazily as the walk takes it, so a bad
+bit raises ValueError only if the walk reaches it, with the bits before it
+fed.
 """
 
 from __future__ import annotations
@@ -128,12 +127,20 @@ def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
 
 def _checked_bits(bits: "Iterable[int] | str") -> Iterable[int]:
     """A bit source as plain 0/1 ints, checked once per call.  Text is
-    parsed by ``parse_bits`` and raises before any bit is taken.  Any other
-    iterable is checked lazily, one cheap test per bit and ``as_bit`` only
+    parsed by ``parse_bits`` and raises before any bit is taken.  A list or
+    tuple whose items all pass ``as_bit`` is walked as ``bytes`` makes it,
+    plain ints checked at C speed.  Any other iterable, or a list holding a
+    bad bit, is checked lazily, one cheap test per bit and ``as_bit`` only
     on a miss, so a walk that takes bits one by one raises only on reaching
     a bad one."""
     if is_text(bits):
         return parse_bits(bits)
+    if bits.__class__ in (list, tuple):
+        try:  # bytes reads each item's __index__, as as_bit does
+            if not (raw := bytes(bits)).translate(None, b"\x00\x01"):
+                return raw
+        except (TypeError, ValueError):
+            pass
     return (b if b.__class__ is int and not b >> 1 else as_bit(b) for b in bits)
 
 
@@ -309,31 +316,34 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon, one pinned core, p = 0.3.  The exact update costs
-# 0.93 / 1.05 / 1.34 / 1.88 us per bit at l = 500 / 1,000 / 2,000 / 4,000 and
-# grows linearly with l; the window costs 0.70-0.74 us at any l.  Yet a window
-# from the apex loses on short streams (1.45-1.77x slower per 512-bit demand
-# from 4,096-bit inputs at p = 0.05 / 0.3 / 0.5): while C(n, t) is short, one
-# exact update costs less than the window's two bounds and their quotient
-# checks.  Handing over at l = 512 / 1,024 / 2,048, in 6 alternating rounds of
-# 15 s benchmark runs (medians): extract_short made 363 / 378 / 376 ops/s and
-# extract_long 878k / 889k / 906k input bits/s, 2,048 winning 4 of 6 rounds
-# there and 2 of 6 on extract_short.  So the window takes over at l = 1,024,
+# Measured on a 2-core Xeon, one pinned core, in process.  The exact update
+# costs 0.93 / 1.05 / 1.34 / 1.88 us per bit at l = 500 / 1,000 / 2,000 /
+# 4,000, growing linearly with l; a window move costs 0.55-0.57 us at any l
+# (p = 0.3).  Yet while C(n, t) is short one exact update costs less.  Handing
+# over at l = 512 / 1,024 / 2,048, extract_short ops took 1.74 / 1.79 / 1.85
+# and 1.99 / 1.92 / 2.16 ms (medians of two runs of 8 alternating rounds;
+# 512 and 1,024 each won 8 of 16, 2,048 none) and 16 KiB ops favoured 1,024
+# in one run and 512 in the other.  So the window takes over at l = 1,024,
 # and a 512-bit demand stays exact.
 _CROSSOVER = 1024
-# Window bits kept below the emission position l.  The window never decides
-# a move wrongly; it fails to decide one with odds growing like (bits since
-# the last resync) / 2^_GUARD.  64 gave no fallback on a 10^7-bit stream.
-# A fallback, like a machine resumed from a deep node, pays one exact read:
-# math.comb(131072, 39321), a 115,504-bit value, takes 0.15-0.16 s on that
-# host, and a coefficient at n = 2^20 takes 5-6.5 s.
-_GUARD = 64
+# Bits of the window below l, beyond the quotient's width at the last exact
+# read (see ``_window``).  A move fails to decide with odds of about
+# 2^(2 - 3G/8) for G = _GUARD, 2^-46 at 128: no fallback on 10^7-bit streams
+# at p = 0.05, 0.3, 0.5 and 0.95.  A fallback, like a machine resumed from a
+# deep node, pays one exact read: math.comb(131072, 39321), a 115,504-bit
+# value, takes 0.15-0.16 s on that host, and one at n = 2^20 takes 5-6.5 s.
+_GUARD = 128
 
 
-def _window(c: int, l: int) -> tuple[int, int, int]:
-    """(s, floor, ceil) of C/2^s for the exact C at emission position l."""
-    s = max(0, l - _GUARD)
-    return s, c >> s, -(-c >> s)
+def _window(c: int, n: int, l: int) -> tuple[int, tuple[int, ...]]:
+    """The window from the exact C = c at node (n, ., l): c0 = C/2^(l-g),
+    floored, and (g, mask, bit, lim, cap, end) for ``_walk``'s decided
+    test.  With q the width of C >> l and G = _GUARD as it is now: g = G + q,
+    quotient cap 2^w, w = q + G/4, budget B = 2^(3G/8), lim = 2^g - 2B 2^w."""
+    q = (c >> l).bit_length()  # >= 1 at a lattice node
+    g, w, b = _GUARD + q, q + _GUARD // 4, 3 * _GUARD // 8
+    lim = (1 << g) - (2 << b + w)
+    return (c << g) >> l, (g, (1 << g) - 1, 1 << g, lim, 1 << g + w, n + (1 << b))
 
 
 class StreamExtractor:
@@ -345,28 +355,20 @@ class StreamExtractor:
     start from any lattice node, e.g. to resume a paused walk.
 
     While l < ``_CROSSOVER`` the coefficient is exact.  From there on the
-    engine keeps integer bounds on C/2^s, floor for the lower and ceil for
-    the upper bound of every size, with s trailing l by ``_GUARD`` to
-    ``2 * _GUARD`` bits, so each bit costs the same however long the stream.
-    The rule reads only the quotients C >> l.  The carried coefficient's
-    floor bound always gives its exact quotient (see ``_walk``); where both
-    bounds of the two sizes a move computes give the same quotients, the
-    rule runs on them and the move is exact.  Otherwise one exact read of
-    C(n, t) gives the move's sizes by the same ratios, ``walk_step`` makes
-    the move, and the window restarts from the exact C(n+1, t');
-    ``fallbacks`` counts these resyncs.  The exact read is the one costly
-    step: about 0.15 s at n = 2^17 and 5 s or more at n = 2^20 (see
-    ``_GUARD``), paid by each fallback and by a machine built at a deep
-    node.  ``push``, ``feed``, ``pause_mode_run`` and ``cli extract``, which
-    walks its input block by block, all run one loop, ``_walk``.  Its two
-    phases carry ``walk_step``'s emit test and carry cascade inline, on the
-    exact sizes at bit l and on the quotients at bit 0; the tests against
-    ``step`` keep them equal.  ``push`` checks its one bit, ``feed`` and
-    ``pause_mode_run`` their input once per call (``_checked_bits``); the
-    loop itself tests no bit.
+    engine carries only a floor bound on C/2^(l-g), g bits below l, so each
+    bit costs the same however long the stream.  A move whose quotients
+    C >> l the bound cannot prove exact (see ``_walk``) takes one exact read
+    of C(n, t) and ``walk_step``, and the window restarts from the exact
+    C(n+1, t'); ``fallbacks`` counts these resyncs.  The exact read is the
+    one costly step (see ``_GUARD``), paid by each fallback and by a machine
+    built at a deep node.  ``push``, ``feed``, ``pause_mode_run`` and
+    ``cli extract``, block by block, all run one loop, ``_walk``, whose two
+    phases carry ``walk_step`` inline; the tests against ``step`` keep them
+    equal.  ``push`` checks its one bit, ``feed`` and ``pause_mode_run``
+    their input once per call (``_checked_bits``); the loop tests no bit.
     """
 
-    __slots__ = ("n", "t", "l", "_s", "_c", "_c_up", "_fallbacks")
+    __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
 
     def __init__(self, state: ExtractorState = ExtractorState(0, 0, 0)):
         n, t, l = (as_count(v, name) for v, name in zip(state, "ntl", strict=True))
@@ -375,7 +377,7 @@ class StreamExtractor:
             raise ValueError(f"{(n, t, l)} is not a lattice node")
         self.n, self.t, self.l = n, t, l
         self._fallbacks = 0
-        self._s, self._c, self._c_up = _window(c, l) if l >= _CROSSOVER else (None, c, None)
+        self._c, self._win = _window(c, n, l) if l >= _CROSSOVER else (c, None)
 
     @property
     def state(self) -> ExtractorState:
@@ -388,9 +390,9 @@ class StreamExtractor:
 
     @property
     def window_bits(self) -> int:
-        """Bit length of the widest integer carried: the exact coefficient
-        below the crossover, the upper window bound after it."""
-        return (self._c if self._s is None else self._c_up).bit_length()
+        """Bit length of the one integer carried: the exact coefficient
+        below the crossover, its floor bound after it."""
+        return self._c.bit_length()
 
     def push(self, b: int) -> tuple[int, ...]:
         """Feed one bit; return the bits emitted by this move.  A value
@@ -416,21 +418,30 @@ class StreamExtractor:
         raises ValueError on reaching a bad bit.  The state lives in locals,
         written back however the loop ends, so the bits before it stay fed.
 
-        The window rests on one invariant: at the start of every window move
-        the floor bound's quotient is exact, C(n, t) >> l == c0 >> k.
-        ``_window`` sets c0 from an exact coefficient; a decided move checks
-        the quotients of `here` before `here` becomes the carried
-        coefficient; an emission only raises k; a renormalisation by j bits
-        lowers k by exactly j.  So of a move's three sizes only `here` and
-        the neighbour the ratio gives need their two bounds compared.
+        Why a decided move is exact.  The window carries c0 <= Ĉ =
+        C(n, t)/2^s, s = l - g, with relative error ε = (Ĉ - c0)/Ĉ, and c0's
+        quotient is exact: c0 >> g == C(n, t) >> l.  A move computes
+        x0 = floor(c0 u/v) for the neighbour X = Ĉu/v and h0 = x0 + c0 for
+        H = X + Ĉ.  Each floor loses under one unit, so X - x0 < εX + 1 and
+        H - h0 < εH + 1.  The bound carried on is h0, or floor(h0/2^j) once j
+        bits are emitted and s rises by j; its relative error is below
+        ε + 2^j/H <= ε + 2^-g, as the node reached has a quotient of at least
+        1, H >= 2^(g+j).  An exact read leaves ε < 2^-g, so after m moves
+        ε < (m+1)2^-g.  A move is decided only if m < B (n < end), so
+        ε < B 2^-g <= 1/2, and only if h0 < cap = 2^(g+w), so H < 2 cap:
+        both errors are below 2B 2^w + 1 = margin + 1.  Then low g bits of h0
+        and of x0 below lim = 2^g - margin mean no error reaches bit g: both
+        quotients are exact, the move is the exact move, and the invariant
+        holds after it.  A deep node's quotient widens g and w alike, so its
+        window does not fall back on every move.
         """
         if out is None:
             out = []
-        n, t, l, s, c0, c1 = self.n, self.t, self.l, self._s, self._c, self._c_up
+        n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
         stop = l + demand
         bits = iter(bits)
         try:
-            if s is None:
+            if win is None:
                 crossover = _CROSSOVER
                 for b in bits:
                     if b:  # C(n, t+1) and C(n, t)
@@ -447,58 +458,47 @@ class StreamExtractor:
                             out.append((hi >> l) & 1)
                             l += 1
                         if l >= crossover:
-                            s, c0, c1 = _window(c0, l)
+                            c0, win = _window(c0, n, l)
                             break
                         if l >= stop:
                             return out
                 else:
                     return out
-            guard, top, k = _GUARD, 2 * _GUARD, l - s
+            g, mask, bit, lim, cap, end = win
             if l < stop:
                 for b in bits:
-                    # The neighbour x the ratio gives and here = x + c on bounds
-                    # of C/2^s, floor lower and ceil upper; c, the carried
-                    # coefficient, keeps its exact quotient c0 >> k.
-                    if b:  # x = C(n, t+1) = hi; c = C(n, t) = lo
-                        u, t1 = n - t, t + 1
-                        x0, x1 = c0 * u // t1, (c1 * u + t) // t1
-                    else:  # x = C(n, t-1) = lo; c = C(n, t) = hi
-                        u, t1 = n - t + 1, t
-                        x0, x1 = c0 * t // u, (c1 * t + u - 1) // u
-                    h0, h1 = x0 + c0, x1 + c1
-                    q_here, q_x = h0 >> k, x0 >> k
-                    if q_here == h1 >> k and q_x == x1 >> k:
+                    # x, the neighbour: hi = C(n, t+1) after a 1, lo = C(n, t-1) after a 0
+                    if b:
+                        u, v, t1 = n - t, t + 1, t + 1
+                    else:
+                        u, v, t1 = t, n - t + 1, t
+                    x0 = c0 * u // v
+                    h0 = x0 + c0
+                    if h0 & mask < lim and x0 & mask < lim and h0 < cap and n < end:
                         n, t = n + 1, t1
-                        c, c0, c1 = c0, h0, h1
-                        # walk_step, inline, at bit 0 of the quotients C >> l
-                        if q_here & 1 and not q_x & 1:
+                        # walk_step, inline, on the quotients C >> l at bit g
+                        if h0 & bit and not x0 & bit:
+                            c0 = h0
                             continue
                         out.append(b)
-                        l += 1
-                        q_x >>= 1
-                        q_c = c >> k + 1
+                        j = 1
+                        q_x, q_c = x0 >> g + 1, c0 >> g + 1
                         while (q_x ^ q_c) & 1:
                             out.append((q_x if b else q_c) & 1)  # hi's bit
-                            l += 1
-                            q_x >>= 1
-                            q_c >>= 1
-                        k = l - s
-                        if k >= top:  # renormalise: s back to l - guard
-                            s, c0, c1, k = l - guard, c0 >> k - guard, -(-c1 >> k - guard), guard
+                            j += 1
+                            q_x, q_c = q_x >> 1, q_c >> 1
+                        l += j
+                        c0 = h0 >> j  # s = l - g rises with l
                     else:  # undecided: one exact read, walk_step makes the move
                         c = binom(n, t)
-                        if b:
-                            hi, lo, t1 = c * (n - t) // (t + 1), c, t + 1
-                        else:
-                            hi, lo, t1 = c, c * t // (n - t + 1), t
-                        here = hi + lo
-                        l = walk_step(here, hi, lo, b, l, out)
+                        x = c * u // v
+                        l = walk_step(x + c, x if b else c, c if b else x, b, l, out)
                         n, t = n + 1, t1
                         self._fallbacks += 1
-                        s, c0, c1 = _window(here, l)
-                        k = l - s
+                        c0, win = _window(x + c, n, l)
+                        g, mask, bit, lim, cap, end = win
                     if l >= stop:
                         break
             return out
         finally:
-            self.n, self.t, self.l, self._s, self._c, self._c_up = n, t, l, s, c0, c1
+            self.n, self.t, self.l, self._c, self._win = n, t, l, c0, win

@@ -553,6 +553,26 @@ def test_extract_refuses_a_report_over_a_redirected_stdout(tmp_path, capsysbinar
     assert (capsysbinary.readouterr().out, report_lines(rep.read_text())) == whole_input_extract(data)
 
 
+def test_extract_refuses_a_stdout_appended_to_its_input(tmp_path):
+    # "extract --input f >> f" and "extract < f >> f" would write the output
+    # onto the end of the file still being read, growing it as fast as it is
+    # walked; both are refused before anything is written.
+    data = hashlib.shake_256(PINNED_INPUT).digest(2048)
+    inp = tmp_path / "in.bin"
+    inp.write_bytes(data)
+    with inp.open("ab") as sink, inp.open("rb") as source:
+        for argv, stdin in ((["extract", "--input", str(inp)], b""), (["extract"], source)):
+            proc = cli_fresh(argv, tmp_path, stdin, stdout=sink)
+            assert (proc.returncode, proc.stderr) == (2, b"error: --output names the --input file\n")
+            assert inp.read_bytes() == data
+    # a device or a pipe as stdout still runs
+    with open(os.devnull, "wb") as sink, inp.open("rb") as source:
+        proc = cli_fresh(["extract"], tmp_path, source, stdout=sink)
+    assert proc.returncode == 0
+    proc = cli_fresh(["extract", "--input", str(inp)], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, whole_input_extract(data)[0])
+
+
 @pytest.mark.parametrize("fd, argv, error", [
     (0, ["extract", "--output", "out.bin"], b"error: stdin is closed\n"),
     (1, ["extract", "--input", "in.bin"], b"error: stdout is closed\n"),

@@ -482,6 +482,70 @@ def test_window_falls_back_to_exact_moves():
     assert narrow.window_bits < exact.window_bits
 
 
+@pytest.mark.parametrize("guard", GUARDS[1:])
+def test_the_move_budget_runs_out_within_what_the_margin_covers(guard):
+    # Zeros keep C(n, 0) = 1 and l = 0: every window move is decidable, so
+    # only the move budget ends a run of them, once every budget + 1 moves.
+    with window_from_apex(guard):
+        engine, resyncs = StreamExtractor(), []
+        for n in range(1, 300):
+            assert engine.push(0) == ()
+            if engine.fallbacks > len(resyncs):
+                resyncs.append(n)
+        g, _, _, lim, cap, _ = engine._win
+    budget = resyncs[0] - 1
+    assert budget >= 1 and len(resyncs) >= 3
+    assert all(b - a == budget + 1 for a, b in zip(resyncs, resyncs[1:]))
+    assert engine.state == run([0] * 299).final
+    # the proof's obligation: after `budget` moves each computed size is off
+    # by under 2 * budget * (quotient cap) + 1 units, and the margin covers it
+    assert 2 * budget * (cap >> g) <= (1 << g) - lim
+
+
+def test_a_quotient_over_the_cap_falls_back():
+    # Ones keep C(n, n) = 1; the zero after 40 of them makes C(41, 40) = 41,
+    # a quotient over the cap 2^(1 + 16 // 4) = 32 of a 16-bit guard.  Its
+    # two sizes are exact multiples of 2^g, so only the cap can stop it.
+    bits = [1] * 40 + [0] + [1] * 20
+    with window_from_apex(16):
+        engine = StreamExtractor()
+        assert engine.feed(bits[:40]) == () and engine.fallbacks == 0
+        assert engine.feed(bits[40:]) == run(bits).output
+    assert engine.state == run(bits).final
+    assert engine.fallbacks == 1
+
+
+@pytest.mark.parametrize("guard", [8, 16])
+def test_narrow_guards_decide_some_moves_and_fall_back_on_others(guard):
+    rng = random.Random(guard)
+    bits = [int(rng.random() < 0.3) for _ in range(2_000)]
+    with window_from_apex(guard):
+        engine = StreamExtractor()
+        assert engine.feed(bits) == run(bits).output
+    assert engine.state == run(bits).final
+    assert 0 < engine.fallbacks < len(bits)  # every move here is a window move
+
+
+def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
+    # C(6000, 1800) >> l is 3,855 bits wide, and the window widens with it.
+    # A p = 0.999 stream grows C faster than the walk emits, so the quotient
+    # outgrows the cap, 32 bits wider than the quotient at the last exact
+    # read, every hundred-odd moves: one exact read each, not one per move.
+    n, t = 6000, 1800
+    c = math.comb(n, t)
+    l = next(l for l in range(extractor._CROSSOVER + 400, c.bit_length()) if (c >> l) & 1)
+    rng = random.Random(999)
+    bits = [int(rng.random() < 0.999) for _ in range(600)]
+    engine = StreamExtractor(ExtractorState(n, t, l))
+    state, output = engine.state, []
+    for b in bits:
+        state, emitted = step(state, b)
+        output += emitted
+    assert engine.feed(bits) == tuple(output)
+    assert engine.state == state
+    assert 0 < engine.fallbacks <= len(bits) // 50
+
+
 def test_window_resumes_from_its_own_nodes(windowed):
     rng = random.Random(windowed)
     bits = [int(rng.random() < 0.4) for _ in range(500)]
@@ -515,7 +579,7 @@ def test_window_matches_exact_engine_on_a_long_stream(monkeypatch):
     windowed = StreamExtractor()
     output = windowed.feed(bits)
     assert windowed.l >= extractor._CROSSOVER  # the window phase was reached
-    assert windowed.window_bits < 3 * extractor._GUARD
+    assert windowed.window_bits < 160
     monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
     exact = StreamExtractor()
     assert exact.feed(bits) == output
@@ -645,7 +709,7 @@ def test_window_matches_exact_engine_at_benchmark_scale(monkeypatch):
     output = windowed.feed(bits)
     assert windowed.l >= extractor._CROSSOVER
     assert windowed.fallbacks == 0
-    assert windowed.window_bits < 3 * extractor._GUARD
+    assert windowed.window_bits < 160
     monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
     exact = StreamExtractor()
     assert exact.feed(bits) == output
