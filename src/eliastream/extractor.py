@@ -41,7 +41,7 @@ nothing.  On Pascal's triangle two things use it:
 * ``StreamExtractor``: the one streaming engine.  It carries one
   coefficient, C(n, t), and reads its neighbours from exact ratios, one
   small multiply/divide per bit; past a crossover it keeps only a floor
-  bound on it, a fixed number of bits below l, with one exact read and
+  bound on it, a bounded number of bits below l, with one exact read and
   ``walk_step`` as the fallback.  ``push``, ``feed``, the on-demand
   ``pause_mode_run`` and the CLI's block-by-block ``extract`` run one loop,
   whose moves append straight to the output it returns.  Its two per-bit
@@ -52,10 +52,9 @@ The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
 coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
 from here, so the engine loads no oracle.  The engine's loop tests no bit:
-each call's input is checked once (``_checked_bits``), text and lists of
-bits up front and any other iterable lazily as the walk takes it, so a bad
-bit raises ValueError only if the walk reaches it, with the bits before it
-fed.
+each call's input is checked once (``_checked_bits``), text up front and
+any other iterable lazily as the walk takes it, so a bad bit raises
+ValueError only if the walk reaches it, with the bits before it fed.
 """
 
 from __future__ import annotations
@@ -127,20 +126,12 @@ def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
 
 def _checked_bits(bits: "Iterable[int] | str") -> Iterable[int]:
     """A bit source as plain 0/1 ints, checked once per call.  Text is
-    parsed by ``parse_bits`` and raises before any bit is taken.  A list or
-    tuple whose items all pass ``as_bit`` is walked as ``bytes`` makes it,
-    plain ints checked at C speed.  Any other iterable, or a list holding a
-    bad bit, is checked lazily, one cheap test per bit and ``as_bit`` only
+    parsed by ``parse_bits`` and raises before any bit is taken.  Any other
+    iterable is checked lazily, one cheap test per bit and ``as_bit`` only
     on a miss, so a walk that takes bits one by one raises only on reaching
     a bad one."""
     if is_text(bits):
         return parse_bits(bits)
-    if bits.__class__ in (list, tuple):
-        try:  # bytes reads each item's __index__, as as_bit does
-            if not (raw := bytes(bits)).translate(None, b"\x00\x01"):
-                return raw
-        except (TypeError, ValueError):
-            pass
     return (b if b.__class__ is int and not b >> 1 else as_bit(b) for b in bits)
 
 
@@ -326,24 +317,27 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
 # in one run and 512 in the other.  So the window takes over at l = 1,024,
 # and a 512-bit demand stays exact.
 _CROSSOVER = 1024
-# Bits of the window below l, beyond the quotient's width at the last exact
-# read (see ``_window``).  A move fails to decide with odds of about
-# 2^(2 - 3G/8) for G = _GUARD, 2^-46 at 128: no fallback on 10^7-bit streams
-# at p = 0.05, 0.3, 0.5 and 0.95.  A fallback, like a machine resumed from a
-# deep node, pays one exact read: math.comb(131072, 39321), a 115,504-bit
-# value, takes 0.15-0.16 s on that host, and one at n = 2^20 takes 5-6.5 s.
+# G in the window's g = G + q - k bits below l (see ``_window``).  A move
+# fails to decide with odds of about 2^(2 - 3G/8), 2^-46 at 128: no fallback
+# on 10^7-bit streams at p = 0.05, 0.3, 0.5 and 0.95.  A fallback, like a
+# machine resumed from a deep node, pays one exact read: math.comb(131072,
+# 39321), a 115,504-bit value, takes 0.15-0.16 s on that host, and one at
+# n = 2^20 takes 5-6.5 s.
 _GUARD = 128
 
 
-def _window(c: int, n: int, l: int) -> tuple[int, tuple[int, ...]]:
-    """The window from the exact C = c at node (n, ., l): c0 = C/2^(l-g),
-    floored, and (g, mask, bit, lim, cap, end) for ``_walk``'s decided
-    test.  With q the width of C >> l and G = _GUARD as it is now: g = G + q,
-    quotient cap 2^w, w = q + G/4, budget B = 2^(3G/8), lim = 2^g - 2B 2^w."""
+def _window(c: int, n: int, l: int, end: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """The window on C = c at node (n, ., l), C exact or a window's floor
+    bound with l at its g: c0 = C/2^(l-g), floored, and (g, mask, bit, lim,
+    cap, end, low) for ``_walk``.  With q the width of C >> l and G = _GUARD
+    as it is now: floor 2^k, k = max(q - 1 - G/4, 0), g = G + q - k, cap 2^w,
+    w = q + G/4, lim = 2^g - 2B 2^(w-k); B = 2^(3G/8) moves by default."""
     q = (c >> l).bit_length()  # >= 1 at a lattice node
-    g, w, b = _GUARD + q, q + _GUARD // 4, 3 * _GUARD // 8
-    lim = (1 << g) - (2 << b + w)
-    return (c << g) >> l, (g, (1 << g) - 1, 1 << g, lim, 1 << g + w, n + (1 << b))
+    k = max(q - 1 - _GUARD // 4, 0)
+    g, w, b = _GUARD + q - k, q + _GUARD // 4, 3 * _GUARD // 8
+    lim = (1 << g) - (2 << b + w - k)
+    end = n + (1 << b) if end is None else end
+    return (c << g) >> l, (g, (1 << g) - 1, 1 << g, lim, 1 << g + w, end, 1 << g + k)
 
 
 class StreamExtractor:
@@ -420,20 +414,23 @@ class StreamExtractor:
 
         Why a decided move is exact.  The window carries c0 <= Ĉ =
         C(n, t)/2^s, s = l - g, with relative error ε = (Ĉ - c0)/Ĉ, and c0's
-        quotient is exact: c0 >> g == C(n, t) >> l.  A move computes
+        quotient is exact: c0 >> g == C(n, t) >> l >= 2^k.  A move computes
         x0 = floor(c0 u/v) for the neighbour X = Ĉu/v and h0 = x0 + c0 for
         H = X + Ĉ.  Each floor loses under one unit, so X - x0 < εX + 1 and
         H - h0 < εH + 1.  The bound carried on is h0, or floor(h0/2^j) once j
         bits are emitted and s rises by j; its relative error is below
-        ε + 2^j/H <= ε + 2^-g, as the node reached has a quotient of at least
-        1, H >= 2^(g+j).  An exact read leaves ε < 2^-g, so after m moves
-        ε < (m+1)2^-g.  A move is decided only if m < B (n < end), so
-        ε < B 2^-g <= 1/2, and only if h0 < cap = 2^(g+w), so H < 2 cap:
-        both errors are below 2B 2^w + 1 = margin + 1.  Then low g bits of h0
-        and of x0 below lim = 2^g - margin mean no error reaches bit g: both
-        quotients are exact, the move is the exact move, and the invariant
-        holds after it.  A deep node's quotient widens g and w alike, so its
-        window does not fall back on every move.
+        ε + 2^j/H <= ε + e, e = 2^-(g+k), if the node reached keeps a quotient
+        of 2^k or more.  A silent move never lowers it.  An emission that does
+        narrows the window (``_window`` on c0, budget end - 1): e at least
+        doubles, the error before the move stays under m/2 new e, and the move
+        and the shift add under one each.  An exact read leaves ε < e, so
+        after m moves (a narrowing counts as one) ε < (m+1)e.  A move is
+        decided only if m < B (n < end), so ε < Be <= 1/2, and only if
+        h0 < cap = 2^(g+w), so H < 2 cap: both errors are below
+        2B 2^(w-k) + 1 = margin + 1.  Then low g bits of h0 and of x0 below
+        lim = 2^g - margin mean no error reaches bit g: both quotients are
+        exact, the move is the exact move, and the invariant holds after it.
+        As g + k = G + q, g is at most G + G/4 + 1 at any depth.
         """
         if out is None:
             out = []
@@ -464,7 +461,7 @@ class StreamExtractor:
                             return out
                 else:
                     return out
-            g, mask, bit, lim, cap, end = win
+            g, mask, bit, lim, cap, end, low = win
             if l < stop:
                 for b in bits:
                     # x, the neighbour: hi = C(n, t+1) after a 1, lo = C(n, t-1) after a 0
@@ -489,6 +486,9 @@ class StreamExtractor:
                             q_x, q_c = q_x >> 1, q_c >> 1
                         l += j
                         c0 = h0 >> j  # s = l - g rises with l
+                        if c0 < low:  # the quotient fell below its floor
+                            c0, win = _window(c0, n, g, end - 1)
+                            g, mask, bit, lim, cap, end, low = win
                     else:  # undecided: one exact read, walk_step makes the move
                         c = binom(n, t)
                         x = c * u // v
@@ -496,7 +496,7 @@ class StreamExtractor:
                         n, t = n + 1, t1
                         self._fallbacks += 1
                         c0, win = _window(x + c, n, l)
-                        g, mask, bit, lim, cap, end = win
+                        g, mask, bit, lim, cap, end, low = win
                     if l >= stop:
                         break
             return out

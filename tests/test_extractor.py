@@ -492,14 +492,15 @@ def test_the_move_budget_runs_out_within_what_the_margin_covers(guard):
             assert engine.push(0) == ()
             if engine.fallbacks > len(resyncs):
                 resyncs.append(n)
-        g, _, _, lim, cap, _ = engine._win
+        g, _, _, lim, cap, _, low = engine._win
     budget = resyncs[0] - 1
     assert budget >= 1 and len(resyncs) >= 3
     assert all(b - a == budget + 1 for a, b in zip(resyncs, resyncs[1:]))
     assert engine.state == run([0] * 299).final
     # the proof's obligation: after `budget` moves each computed size is off
-    # by under 2 * budget * (quotient cap) + 1 units, and the margin covers it
-    assert 2 * budget * (cap >> g) <= (1 << g) - lim
+    # by under 2 * budget * (quotient cap / quotient floor) + 1 units, and
+    # the margin covers it
+    assert 2 * budget * (cap // low) <= (1 << g) - lim
 
 
 def test_a_quotient_over_the_cap_falls_back():
@@ -526,17 +527,21 @@ def test_narrow_guards_decide_some_moves_and_fall_back_on_others(guard):
     assert 0 < engine.fallbacks < len(bits)  # every move here is a window move
 
 
-def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
-    # C(6000, 1800) >> l is 3,855 bits wide, and the window widens with it.
-    # A p = 0.999 stream grows C faster than the walk emits, so the quotient
-    # outgrows the cap, 32 bits wider than the quotient at the last exact
-    # read, every hundred-odd moves: one exact read each, not one per move.
-    n, t = 6000, 1800
+def deep_node(n=6000, t=1800):
+    """A lattice node far below the top of C(n, t): C >> l is 3,855 bits wide."""
     c = math.comb(n, t)
-    l = next(l for l in range(extractor._CROSSOVER + 400, c.bit_length()) if (c >> l) & 1)
+    return ExtractorState(n, t, next(l for l in range(extractor._CROSSOVER + 400, c.bit_length())
+                                     if (c >> l) & 1))
+
+
+def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
+    # The cap widens with the quotient at a deep node.  A p = 0.999 stream
+    # grows C faster than the walk emits, so the quotient outgrows the cap,
+    # 32 bits wider than the quotient at the last exact read, every
+    # hundred-odd moves: one exact read each, not one per move.
     rng = random.Random(999)
     bits = [int(rng.random() < 0.999) for _ in range(600)]
-    engine = StreamExtractor(ExtractorState(n, t, l))
+    engine = StreamExtractor(deep_node())
     state, output = engine.state, []
     for b in bits:
         state, emitted = step(state, b)
@@ -544,6 +549,30 @@ def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
     assert engine.feed(bits) == tuple(output)
     assert engine.state == state
     assert 0 < engine.fallbacks <= len(bits) // 50
+
+
+def test_a_deep_resume_narrows_its_window_as_the_quotient_falls(monkeypatch):
+    # At p = 0.3 the walk emits faster than C grows, so from a deep node the
+    # quotient falls back to the top of C within 10,000 moves.  The window
+    # narrows as it falls, with no exact read: it stays within G/4 + 1 bits
+    # plus the guard of the quotient it bounds, never the 3,855 bits it
+    # started from.
+    rng = random.Random(3)
+    bits = [int(rng.random() < 0.3) for _ in range(10_000)]
+    start = deep_node()
+    windowed, output = StreamExtractor(start), []
+    for at in range(0, len(bits), 500):
+        output += windowed.feed(bits[at:at + 500])
+        q = (math.comb(windowed.n, windowed.t) >> windowed.l).bit_length()
+        assert windowed.window_bits <= q + extractor._GUARD + extractor._GUARD // 4 + 1
+    assert windowed.fallbacks == 0
+    assert windowed.window_bits < 160
+    end = windowed._win[5]  # each narrowing spends one move of the budget
+    assert end < start.n + (1 << 3 * extractor._GUARD // 8)
+    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
+    exact = StreamExtractor(start)
+    assert exact.feed(bits) == tuple(output)
+    assert exact.state == windowed.state
 
 
 def test_window_resumes_from_its_own_nodes(windowed):
