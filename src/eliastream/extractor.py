@@ -38,15 +38,14 @@ nothing.  On Pascal's triangle two things use it:
   move of it once on the way to every prefix, for ``verify`` and
   ``schursim``, and carries each output as the integer ``pack_code`` makes
   of its bits.
-* ``StreamExtractor``: the one streaming engine.  It carries one
-  coefficient, C(n, t), and reads its neighbours from exact ratios, one
-  small multiply/divide per bit; past a crossover it keeps only a floor
-  bound on it, a bounded number of bits below l, with one exact read and
-  ``walk_step`` as the fallback.  ``push``, ``feed``, the on-demand
-  ``pause_mode_run`` and the CLI's block-by-block ``extract`` run one loop,
-  whose moves append straight to the output it returns.  Its two per-bit
-  phases carry the rule inline, so no input bit pays for a function call;
-  the engine-vs-``step`` tests pin both copies to ``walk_step``.
+* ``StreamExtractor``: the one streaming engine.  From the first move it
+  carries one floor bound on C(n, t), a bounded number of bits below l, and
+  reads the neighbour from an exact ratio, one small multiply/divide per
+  bit, with one exact read and ``walk_step`` as the fallback.  ``push``,
+  ``feed``, the on-demand ``pause_mode_run`` and the CLI's block-by-block
+  ``extract`` run one loop, whose moves append straight to the output it
+  returns.  The loop carries the rule inline, so no input bit pays for a
+  function call; the engine-vs-``step`` tests pin it to ``walk_step``.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
@@ -307,22 +306,12 @@ def von_neumann(bits: "Iterable[int] | str") -> tuple[int, ...]:
     return tuple(b2 for b1, b2 in zip(s[::2], s[1::2]) if b1 != b2)
 
 
-# Measured on a 2-core Xeon, one pinned core, in process.  The exact update
-# costs 0.93 / 1.05 / 1.34 / 1.88 us per bit at l = 500 / 1,000 / 2,000 /
-# 4,000, growing linearly with l; a window move costs 0.55-0.57 us at any l
-# (p = 0.3).  Yet while C(n, t) is short one exact update costs less.  Handing
-# over at l = 512 / 1,024 / 2,048, extract_short ops took 1.74 / 1.79 / 1.85
-# and 1.99 / 1.92 / 2.16 ms (medians of two runs of 8 alternating rounds;
-# 512 and 1,024 each won 8 of 16, 2,048 none) and 16 KiB ops favoured 1,024
-# in one run and 512 in the other.  So the window takes over at l = 1,024,
-# and a 512-bit demand stays exact.
-_CROSSOVER = 1024
 # G in the window's g = G + q - k bits below l (see ``_window``).  A move
 # fails to decide with odds of about 2^(2 - 3G/8), 2^-46 at 128: no fallback
 # on 10^7-bit streams at p = 0.05, 0.3, 0.5 and 0.95.  A fallback, like a
 # machine resumed from a deep node, pays one exact read: math.comb(131072,
-# 39321), a 115,504-bit value, takes 0.15-0.16 s on that host, and one at
-# n = 2^20 takes 5-6.5 s.
+# 39321), a 115,504-bit value, takes 0.15-0.16 s on a 2-core Xeon, and one
+# at n = 2^20 takes 5-6.5 s.
 _GUARD = 128
 
 
@@ -348,18 +337,18 @@ class StreamExtractor:
     C(n, t-1) = C(n, t)t/(n-t+1), so no table is ever needed.  A machine can
     start from any lattice node, e.g. to resume a paused walk.
 
-    While l < ``_CROSSOVER`` the coefficient is exact.  From there on the
-    engine carries only a floor bound on C/2^(l-g), g bits below l, so each
-    bit costs the same however long the stream.  A move whose quotients
-    C >> l the bound cannot prove exact (see ``_walk``) takes one exact read
-    of C(n, t) and ``walk_step``, and the window restarts from the exact
-    C(n+1, t'); ``fallbacks`` counts these resyncs.  The exact read is the
-    one costly step (see ``_GUARD``), paid by each fallback and by a machine
-    built at a deep node.  ``push``, ``feed``, ``pause_mode_run`` and
-    ``cli extract``, block by block, all run one loop, ``_walk``, whose two
-    phases carry ``walk_step`` inline; the tests against ``step`` keep them
-    equal.  ``push`` checks its one bit, ``feed`` and ``pause_mode_run``
-    their input once per call (``_checked_bits``); the loop tests no bit.
+    From the first move the engine carries only a floor bound on C/2^(l-g),
+    g bits below l, so each bit costs the same however long the stream.  A
+    move whose quotients C >> l the bound cannot prove exact (see ``_walk``)
+    takes one exact read of C(n, t) and ``walk_step``, and the window
+    restarts from the exact C(n+1, t'); ``fallbacks`` counts these resyncs.
+    The exact read is the one costly step (see ``_GUARD``), paid by each
+    fallback and by a machine built at a deep node.  ``push``, ``feed``,
+    ``pause_mode_run`` and ``cli extract``, block by block, all run one
+    loop, ``_walk``, which carries ``walk_step`` inline; the tests against
+    ``step`` keep the two equal.  ``push`` checks its one bit, ``feed`` and
+    ``pause_mode_run`` their input once per call (``_checked_bits``); the
+    loop tests no bit.
     """
 
     __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
@@ -371,7 +360,7 @@ class StreamExtractor:
             raise ValueError(f"{(n, t, l)} is not a lattice node")
         self.n, self.t, self.l = n, t, l
         self._fallbacks = 0
-        self._c, self._win = _window(c, n, l) if l >= _CROSSOVER else (c, None)
+        self._c, self._win = _window(c, n, l)
 
     @property
     def state(self) -> ExtractorState:
@@ -384,8 +373,8 @@ class StreamExtractor:
 
     @property
     def window_bits(self) -> int:
-        """Bit length of the one integer carried: the exact coefficient
-        below the crossover, its floor bound after it."""
+        """Bit length of the one integer carried, the floor bound on
+        C(n, t)/2^(l-g): g plus the width of the quotient C >> l."""
         return self._c.bit_length()
 
     def push(self, b: int) -> tuple[int, ...]:
@@ -402,13 +391,12 @@ class StreamExtractor:
 
     def _walk(self, bits: Iterable[int], demand: float = math.inf,
               out: list[int] | None = None) -> list[int]:
-        """The one loop: fold bits through the exact phase, then the window
-        (handing over mid-call), append what they emit to `out` (a new list
-        by default) and return it, stopping after the move that brings this
-        call's output to `demand` bits.
+        """The one loop: fold bits through the window, append what they emit
+        to `out` (a new list by default) and return it, stopping after the
+        move that brings this call's output to `demand` bits (at least 1).
 
         `bits` are plain 0/1 ints, checked once per call by the caller (see
-        ``_checked_bits``), so the loops test no bit; a lazily checked source
+        ``_checked_bits``), so the loop tests no bit; a lazily checked source
         raises ValueError on reaching a bad bit.  The state lives in locals,
         written back however the loop ends, so the bits before it stay fed.
 
@@ -423,82 +411,57 @@ class StreamExtractor:
         of 2^k or more.  A silent move never lowers it.  An emission that does
         narrows the window (``_window`` on c0, budget end - 1): e at least
         doubles, the error before the move stays under m/2 new e, and the move
-        and the shift add under one each.  An exact read leaves ε < e, so
-        after m moves (a narrowing counts as one) ε < (m+1)e.  A move is
-        decided only if m < B (n < end), so ε < Be <= 1/2, and only if
-        h0 < cap = 2^(g+w), so H < 2 cap: both errors are below
-        2B 2^(w-k) + 1 = margin + 1.  Then low g bits of h0 and of x0 below
-        lim = 2^g - margin mean no error reaches bit g: both quotients are
-        exact, the move is the exact move, and the invariant holds after it.
-        As g + k = G + q, g is at most G + G/4 + 1 at any depth.
+        and the shift add under one each.  An exact read, ``__init__``'s or
+        a fallback's, leaves ε < e, so after m moves (a narrowing counts as
+        one) ε < (m+1)e.  A move is decided only if m < B (n < end), so
+        ε < Be <= 1/2, and only if h0 < cap = 2^(g+w), so H < 2 cap: both
+        errors are below 2B 2^(w-k) + 1 = margin + 1.  Then low g bits of h0
+        and of x0 below lim = 2^g - margin mean no error reaches bit g: both
+        quotients are exact, the move is the exact move, and the invariant
+        holds after it.  As g + k = G + q, g is at most G + G/4 + 1 at any depth.
         """
         if out is None:
             out = []
         n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
+        g, mask, bit, lim, cap, end, low = win
         stop = l + demand
-        bits = iter(bits)
         try:
-            if win is None:
-                crossover = _CROSSOVER
-                for b in bits:
-                    if b:  # C(n, t+1) and C(n, t)
-                        hi, lo, t1 = c0 * (n - t) // (t + 1), c0, t + 1
-                    else:  # C(n, t) and C(n, t-1)
-                        hi, lo, t1 = c0, c0 * t // (n - t + 1), t
-                    here = hi + lo
-                    n, t, c0 = n + 1, t1, here
-                    # walk_step, inline: emit test at bit l, then the cascade
-                    if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
-                        out.append(b)
-                        l += 1
-                        while (hi >> l) & 1 != (lo >> l) & 1:
-                            out.append((hi >> l) & 1)
-                            l += 1
-                        if l >= crossover:
-                            c0, win = _window(c0, n, l)
-                            break
-                        if l >= stop:
-                            return out
+            for b in bits:
+                # x, the neighbour: hi = C(n, t+1) after a 1, lo = C(n, t-1) after a 0
+                if b:
+                    u, v, t1 = n - t, t + 1, t + 1
                 else:
-                    return out
-            g, mask, bit, lim, cap, end, low = win
-            if l < stop:
-                for b in bits:
-                    # x, the neighbour: hi = C(n, t+1) after a 1, lo = C(n, t-1) after a 0
-                    if b:
-                        u, v, t1 = n - t, t + 1, t + 1
-                    else:
-                        u, v, t1 = t, n - t + 1, t
-                    x0 = c0 * u // v
-                    h0 = x0 + c0
-                    if h0 & mask < lim and x0 & mask < lim and h0 < cap and n < end:
-                        n, t = n + 1, t1
-                        # walk_step, inline, on the quotients C >> l at bit g
-                        if h0 & bit and not x0 & bit:
-                            c0 = h0
-                            continue
-                        out.append(b)
-                        j = 1
-                        q_x, q_c = x0 >> g + 1, c0 >> g + 1
-                        while (q_x ^ q_c) & 1:
-                            out.append((q_x if b else q_c) & 1)  # hi's bit
-                            j += 1
-                            q_x, q_c = q_x >> 1, q_c >> 1
-                        l += j
-                        c0 = h0 >> j  # s = l - g rises with l
-                        if c0 < low:  # the quotient fell below its floor
-                            c0, win = _window(c0, n, g, end - 1)
-                            g, mask, bit, lim, cap, end, low = win
-                    else:  # undecided: one exact read, walk_step makes the move
-                        c = binom(n, t)
-                        x = c * u // v
-                        l = walk_step(x + c, x if b else c, c if b else x, b, l, out)
-                        n, t = n + 1, t1
-                        self._fallbacks += 1
-                        c0, win = _window(x + c, n, l)
+                    u, v, t1 = t, n - t + 1, t
+                x0 = c0 * u // v
+                h0 = x0 + c0
+                if h0 & mask < lim and x0 & mask < lim and h0 < cap and n < end:
+                    n, t = n + 1, t1
+                    # walk_step, inline, on the quotients C >> l at bit g
+                    if h0 & bit and not x0 & bit:
+                        c0 = h0
+                        continue
+                    out.append(b)
+                    j = 1
+                    q_x, q_c = x0 >> g + 1, c0 >> g + 1
+                    while (q_x ^ q_c) & 1:
+                        out.append((q_x if b else q_c) & 1)  # hi's bit
+                        j += 1
+                        q_x, q_c = q_x >> 1, q_c >> 1
+                    l += j
+                    c0 = h0 >> j  # s = l - g rises with l
+                    if c0 < low:  # the quotient fell below its floor
+                        c0, win = _window(c0, n, g, end - 1)
                         g, mask, bit, lim, cap, end, low = win
-                    if l >= stop:
-                        break
+                else:  # undecided: one exact read, walk_step makes the move
+                    c = binom(n, t)
+                    x = c * u // v
+                    l = walk_step(x + c, x if b else c, c if b else x, b, l, out)
+                    n, t = n + 1, t1
+                    self._fallbacks += 1
+                    c0, win = _window(x + c, n, l)
+                    g, mask, bit, lim, cap, end, low = win
+                if l >= stop:
+                    break
             return out
         finally:
             self.n, self.t, self.l, self._c, self._win = n, t, l, c0, win

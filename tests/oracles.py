@@ -7,6 +7,12 @@ induces a different per-string map; the two agree at the level of per-(T, L)
 counts, which is what the equivalence harness checks, and
 ``elias.expected_yield`` is certified against the per-string sum.
 
+Exact walk: ``exact_walk`` carries the exact C(n, t) from any node, reads
+each move's neighbour from an exact ratio and makes the move with
+``walk_step``, the reference rule.  It is the exact engine the streaming
+window is certified against on long streams, where ``run``'s three
+``math.comb`` reads per move would be too slow.
+
 Young lattice: the irrep dimension of a two-row diagram from literal hook
 lengths and by counting box-add paths, the two references for the closed
 form ``young.dim``.
@@ -27,7 +33,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from eliastream.binomial import bin_layout, binom
-from eliastream.extractor import as_count, as_node, parse_bits
+from eliastream.extractor import (
+    ExtractorState,
+    RunResult,
+    as_count,
+    as_node,
+    initial_state,
+    parse_bits,
+    walk_step,
+)
 from eliastream.schursim import UndefinedPairError, _source_rows
 from eliastream.young import is_valid
 
@@ -109,6 +123,27 @@ def conditional_bin_entropy(n: int, t: int) -> float:
         pr = (1 << l) / c
         h -= pr * math.log2(pr)
     return h
+
+
+def exact_walk(bits: Bits, state: ExtractorState = initial_state()) -> RunResult:
+    """Walk `bits` from the lattice node `state` on the exact coefficient:
+    C(n, t) is carried whole, each move's other size comes from the exact
+    ratio C(n, t+1) = C(n, t)(n-t)/(t+1) or C(n, t-1) = C(n, t)t/(n-t+1),
+    and ``walk_step`` makes the move.  Returns the output and the node
+    reached."""
+    n, t, l = state
+    c = binom(n, t)
+    if not (c >> l) & 1:
+        raise ValueError(f"{(n, t, l)} is not a lattice node")
+    out: list[int] = []
+    for b in bits:
+        if b:  # C(n, t+1) and C(n, t)
+            hi, lo, t = c * (n - t) // (t + 1), c, t + 1
+        else:  # C(n, t) and C(n, t-1)
+            hi, lo = c, c * t // (n - t + 1)
+        n, c = n + 1, hi + lo
+        l = walk_step(c, hi, lo, b, l, out)
+    return RunResult(tuple(out), ExtractorState(n, t, l))
 
 
 def hook_dim_oracle(n: int, t: int) -> int:

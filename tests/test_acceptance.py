@@ -23,7 +23,6 @@ from oracles import (
     two_qubit_source,
 )
 
-from eliastream import extractor
 from eliastream.binomial import binom
 from eliastream.elias import SourceModel, expected_yield
 from eliastream.extractor import (
@@ -224,14 +223,14 @@ def test_c10_conservation_at_every_step():
             walk(nxt, depth + 1, out_len + len(emitted))
 
     walk(initial_state(), 0, 0)
-    # plus a streamed run through the unbounded engine, past the window handoff
+    # plus a streamed run through the unbounded engine, far past l = 1,024
     machine = StreamExtractor()
     out_len = 0
     rng = np.random.default_rng(5)
     for b in (rng.random(6000) < 0.3).astype(int).tolist():
         out_len += len(machine.push(b))
         assert out_len == machine.l <= machine.n
-    assert machine.l >= extractor._CROSSOVER
+    assert machine.l > 1_024 and machine.window_bits < 160
     report("criterion 10 PASS: output length == l <= n after every step")
 
 

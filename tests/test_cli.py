@@ -630,9 +630,8 @@ def test_extract_memory_is_bounded_by_the_walk_not_the_input(tmp_path):
 
 @pytest.mark.parametrize("extra", list(PINNED))
 def test_extract_output_is_pinned(tmp_path, extra):
-    # Both streaming runs pass extractor._CROSSOVER, from where the window
-    # decides the moves (to l = 131,063 and 4,088); of the demands, 1,000
-    # ends below it, on the exact coefficient, and 2,000 above it.
+    # The window decides every move from the apex: the streaming runs end at
+    # l = 131,063 and 4,088, the demands at 1,000 and 2,000.
     size, args = extra
     inp, out, rep = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.txt"
     inp.write_bytes(hashlib.shake_256(PINNED_INPUT).digest(size))

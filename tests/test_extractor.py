@@ -26,6 +26,7 @@ from eliastream.extractor import (
     walk_tree,
 )
 from eliastream.young import qstep
+from oracles import exact_walk
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
 
@@ -374,10 +375,8 @@ def test_step_beyond_five_thousand_bits_matches_the_engine():
     # n = 6,000 is far past any Pascal table: every size comes from math.comb
     n, t = 6000, 1800
     c = math.comb(n, t)
-    crossover = extractor._CROSSOVER
-    for floor in (crossover // 2, crossover + 400):  # exact engine, then windowed
+    for floor in (512, 1424):  # two depths far below the top of C(n, t)
         l = next(l for l in range(floor, c.bit_length()) if (c >> l) & 1)
-        assert (l < crossover) == (floor < crossover)
         state = ExtractorState(n, t, l)
         for b in (0, 1):
             engine = StreamExtractor(state)
@@ -406,15 +405,14 @@ def test_pause_mode_long_stream_matches_streaming_engine():
     assert (second.state, second.pending) == (whole.state, whole.pending)
 
 
-# The window phase, forced from the apex with narrow guards so that both
-# window-decided moves and exact fallbacks occur on short streams.
+# The window from the apex with narrow guards, so that both window-decided
+# moves and exact fallbacks occur on short streams.
 GUARDS = (1, 2, 4, 8, 16)
 
 
 @contextmanager
 def window_from_apex(guard):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extractor, "_CROSSOVER", 0)
         mp.setattr(extractor, "_GUARD", guard)
         yield
 
@@ -476,10 +474,10 @@ def test_window_falls_back_to_exact_moves():
     assert narrow.state == reference.final
     assert narrow.fallbacks > 0
     assert len(reads) == narrow.fallbacks  # one exact coefficient per fallback
-    exact = StreamExtractor()  # 600 bits stay below the crossover
-    exact.feed(bits)
-    assert exact.fallbacks == 0
-    assert narrow.window_bits < exact.window_bits
+    wide = StreamExtractor()  # the default guard decides every move here
+    wide.feed(bits)
+    assert wide.fallbacks == 0
+    assert narrow.window_bits < wide.window_bits
 
 
 @pytest.mark.parametrize("guard", GUARDS[1:])
@@ -530,8 +528,23 @@ def test_narrow_guards_decide_some_moves_and_fall_back_on_others(guard):
 def deep_node(n=6000, t=1800):
     """A lattice node far below the top of C(n, t): C >> l is 3,855 bits wide."""
     c = math.comb(n, t)
-    return ExtractorState(n, t, next(l for l in range(extractor._CROSSOVER + 400, c.bit_length())
-                                     if (c >> l) & 1))
+    return ExtractorState(n, t, next(l for l in range(1424, c.bit_length()) if (c >> l) & 1))
+
+
+def test_the_exact_walk_oracle_matches_step_from_every_node_it_reaches():
+    # every string of length <= 12 is a prefix of one of length 12
+    for bits, moves in reference_walks(12):
+        state = initial_state()
+        for b, (emitted, after) in zip(bits, moves):
+            assert exact_walk([b], state) == (emitted, after)
+            state = after
+    # and 200 moves from a node deep below the top of C(n, t)
+    rng = random.Random(200)
+    state = deep_node()
+    for b in (int(rng.random() < 0.3) for _ in range(200)):
+        after, emitted = step(state, b)
+        assert exact_walk([b], state) == (emitted, after)
+        state = after
 
 
 def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
@@ -551,7 +564,7 @@ def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
     assert 0 < engine.fallbacks <= len(bits) // 50
 
 
-def test_a_deep_resume_narrows_its_window_as_the_quotient_falls(monkeypatch):
+def test_a_deep_resume_narrows_its_window_as_the_quotient_falls():
     # At p = 0.3 the walk emits faster than C grows, so from a deep node the
     # quotient falls back to the top of C within 10,000 moves.  The window
     # narrows as it falls, with no exact read: it stays within G/4 + 1 bits
@@ -569,10 +582,23 @@ def test_a_deep_resume_narrows_its_window_as_the_quotient_falls(monkeypatch):
     assert windowed.window_bits < 160
     end = windowed._win[5]  # each narrowing spends one move of the budget
     assert end < start.n + (1 << 3 * extractor._GUARD // 8)
-    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
-    exact = StreamExtractor(start)
-    assert exact.feed(bits) == tuple(output)
-    assert exact.state == windowed.state
+    assert exact_walk(bits, start) == (tuple(output), windowed.state)
+
+
+def test_memory_is_bounded_from_the_first_move():
+    # At p = 0.9999 the walk emits 317 bits in 200,000 moves.  From the apex
+    # on, the window stays within G/4 + 1 bits plus the guard of the
+    # quotient it bounds, never the width of C(n, t).
+    rng = random.Random(9999)
+    bits = [int(rng.random() < 0.9999) for _ in range(200_000)]
+    engine, output = StreamExtractor(), []
+    for at in range(0, len(bits), 1_000):
+        output += engine.feed(bits[at:at + 1_000])
+        q = (math.comb(engine.n, engine.t) >> engine.l).bit_length()
+        assert engine.window_bits <= q + extractor._GUARD + extractor._GUARD // 4 + 1
+    assert engine.window_bits < 160
+    assert engine.fallbacks == 0
+    assert exact_walk(bits) == (tuple(output), engine.state)
 
 
 def test_window_resumes_from_its_own_nodes(windowed):
@@ -602,41 +628,41 @@ def test_window_push_rejects_non_bits_and_keeps_state(windowed, bad):
     assert head + engine.feed(bits[40:]) == run(bits).output
 
 
-def test_window_matches_exact_engine_on_a_long_stream(monkeypatch):
+def test_window_matches_exact_engine_on_a_long_stream():
     rng = random.Random(50_000)
     bits = [int(rng.random() < 0.3) for _ in range(50_000)]
     windowed = StreamExtractor()
     output = windowed.feed(bits)
-    assert windowed.l >= extractor._CROSSOVER  # the window phase was reached
-    assert windowed.window_bits < 160
-    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
-    exact = StreamExtractor()
-    assert exact.feed(bits) == output
-    assert exact.state == windowed.state
-    assert exact.window_bits > windowed.l
+    # far past l = 1,024 the carried bound stays under 160 bits, while the
+    # coefficient it bounds is wider than l
+    assert windowed.l > 1_024 and windowed.window_bits < 160
+    assert math.comb(windowed.n, windowed.t).bit_length() > windowed.l
+    assert exact_walk(bits) == (output, windowed.state)
 
 
-@pytest.mark.parametrize("phase", ["exact", "window"])
-def test_bits_come_out_as_plain_ints_and_floats_are_rejected(phase):
-    crossover = 0 if phase == "window" else extractor._CROSSOVER
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extractor, "_CROSSOVER", crossover)
-        bools = StreamExtractor().feed([False, True, True, False, False, True])
-        assert bools == run([0, 1, 1, 0, 0, 1]).output
-        assert all(type(b) is int for b in bools)
-        for bad in (0.0, 1.0):
+def test_bits_come_out_as_plain_ints_and_floats_are_rejected():
+    # bools fed from the apex, then on past l = 1,024
+    rng = random.Random(6)
+    early = [False, True, True, False, False, True]
+    bits = early + [rng.random() < 0.4 for _ in range(3_000)]
+    engine = StreamExtractor()
+    output = engine.feed(early) + engine.feed(bits[len(early):])
+    assert (output, engine.state) == exact_walk(map(int, bits))
+    assert all(type(b) is int for b in output) and engine.l > 1_024
+    for bad in (0.0, 1.0):
+        for head in ([0, 1], bits):  # a bad bit early, then one late
             engine = StreamExtractor()
             with pytest.raises(ValueError):
                 engine.push(bad)
             with pytest.raises(ValueError):
-                engine.feed([0, 1, bad])
-            assert engine.state == (2, 1, 1)
-            with pytest.raises(ValueError):
-                pause_mode_run([0, 1, bad], 5)
-            with pytest.raises(ValueError):
-                step(initial_state(), bad)
-            with pytest.raises(ValueError):
-                run([0, 1, bad])
+                engine.feed([*head, bad])
+            assert engine.state == exact_walk(map(int, head)).final
+        with pytest.raises(ValueError):
+            pause_mode_run([0, 1, bad], 5)
+        with pytest.raises(ValueError):
+            step(initial_state(), bad)
+        with pytest.raises(ValueError):
+            run([0, 1, bad])
     reference = run([True, False])
     assert reference.output == (0,) and type(reference.output[0]) is int
 
@@ -670,21 +696,13 @@ def test_engine_rejects_non_int_state_fields():
             StreamExtractor(ExtractorState(*state))
 
 
-# The exact phase hands over to the window inside one call: crossover 40.
-@pytest.fixture(params=GUARDS)
-def handoff(request):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extractor, "_CROSSOVER", 40)
-        mp.setattr(extractor, "_GUARD", request.param)
-        yield request.param
-
-
-def test_one_feed_across_the_handoff_equals_every_other_driver(handoff):
-    rng = random.Random(handoff)
+def test_one_feed_across_the_handoff_equals_every_other_driver(windowed):
+    # narrow guards hand moves from the window to exact reads and back
+    rng = random.Random(windowed)
     bits = [int(rng.random() < 0.4) for _ in range(600)]
     fed = StreamExtractor()
     output = fed.feed(bits)
-    assert fed.l >= 40
+    assert fed.fallbacks > 0
     pushed = StreamExtractor()
     assert tuple(b for bit in bits for b in pushed.push(bit)) == output
     assert (pushed.state, pushed.fallbacks, pushed.window_bits) == (
@@ -698,24 +716,23 @@ def test_one_feed_across_the_handoff_equals_every_other_driver(handoff):
     assert unmet == (output, len(bits), fed.state, (), False)
 
 
-@pytest.mark.parametrize("phase", ["exact", "window"])
-def test_bad_bit_mid_feed_keeps_the_state_of_the_bits_before_it(handoff, phase):
+def test_bad_bit_mid_feed_keeps_the_state_of_the_bits_before_it(windowed):
     rng = random.Random(7)
     bits = [int(rng.random() < 0.4) for _ in range(300)]
-    head = 10 if phase == "exact" else 200
-    engine, before = StreamExtractor(), StreamExtractor()
-    engine.feed(bits[:head])
-    before.feed(bits[: head + 20])
-    assert (before.l < 40) == (phase == "exact")
-    with pytest.raises(ValueError):
-        engine.feed(bits[head : head + 20] + [2] + bits[head + 20 :])
-    assert (engine.state, engine.fallbacks, engine.window_bits) == (
-        before.state,
-        before.fallbacks,
-        before.window_bits,
-    )
-    assert engine.feed(bits[head + 20 :]) == before.feed(bits[head + 20 :])
-    assert engine.state == run(bits).final
+    for head in (10, 200):  # a bad bit early in the walk, then a late one
+        engine, before = StreamExtractor(), StreamExtractor()
+        engine.feed(bits[:head])
+        before.feed(bits[: head + 20])
+        assert (before.l < 40) == (head == 10)
+        with pytest.raises(ValueError):
+            engine.feed(bits[head : head + 20] + [2] + bits[head + 20 :])
+        assert (engine.state, engine.fallbacks, engine.window_bits) == (
+            before.state,
+            before.fallbacks,
+            before.window_bits,
+        )
+        assert engine.feed(bits[head + 20 :]) == before.feed(bits[head + 20 :])
+        assert engine.state == run(bits).final
 
 
 def test_pause_mode_stops_exactly_at_the_demand_in_the_window(windowed):
@@ -730,34 +747,28 @@ def test_pause_mode_stops_exactly_at_the_demand_in_the_window(windowed):
         assert StreamExtractor().feed(bits[: paused.consumed]) == paused.output + paused.pending
 
 
-def test_window_matches_exact_engine_at_benchmark_scale(monkeypatch):
+def test_window_matches_exact_engine_at_benchmark_scale():
     # one extract_long-sized stream at the lowest bias the benchmark uses
     rng = random.Random(131_072)
     bits = [int(rng.random() < 0.05) for _ in range(131_072)]
     windowed = StreamExtractor()
     output = windowed.feed(bits)
-    assert windowed.l >= extractor._CROSSOVER
+    assert windowed.l > 1_024 and windowed.window_bits < 160
     assert windowed.fallbacks == 0
-    assert windowed.window_bits < 160
-    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
-    exact = StreamExtractor()
-    assert exact.feed(bits) == output
-    assert exact.state == windowed.state
+    assert exact_walk(bits) == (output, windowed.state)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.99])
-def test_extreme_biases_stream_through_both_phases(monkeypatch, p):
-    # the longest silent runs, the moves the window skips without emitting
+def test_extreme_biases_stream_through_both_phases(p):
+    # the longest silent runs, the moves the window skips without emitting,
+    # from the apex to past l = 1,024
     rng = random.Random(40_000)
     bits = [int(rng.random() < p) for _ in range(40_000)]
     windowed = StreamExtractor()
     output = windowed.feed(bits)
-    assert windowed.l >= extractor._CROSSOVER
+    assert windowed.l > 1_024 and windowed.window_bits < 160
     assert windowed.fallbacks == 0
-    monkeypatch.setattr(extractor, "_CROSSOVER", float("inf"))
-    exact = StreamExtractor()
-    assert exact.feed(bits) == output
-    assert exact.state == windowed.state
+    assert exact_walk(bits) == (output, windowed.state)
 
 
 # Each call checks its input once: text up front, any other iterable lazily,
@@ -780,7 +791,7 @@ def test_a_bad_bit_deep_in_a_list_raises_after_the_bits_before_it(at):
     bits = [int(rng.random() < 0.3) for _ in range(40_000)]
     before = StreamExtractor()
     head = before.feed(bits[:at])
-    assert (before.l < extractor._CROSSOVER) == (at == 300)
+    assert (before.l < 1_024) == (at == 300)  # early, then deep in the list
     engine, out = StreamExtractor(), []
     with pytest.raises(ValueError):
         engine._walk(extractor._checked_bits(bits[:at] + [2] + bits[at:]), out=out)
@@ -797,7 +808,7 @@ def test_a_bad_bit_after_a_met_demand_raises_nothing(bad):
     rng = random.Random(11)
     bits = [int(rng.random() < 0.3) for _ in range(6_000)]
     whole = pause_mode_run(bits, 1_500)
-    assert whole.satisfied and whole.state.l >= extractor._CROSSOVER
+    assert whole.satisfied and whole.consumed < len(bits)
     assert pause_mode_run(bits + [bad], 1_500) == whole
     assert pause_mode_run(bits[: whole.consumed] + [bad] + bits, 1_500) == whole
 
