@@ -640,23 +640,28 @@ def test_window_matches_exact_engine_on_a_long_stream():
     assert exact_walk(bits) == (output, windowed.state)
 
 
-def test_bits_come_out_as_plain_ints_and_floats_are_rejected():
-    # bools fed from the apex, then on past l = 1,024
+# The two cases keep the names of the phases an earlier engine split the
+# walk into: "exact" feeds and breaks it near the apex, "window" carries it on
+# past l = 1,024 first.
+@pytest.mark.parametrize("phase", ["exact", "window"])
+def test_bits_come_out_as_plain_ints_and_floats_are_rejected(phase):
     rng = random.Random(6)
     early = [False, True, True, False, False, True]
-    bits = early + [rng.random() < 0.4 for _ in range(3_000)]
+    late = [rng.random() < 0.4 for _ in range(3_000)] if phase == "window" else []
+    bits = early + late
     engine = StreamExtractor()
-    output = engine.feed(early) + engine.feed(bits[len(early):])
+    output = engine.feed(early) + engine.feed(late)
     assert (output, engine.state) == exact_walk(map(int, bits))
-    assert all(type(b) is int for b in output) and engine.l > 1_024
+    assert all(type(b) is int for b in output)
+    assert (engine.l > 1_024) == (phase == "window")
+    head = bits if phase == "window" else [0, 1]
     for bad in (0.0, 1.0):
-        for head in ([0, 1], bits):  # a bad bit early, then one late
-            engine = StreamExtractor()
-            with pytest.raises(ValueError):
-                engine.push(bad)
-            with pytest.raises(ValueError):
-                engine.feed([*head, bad])
-            assert engine.state == exact_walk(map(int, head)).final
+        engine = StreamExtractor()
+        with pytest.raises(ValueError):
+            engine.push(bad)
+        with pytest.raises(ValueError):
+            engine.feed([*head, bad])
+        assert engine.state == exact_walk(map(int, head)).final
         with pytest.raises(ValueError):
             pause_mode_run([0, 1, bad], 5)
         with pytest.raises(ValueError):
@@ -716,23 +721,25 @@ def test_one_feed_across_the_handoff_equals_every_other_driver(windowed):
     assert unmet == (output, len(bits), fed.state, (), False)
 
 
-def test_bad_bit_mid_feed_keeps_the_state_of_the_bits_before_it(windowed):
+# "exact" puts the bad bit early in the walk, "window" puts it late.
+@pytest.mark.parametrize("phase", ["exact", "window"])
+def test_bad_bit_mid_feed_keeps_the_state_of_the_bits_before_it(windowed, phase):
     rng = random.Random(7)
     bits = [int(rng.random() < 0.4) for _ in range(300)]
-    for head in (10, 200):  # a bad bit early in the walk, then a late one
-        engine, before = StreamExtractor(), StreamExtractor()
-        engine.feed(bits[:head])
-        before.feed(bits[: head + 20])
-        assert (before.l < 40) == (head == 10)
-        with pytest.raises(ValueError):
-            engine.feed(bits[head : head + 20] + [2] + bits[head + 20 :])
-        assert (engine.state, engine.fallbacks, engine.window_bits) == (
-            before.state,
-            before.fallbacks,
-            before.window_bits,
-        )
-        assert engine.feed(bits[head + 20 :]) == before.feed(bits[head + 20 :])
-        assert engine.state == run(bits).final
+    head = 10 if phase == "exact" else 200
+    engine, before = StreamExtractor(), StreamExtractor()
+    engine.feed(bits[:head])
+    before.feed(bits[: head + 20])
+    assert (before.l < 40) == (phase == "exact")
+    with pytest.raises(ValueError):
+        engine.feed(bits[head : head + 20] + [2] + bits[head + 20 :])
+    assert (engine.state, engine.fallbacks, engine.window_bits) == (
+        before.state,
+        before.fallbacks,
+        before.window_bits,
+    )
+    assert engine.feed(bits[head + 20 :]) == before.feed(bits[head + 20 :])
+    assert engine.state == run(bits).final
 
 
 def test_pause_mode_stops_exactly_at_the_demand_in_the_window(windowed):
