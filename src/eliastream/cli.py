@@ -33,7 +33,6 @@ import argparse
 import contextlib
 import functools
 import io
-import math
 import os
 import stat
 import sys
@@ -139,18 +138,21 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
 
     A demand stops the walk, and the reading, after the move that brings the
     output to `demand` bits; the bits that move made past it are not
-    delivered.  Whole output bytes are written once the next block is in
-    hand, so the last block's bytes go out with the zero-padded tail in one
-    write, and an input of one block is packed once.  Each block reaches the
-    walk as the bytes ``_bit_bytes`` makes, bits by construction, so no bit
-    is checked and no list of bits is built."""
+    delivered.  Without one, each block's walk gets the int demand
+    n - l + 8 len(block) + 1, which no move meets, as l <= n after every
+    move, so the walk's stop test compares two ints.  Whole output bytes are
+    written once the next block is in hand, so the last block's bytes go out
+    with the zero-padded tail in one write, and an input of one block is
+    packed once.  Each block reaches the walk as the bytes ``_bit_bytes``
+    makes, bits by construction, so no bit is checked and no list of bits is
+    built."""
     machine = StreamExtractor()
     walk = machine._walk
-    want = math.inf if demand is None else demand
     written = 0  # output bits written, whole bytes
     tail: list[int] = []  # output bits after those
-    block = src.read(_BLOCK) if want else b""
+    block = src.read(_BLOCK) if demand != 0 else b""
     while block:
+        want = machine.n + 8 * len(block) + 1 if demand is None else demand
         walk(_bit_bytes(block), want - machine.l, tail)
         if machine.l >= want:
             del tail[want - written:]

@@ -40,8 +40,10 @@ nothing.  On Pascal's triangle two things use it:
   of its bits.
 * ``StreamExtractor``: the one streaming engine.  From the first move it
   carries one floor bound on C(n, t), a bounded number of bits below l, and
-  reads the neighbour from an exact ratio, one small multiply/divide per
-  bit, with one exact read and ``walk_step`` as the fallback.  ``push``,
+  reads the next size C(n+1, t') from an exact ratio, one small
+  multiply/divide per bit.  A silent move is decided from that one size;
+  only a move that emits forms the neighbour, their difference.  One exact
+  read and ``walk_step`` are the fallback.  ``push``,
   ``feed``, the on-demand ``pause_mode_run`` and the CLI's block-by-block
   ``extract`` run one loop, whose moves append straight to the output it
   returns.  The loop carries the rule inline, so no input bit pays for a
@@ -332,23 +334,25 @@ def _window(c: int, n: int, l: int, end: int | None = None) -> tuple[int, tuple[
 class StreamExtractor:
     """Unbounded-length engine: three counters plus a window on one coefficient.
 
-    Beyond (n, t, l) it carries only C(n, t); the other size each move reads
-    comes from an exact ratio, C(n, t+1) = C(n, t)(n-t)/(t+1) or
-    C(n, t-1) = C(n, t)t/(n-t+1), so no table is ever needed.  A machine can
-    start from any lattice node, e.g. to resume a paused walk.
+    Beyond (n, t, l) it carries only C(n, t).  Each move reads the next size
+    from an exact ratio, C(n+1, t+1) = C(n, t)(n+1)/(t+1) after a 1 or
+    C(n+1, t) = C(n, t)(n+1)/(n-t+1) after a 0, and a move that emits reads
+    its neighbour as their difference, so no table is ever needed.  A
+    machine can start from any lattice node, e.g. to resume a paused walk.
 
     From the first move the engine carries only a floor bound on C/2^(l-g),
     g bits below l, so each bit costs the same however long the stream.  A
-    move whose quotients C >> l the bound cannot prove exact (see ``_walk``)
-    takes one exact read of C(n, t) and ``walk_step``, and the window
-    restarts from the exact C(n+1, t'); ``fallbacks`` counts these resyncs.
-    The exact read is the one costly step (see ``_GUARD``), paid by each
-    fallback and by a machine built at a deep node.  ``push``, ``feed``,
-    ``pause_mode_run`` and ``cli extract``, block by block, all run one
-    loop, ``_walk``, which carries ``walk_step`` inline; the tests against
-    ``step`` keep the two equal.  ``push`` checks its one bit, ``feed`` and
-    ``pause_mode_run`` their input once per call (``_checked_bits``); the
-    loop tests no bit.
+    silent move is decided from the low g + 1 bits of the one size it
+    computes (see ``_walk``).  A move whose quotients C >> l the bound
+    cannot prove exact takes one exact read of C(n, t) and ``walk_step``,
+    and the window restarts from the exact C(n+1, t'); ``fallbacks`` counts
+    these resyncs.  The exact read is the one costly step (see ``_GUARD``),
+    paid by each fallback and by a machine built at a deep node.  ``push``,
+    ``feed``, ``pause_mode_run`` and ``cli extract``, block by block, all
+    run one loop, ``_walk``, which carries ``walk_step`` inline; the tests
+    against ``step`` keep the two equal.  ``push`` checks its one bit,
+    ``feed`` and ``pause_mode_run`` their input once per call
+    (``_checked_bits``); the loop tests no bit.
     """
 
     __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
@@ -403,43 +407,62 @@ class StreamExtractor:
         Why a decided move is exact.  The window carries c0 <= Ĉ =
         C(n, t)/2^s, s = l - g, with relative error ε = (Ĉ - c0)/Ĉ, and c0's
         quotient is exact: c0 >> g == C(n, t) >> l >= 2^k.  A move computes
-        x0 = floor(c0 u/v) for the neighbour X = Ĉu/v and h0 = x0 + c0 for
-        H = X + Ĉ.  Each floor loses under one unit, so X - x0 < εX + 1 and
-        H - h0 < εH + 1.  The bound carried on is h0, or floor(h0/2^j) once j
-        bits are emitted and s rises by j; its relative error is below
-        ε + 2^j/H <= ε + e, e = 2^-(g+k), if the node reached keeps a quotient
-        of 2^k or more.  A silent move never lowers it.  An emission that does
-        narrows the window (``_window`` on c0, budget end - 1): e at least
-        doubles, the error before the move stays under m/2 new e, and the move
-        and the shift add under one each.  An exact read, ``__init__``'s or
-        a fallback's, leaves ε < e, so after m moves (a narrowing counts as
-        one) ε < (m+1)e.  A move is decided only if m < B (n < end), so
-        ε < Be <= 1/2, and only if h0 < cap = 2^(g+w), so H < 2 cap: both
-        errors are below 2B 2^(w-k) + 1 = margin + 1.  Then low g bits of h0
-        and of x0 below lim = 2^g - margin mean no error reaches bit g: both
-        quotients are exact, the move is the exact move, and the invariant
-        holds after it.  As g + k = G + q, g is at most G + G/4 + 1 at any depth.
+        one size, h0 = floor(c0 (n+1)/v) for H = Ĉ(n+1)/v = C(n+1, t')/2^s,
+        with v = t+1 after a 1 and n-t+1 after a 0.  The neighbour is X =
+        H - Ĉ = Ĉu/v, u = n+1 - v, and as c0 is an integer its floor is
+        x0 = h0 - c0 = floor(c0 u/v).  Each floor loses under one unit, so
+        X - x0 < εX + 1 and H - h0 < εH + 1.  The bound carried on is h0, or
+        floor(h0/2^j) once j bits are emitted and s rises by j; its relative
+        error is below ε + 2^j/H <= ε + e, e = 2^-(g+k), if the node reached
+        keeps a quotient of 2^k or more.  A silent move never lowers it.  An
+        emission that does narrows the window (``_window`` on c0, budget
+        end - 1): e at least doubles, the error before the move stays under
+        m/2 new e, and the move and the shift add under one each.  An exact
+        read, ``__init__``'s or a fallback's, leaves ε < e, so after m moves
+        (a narrowing counts as one) ε < (m+1)e.  A move is decided only if
+        m < B (n < end), so ε < Be <= 1/2, and only if h0 < cap = 2^(g+w), so
+        H < 2 cap: both errors are below 2B 2^(w-k) + 1 = margin + 1.  Then
+        low g bits of h0 and of x0 below lim = 2^g - margin mean no error
+        reaches bit g: both quotients are exact, the move is the exact move,
+        and the invariant holds after it.  As g + k = G + q, g is at most
+        G + G/4 + 1 at any depth.
+
+        Why a silent move needs no neighbour.  A decided move is silent iff
+        bit g of h0 is 1 and bit g of x0 is 0 (``walk_step`` with here = H).
+        Bit g of c0 is 1, as C >> l is odd at a lattice node, so with the
+        low g + 1 bits cb of c0 and hm of h0, cb <= hm says that bit g of
+        h0 is set and its low g bits are at least c0's.  Then x0 = h0 - c0
+        has low g + 1 bits hm - cb < 2^g: bit g of x0 is 0 and its low g
+        bits are at most h0's.  Conversely, at a silent move the low g bits
+        of x0 and c0 sum to under 2^g, or bit g of h0 would be 0, so
+        cb <= hm.  A move is thus silent and decided iff cb <= hm < 2^g + lim,
+        h0 < cap and n < end, and after it cb is hm.  Only another move
+        forms x0; if it is decided, it emits.
         """
         if out is None:
             out = []
         n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
         g, mask, bit, lim, cap, end, low = win
+        mask2, top = 2 * bit - 1, bit + lim  # a move is silent iff cb <= hm < top
+        cb = c0 & mask2
         stop = l + demand
         try:
             for b in bits:
-                # x, the neighbour: hi = C(n, t+1) after a 1, lo = C(n, t-1) after a 0
+                # n and t step first, so the budget test n < end reads n <= end
+                n += 1
                 if b:
-                    u, v, t1 = n - t, t + 1, t + 1
+                    t += 1
+                    h0 = c0 * n // t
                 else:
-                    u, v, t1 = t, n - t + 1, t
-                x0 = c0 * u // v
-                h0 = x0 + c0
-                if h0 & mask < lim and x0 & mask < lim and h0 < cap and n < end:
-                    n, t = n + 1, t1
-                    # walk_step, inline, on the quotients C >> l at bit g
-                    if h0 & bit and not x0 & bit:
-                        c0 = h0
-                        continue
+                    h0 = c0 * n // (n - t)
+                hm = h0 & mask2
+                if cb <= hm < top and h0 < cap and n <= end:  # silent
+                    c0, cb = h0, hm
+                    continue
+                x0 = h0 - c0
+                if h0 & mask < lim and x0 & mask < lim and h0 < cap and n <= end:
+                    # decided, not silent: walk_step's emission and cascade,
+                    # inline, on the quotients C >> l at bit g
                     out.append(b)
                     j = 1
                     q_x, q_c = x0 >> g + 1, c0 >> g + 1
@@ -452,14 +475,19 @@ class StreamExtractor:
                     if c0 < low:  # the quotient fell below its floor
                         c0, win = _window(c0, n, g, end - 1)
                         g, mask, bit, lim, cap, end, low = win
+                        mask2, top = 2 * bit - 1, bit + lim
                 else:  # undecided: one exact read, walk_step makes the move
+                    n, t = n - 1, t - b  # the node left, until the move is made
                     c = binom(n, t)
-                    x = c * u // v
-                    l = walk_step(x + c, x if b else c, c if b else x, b, l, out)
-                    n, t = n + 1, t1
+                    h = c * (n + 1) // (t + 1 if b else n - t + 1)
+                    x = h - c
+                    l = walk_step(h, x if b else c, c if b else x, b, l, out)
+                    n, t = n + 1, t + b
                     self._fallbacks += 1
-                    c0, win = _window(x + c, n, l)
+                    c0, win = _window(h, n, l)
                     g, mask, bit, lim, cap, end, low = win
+                    mask2, top = 2 * bit - 1, bit + lim
+                cb = c0 & mask2
                 if l >= stop:
                     break
             return out

@@ -17,12 +17,13 @@ Young lattice: the irrep dimension of a two-row diagram from literal hook
 lengths and by counting box-add paths, the two references for the closed
 form ``young.dim``.
 
-Coherent simulators: ``naive_pair_amplitudes`` gathers the branches that
-hold output pair k by reading each label object field by field, with no
-column table.  On it rest the array statistics that certify an emitted
-pair: its reduced state, its single-party marginals and its memory gap to
-the lattice registers.  The source helpers build the two-qubit inputs of
-the universal simulator as numpy matrices.
+Coherent simulators: ``read_labels`` reads each label object of a state
+field by field, once, with no column table, and ``naive_pair_amplitudes``
+gathers from those rows the branches that hold output pair k.  On it rest
+the array statistics that certify an emitted pair: its reduced state, its
+single-party marginals and its memory gap to the lattice registers.  The
+source helpers build the two-qubit inputs of the universal simulator as
+numpy matrices.
 """
 
 import functools
@@ -195,46 +196,55 @@ def tape_text(label):
     return format(label.tape, f"0{label.l}b") if label.l else ""
 
 
-def naive_pair_amplitudes(state, k, registers=()):
-    """The branches holding pair k as a dense array of shape (pair bits
-    |a b> = 2a + b at slot k, register, environment).
-
-    Label fields are read from the label objects row by row.  Register ids
-    number the joint values of the named fields, environment ids the rest
-    of both labels, the tapes without slot k; both by dict in order of first
-    appearance, so every cell has its own place.
-    """
-    k = as_count(k, "pair index", lo=1)
-
-    def dense_ids(keys):
-        ids = {}
-        return np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=int)
-
-    held = [
-        (la, lb, amp)
-        for (la, lb), amp in state.amps.items()
-        if la.l >= k and lb.l >= k
-    ]
-    if not held:
-        raise UndefinedPairError(f"pair {k} never exists in this state")
-    alice, bob, amps = zip(*held)
-    pair = np.zeros(len(amps), dtype=int)
-    reg_columns, env_columns = [], []
-    for weight, labels in ((2, alice), (1, bob)):
+def read_labels(state, registers=()):
+    """Each branch of a joint state with its two label objects read once,
+    field by field, for ``naive_pair_amplitudes`` to gather every pair k
+    from: per row the amplitude, both tape lengths, both tapes as 0/1 text,
+    the joint value of the named register fields and the joint value of
+    every other field but the tapes, rows in map order."""
+    pairs, amps = zip(*state.amps.items())
+    lengths, tapes, regs, rests = [], [], [], []
+    for labels in zip(*pairs):
         columns = dict(zip(labels[0]._fields, zip(*labels, strict=True)))
         del columns["tape"]
         for name in registers:
             if name not in columns:
                 raise ValueError(f"labels have no register field {name!r}")
-        tapes = [tape_text(label) for label in labels]
-        pair += weight * np.array([tape[k - 1] == "1" for tape in tapes])
-        reg_columns += [columns.pop(name) for name in registers]
-        env_columns += [[tape[: k - 1] + tape[k:] for tape in tapes], *columns.values()]
-    reg = dense_ids(zip(*reg_columns)) if registers else np.zeros_like(pair)
-    env = dense_ids(zip(*env_columns))
-    psi = np.zeros((4, reg.max() + 1, env.max() + 1), dtype=complex)
+        lengths.append(columns["l"])
+        tapes.append([tape_text(label) for label in labels])
+        regs += [columns.pop(name) for name in registers]
+        rests += columns.values()
+    regs = list(zip(*regs)) if registers else [()] * len(amps)
+    return list(zip(amps, *lengths, *tapes, regs, zip(*rests)))
+
+
+def naive_pair_amplitudes(rows, k):
+    """The branches holding pair k as a dense array of shape (pair bits
+    |a b> = 2a + b at slot k, register, environment), from the label rows
+    ``read_labels`` read.
+
+    Register ids number the joint register values, environment ids the rest
+    of both labels, the tapes without slot k; both by dict in order of first
+    appearance, so every cell has its own place.
+    """
+    k = as_count(k, "pair index", lo=1)
+    held = [row for row in rows if row[1] >= k and row[2] >= k]
+    if not held:
+        raise UndefinedPairError(f"pair {k} never exists in this state")
+    amps, _, _, tapes_a, tapes_b, regs, rests = zip(*held)
+    pair = [2 * (a[k - 1] == "1") + (b[k - 1] == "1") for a, b in zip(tapes_a, tapes_b)]
+    envs = [(a[: k - 1] + a[k:], b[: k - 1] + b[k:], rest)
+            for a, b, rest in zip(tapes_a, tapes_b, rests)]
+    reg, env = dense_ids(regs), dense_ids(envs)
+    psi = np.zeros((4, max(reg) + 1, max(env) + 1), dtype=complex)
     psi[pair, reg, env] = amps
     return psi
+
+
+def dense_ids(keys):
+    """Each key's number, 0, 1, ... in order of first appearance, by dict."""
+    number = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return list(map(number.__getitem__, keys))
 
 
 def reduced_pair(state, k):
@@ -244,7 +254,7 @@ def reduced_pair(state, k):
     renormalizing; branches without the pair never mix in.  Basis order is
     |a b> for Alice bit a, Bob bit b.
     """
-    psi = naive_pair_amplitudes(state, k).reshape(4, -1)
+    psi = naive_pair_amplitudes(read_labels(state), k).reshape(4, -1)
     prob = float((abs(psi) ** 2).sum())
     return psi @ psi.conj().T / prob, prob
 
@@ -279,7 +289,7 @@ def pair_and_memory_gap(psi):
 
 def pair_memory_product_gap(state, k):
     """Memory gap of pair k against both parties' lattice position (t, l)."""
-    return pair_and_memory_gap(naive_pair_amplitudes(state, k, ("t", "l")))[1]
+    return pair_and_memory_gap(naive_pair_amplitudes(read_labels(state, ("t", "l")), k))[1]
 
 
 def two_qubit_source(p, theta=0.0):

@@ -19,6 +19,7 @@ from oracles import (
     pair_and_memory_gap,
     party_marginal,
     path_count,
+    read_labels,
     reduced_pair,
     two_qubit_source,
 )
@@ -147,6 +148,7 @@ def test_c07_known_basis_concentration():
     for n in range(1, 13):
         for p in P_GRID:
             state = simulate_known_basis(float(p), n)
+            labels = read_labels(state, ("t", "l"))  # once for every pair k
             max_len = max(la.l for (la, _) in state.amps)
             for k in range(1, max_len + 1):
                 if emission_probability(state, k) == 0:
@@ -154,7 +156,7 @@ def test_c07_known_basis_concentration():
                 checked += 1
                 assert abs(pair_fidelity(state, k) - 1) < 1e-10, (n, p, k)
                 # one gather serves the marginals and the memory gap
-                rho, gap = pair_and_memory_gap(naive_pair_amplitudes(state, k, ("t", "l")))
+                rho, gap = pair_and_memory_gap(naive_pair_amplitudes(labels, k))
                 for party in (0, 1):
                     marginal = party_marginal(rho, party)
                     assert np.max(np.abs(marginal - np.eye(2) / 2)) < 1e-10

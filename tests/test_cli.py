@@ -525,6 +525,23 @@ def test_extract_in_blocks_equals_one_whole_input_walk(tmp_path, size):
         assert (out.read_bytes(), report_lines(rep.read_text())) == whole_input_extract(data, demand)
 
 
+def test_extract_streams_a_block_that_emits_more_bits_than_it_reads(tmp_path):
+    # A KiB of zeros keeps C(n, 0) = 1, so l stays 0 while n reaches 8,192;
+    # the random KiB after it takes l past the 8,193 bits that block holds.
+    # The streaming walk's demand, n - l + 8 * 1,024 + 1 at the block's
+    # start, stays out of reach, so every bit of the block is walked.
+    data = bytes(cli._BLOCK) + random.Random(2).randbytes(cli._BLOCK)
+    head = StreamExtractor()
+    head.feed(unpack_bytes(data[:cli._BLOCK]))
+    assert (head.n, head.l) == (8 * cli._BLOCK, 0)
+    head.feed(unpack_bytes(data[cli._BLOCK:]))
+    assert head.l > 8 * cli._BLOCK + 1
+    inp, out, rep = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.txt"
+    inp.write_bytes(data)
+    assert main(["extract", "--input", str(inp), "--output", str(out), "--report", str(rep)]) == 0
+    assert (out.read_bytes(), report_lines(rep.read_text())) == whole_input_extract(data)
+
+
 def test_extract_refuses_a_report_over_a_redirected_stdout(tmp_path, capsysbinary):
     # The shell opens the file behind stdout before extract runs, truncating
     # it (">") or not (">>").  A --report naming that file would replace the

@@ -564,6 +564,26 @@ def test_a_deep_resume_at_high_bias_crosses_the_cap_and_reads_rarely():
     assert 0 < engine.fallbacks <= len(bits) // 50
 
 
+@pytest.mark.parametrize("guard", [extractor._GUARD, *GUARDS])
+def test_the_carried_bound_keeps_an_exact_odd_quotient(guard):
+    # A silent move is decided from the low g + 1 bits of the next size
+    # alone, which rests on bit g of the carried bound being 1: its quotient
+    # is C(n, t) >> l, odd at a lattice node.  Checked after every block,
+    # across window moves, narrowings and exact reads.
+    rng, fallbacks = random.Random(guard), 0
+    with window_from_apex(guard):
+        for p in (0.05, 0.3, 0.5, 0.95):
+            bits = [int(rng.random() < p) for _ in range(2_000)]
+            engine = StreamExtractor()
+            for at in range(0, len(bits), 97):
+                engine.feed(bits[at:at + 97])
+                g = engine._win[0]
+                assert engine._c >> g == math.comb(engine.n, engine.t) >> engine.l
+                assert engine._c >> g & 1
+            fallbacks += engine.fallbacks
+    assert (fallbacks > 0) == (guard in GUARDS)
+
+
 def test_a_deep_resume_narrows_its_window_as_the_quotient_falls():
     # At p = 0.3 the walk emits faster than C grows, so from a deep node the
     # quotient falls back to the top of C within 10,000 moves.  The window

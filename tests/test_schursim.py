@@ -12,6 +12,7 @@ from oracles import (
     naive_pair_amplitudes,
     pair_marginal,
     pair_memory_product_gap,
+    read_labels,
     reduced_pair,
     tape_text,
     two_qubit_source,
@@ -571,12 +572,13 @@ def naive_emission_probability(state, k):
     return float(sum(abs(a) ** 2 for (la, lb), a in state.amps.items() if la.l >= k and lb.l >= k))
 
 
-def gather_fidelity(state, k):
-    """The fidelity read from the naive gather, environments in id order: the
-    oracle of the one-pass fidelity, adding in the same order.  An
-    environment holds at most one row per pair-bit value, so each overlap is
-    a sum of two terms, the same in either order."""
-    psi = naive_pair_amplitudes(state, k)[:, 0]
+def gather_fidelity(state, labels, k):
+    """The fidelity read from the naive gather of `labels`, the state's
+    ``read_labels``, environments in id order: the oracle of the one-pass
+    fidelity, adding in the same order.  An environment holds at most one
+    row per pair-bit value, so each overlap is a sum of two terms, the same
+    in either order."""
+    psi = naive_pair_amplitudes(labels, k)[:, 0]
     overlaps = (complex(a) + complex(b) for a, b in zip(psi[0], psi[3]))
     return sum(abs(c) ** 2 for c in overlaps) / (2 * naive_emission_probability(state, k))
 
@@ -614,7 +616,7 @@ def assert_gathers_equal_naive(state):
     and fidelity equal their oracles exactly, and a pair no row holds has no
     fidelity; every distribution of an Alice label field but the tape equals
     its per-row sum.  Returns whether some row holds a pair."""
-    held_any = False
+    held_any, labels = False, read_labels(state)
     for k in range(1, max(max(la.l, lb.l) for la, lb in state.amps) + 2):
         assert emission_probability(state, k) == naive_emission_probability(state, k), k
         if not any(la.l >= k and lb.l >= k for la, lb in state.amps):
@@ -622,7 +624,7 @@ def assert_gathers_equal_naive(state):
                 pair_fidelity(state, k)
             continue
         held_any = True
-        assert pair_fidelity(state, k) == gather_fidelity(state, k), k
+        assert pair_fidelity(state, k) == gather_fidelity(state, labels, k), k
     assert tape_length_distribution(state) == naive_distribution(state, lambda la: la.l)
     # t, u, l and purity of a PartyLabel; l, kept and purity of a VNLabel
     for name in next(iter(state.amps))[0]._fields:
