@@ -41,13 +41,14 @@ nothing.  On Pascal's triangle two things use it:
 * ``StreamExtractor``: the one streaming engine.  From the first move it
   carries one floor bound on C(n, t), a bounded number of bits below l, and
   reads the next size C(n+1, t') from an exact ratio, one small
-  multiply/divide per bit.  A silent move is decided from that one size;
-  only a move that emits forms the neighbour, their difference.  One exact
-  read and ``walk_step`` are the fallback.  ``push``,
-  ``feed``, the on-demand ``pause_mode_run`` and the CLI's block-by-block
-  ``extract`` run one loop, whose moves append straight to the output it
-  returns.  The loop carries the rule inline, so no input bit pays for a
-  function call; the engine-vs-``step`` tests pin it to ``walk_step``.
+  multiply/divide per bit.  Every move is decided from the low bits of
+  that one size and of the bound, by compares; only a carry forms the
+  neighbour, their difference.  One exact read and ``walk_step`` are the
+  fallback.  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the
+  CLI's block-by-block ``extract`` run one loop, whose moves append
+  straight to the output it returns.  The loop carries the rule inline, so
+  no input bit pays for a function call; the engine-vs-``step`` tests pin
+  it to ``walk_step``.
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binomial import binom
@@ -319,16 +321,23 @@ _GUARD = 128
 
 def _window(c: int, n: int, l: int, end: int | None = None) -> tuple[int, tuple[int, ...]]:
     """The window on C = c at node (n, ., l), C exact or a window's floor
-    bound with l at its g: c0 = C/2^(l-g), floored, and (g, mask, bit, lim,
+    bound with l at its g: c0 = C/2^(l-g), floored, and (g, mcap, bit, lim,
     cap, end, low) for ``_walk``.  With q the width of C >> l and G = _GUARD
     as it is now: floor 2^k, k = max(q - 1 - G/4, 0), g = G + q - k, cap 2^w,
-    w = q + G/4, lim = 2^g - 2B 2^(w-k); B = 2^(3G/8) moves by default."""
+    w = q + G/4, lim = 2^g - 2B 2^(w-k); B = 2^(3G/8) moves by default.
+
+    Slot 1, mcap, masks a computed size h0 to its low g + 1 bits and to the
+    F = (end + 1).bit_length() bits from cap's up.  F bits hold all of h0
+    above cap: c0 < cap before every move, and a move multiplies by at most
+    n <= end < 2^F, so h0 < cap 2^F, and h0 & mcap >= cap iff h0 >= cap."""
     q = (c >> l).bit_length()  # >= 1 at a lattice node
     k = max(q - 1 - _GUARD // 4, 0)
     g, w, b = _GUARD + q - k, q + _GUARD // 4, 3 * _GUARD // 8
     lim = (1 << g) - (2 << b + w - k)
     end = n + (1 << b) if end is None else end
-    return (c << g) >> l, (g, (1 << g) - 1, 1 << g, lim, 1 << g + w, end, 1 << g + k)
+    cap = 1 << g + w
+    mcap = (2 << g) - 1 | ((1 << (end + 1).bit_length()) - 1) * cap
+    return (c << g) >> l, (g, mcap, 1 << g, lim, cap, end, 1 << g + k)
 
 
 class StreamExtractor:
@@ -336,23 +345,24 @@ class StreamExtractor:
 
     Beyond (n, t, l) it carries only C(n, t).  Each move reads the next size
     from an exact ratio, C(n+1, t+1) = C(n, t)(n+1)/(t+1) after a 1 or
-    C(n+1, t) = C(n, t)(n+1)/(n-t+1) after a 0, and a move that emits reads
-    its neighbour as their difference, so no table is ever needed.  A
+    C(n+1, t) = C(n, t)(n+1)/(n-t+1) after a 0, and a carry reads its
+    neighbour as their difference, so no table is ever needed.  A
     machine can start from any lattice node, e.g. to resume a paused walk.
 
     From the first move the engine carries only a floor bound on C/2^(l-g),
     g bits below l, so each bit costs the same however long the stream.  A
-    silent move is decided from the low g + 1 bits of the one size it
-    computes (see ``_walk``).  A move whose quotients C >> l the bound
-    cannot prove exact takes one exact read of C(n, t) and ``walk_step``,
-    and the window restarts from the exact C(n+1, t'); ``fallbacks`` counts
-    these resyncs.  The exact read is the one costly step (see ``_GUARD``),
-    paid by each fallback and by a machine built at a deep node.  ``push``,
-    ``feed``, ``pause_mode_run`` and ``cli extract``, block by block, all
-    run one loop, ``_walk``, which carries ``walk_step`` inline; the tests
-    against ``step`` keep the two equal.  ``push`` checks its one bit,
-    ``feed`` and ``pause_mode_run`` their input once per call
-    (``_checked_bits``); the loop tests no bit.
+    move is decided from the low g + 1 bits of the one size it computes and
+    of the bound, its quotient cap read in the same mask and its move budget
+    as the length of a slice of the input (see ``_walk``).  A move whose
+    quotients C >> l the bound cannot prove exact takes one exact read of
+    C(n, t) and ``walk_step``, and the window restarts from the exact
+    C(n+1, t'); ``fallbacks`` counts these resyncs.  The exact read is the
+    one costly step (see ``_GUARD``), paid by each fallback and by a
+    machine built at a deep node.  ``push``, ``feed``, ``pause_mode_run``
+    and ``cli extract``, block by block, all run one loop, ``_walk``, which
+    carries ``walk_step`` inline; the tests against ``step`` keep the two
+    equal.  ``push`` checks its one bit, ``feed`` and ``pause_mode_run``
+    their input once per call (``_checked_bits``); the loop tests no bit.
     """
 
     __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
@@ -386,12 +396,33 @@ class StreamExtractor:
         other than 0 or 1 raises ValueError and leaves the state unchanged."""
         if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
             b = as_bit(b)
-        return tuple(self._walk((b,)))
+        return tuple(self._walk((b,), self.n - self.l + 2))
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:
         """Feed many bits; return the concatenated output.  A bad bit
-        raises ValueError; the bits before it stay fed."""
-        return tuple(self._walk(_checked_bits(bits)))
+        raises ValueError; the bits before it stay fed.
+
+        An input with a length walks to the int demand n - l + len + 1,
+        which no move meets, as l <= n after every move, so the walk's stop
+        test compares two ints; a generator walks to ``math.inf``."""
+        checked = _checked_bits(bits)
+        try:
+            demand = self.n - self.l + len(checked if is_text(bits) else bits) + 1
+        except TypeError:  # no len()
+            demand = math.inf
+        return tuple(self._walk(checked, demand))
+
+    def _exact_move(self, n: int, t: int, b: int, l: int, out: list[int]) -> tuple:
+        """The exact move from node (n, t, l) on bit b, counted in
+        ``fallbacks``: one exact read of C(n, t), ``walk_step`` appending to
+        `out`, and a new window on the exact C(n+1, t'): (n + 1, t', l after
+        the move, c0, window)."""
+        c = binom(n, t)
+        h = c * (n + 1) // (t + 1 if b else n - t + 1)
+        x = h - c
+        l = walk_step(h, x if b else c, c if b else x, b, l, out)
+        self._fallbacks += 1
+        return (n + 1, t + b, l, *_window(h, n + 1, l))
 
     def _walk(self, bits: Iterable[int], demand: float = math.inf,
               out: list[int] | None = None) -> list[int]:
@@ -436,60 +467,98 @@ class StreamExtractor:
         bits are at most h0's.  Conversely, at a silent move the low g bits
         of x0 and c0 sum to under 2^g, or bit g of h0 would be 0, so
         cb <= hm.  A move is thus silent and decided iff cb <= hm < 2^g + lim,
-        h0 < cap and n < end, and after it cb is hm.  Only another move
-        forms x0; if it is decided, it emits.
+        h0 < cap and n < end, and after it cb is hm.
+
+        Why the cap is read from the mask.  hm is h0 & mcap (see
+        ``_window``): h0's low g + 1 bits, and its F bits from cap's up.  By
+        induction c0 < cap before every move: ``_window`` leaves c0 <
+        2^(g+q) <= cap, and a decided move carries on h0, or h0 shifted
+        right, with h0 < cap as shown next.  A move within the budget
+        multiplies c0 by (n+1)/v <= n+1 <= end < 2^F, so h0 < cap 2^F: the
+        field holds every bit of h0 from cap's up, and h0 >= cap iff hm >=
+        cap.  As cap >= 2^(g+1) > top = 2^g + lim, the silent test cb <= hm
+        < top holds h0 < cap, and so does hm < cb < 2^(g+1).
+
+        Why an emission borrows.  If cb <= hm and the move is not silent,
+        then hm >= top: h0 >= cap, or bit g of h0 is set and its low g bits
+        are at least lim.  Either leaves the move undecided, so a decided
+        move that emits has hm < cb, and h0 - c0 borrows at bit g + 1.  With
+        d = hm - cb, -2^(g+1) < d < 0, x0's low g + 1 bits are d + 2^(g+1),
+        so its low g bits are below lim iff d < lim - 2^(g+1) or -2^g <= d <
+        lim - 2^g; h0's are below lim iff hm < lim or 2^g <= hm < top.  The
+        cascade compares the quotients at bit g + 1 of x0 and c0, Q_h - Q_c
+        - 1 (the borrow) and Q_c, with Q_h that of h0: their low bits differ
+        iff their sum Q_h - 1 is odd, iff bit g + 1 of h0 is 0.  So when that
+        bit is 1 the move emits b alone, c0 becomes h0 >> 1 and cb becomes
+        hm >> 1 with bit g set; only a carry forms x0 and runs the cascade.
+
+        Why the budget is the slice length.  Each inner loop takes at most
+        end - n bits, so every move it makes is within the budget, n < end,
+        and none tests it.  A window that changes (a narrowing, whose end
+        is one less, or an exact move) ends the slice, and the outer loop
+        slices again from the new window.  A slice that runs out at n = end
+        leaves the next bit, if there is one, to the exact move, the move
+        the budget test would fail.
         """
         if out is None:
             out = []
         n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
-        g, mask, bit, lim, cap, end, low = win
-        mask2, top = 2 * bit - 1, bit + lim  # a move is silent iff cb <= hm < top
-        cb = c0 & mask2
         stop = l + demand
+        bits = iter(bits)
         try:
-            for b in bits:
-                # n and t step first, so the budget test n < end reads n <= end
-                n += 1
-                if b:
-                    t += 1
-                    h0 = c0 * n // t
-                else:
-                    h0 = c0 * n // (n - t)
-                hm = h0 & mask2
-                if cb <= hm < top and h0 < cap and n <= end:  # silent
-                    c0, cb = h0, hm
-                    continue
-                x0 = h0 - c0
-                if h0 & mask < lim and x0 & mask < lim and h0 < cap and n <= end:
-                    # decided, not silent: walk_step's emission and cascade,
-                    # inline, on the quotients C >> l at bit g
-                    out.append(b)
-                    j = 1
-                    q_x, q_c = x0 >> g + 1, c0 >> g + 1
-                    while (q_x ^ q_c) & 1:
-                        out.append((q_x if b else q_c) & 1)  # hi's bit
-                        j += 1
-                        q_x, q_c = q_x >> 1, q_c >> 1
-                    l += j
-                    c0 = h0 >> j  # s = l - g rises with l
-                    if c0 < low:  # the quotient fell below its floor
-                        c0, win = _window(c0, n, g, end - 1)
-                        g, mask, bit, lim, cap, end, low = win
-                        mask2, top = 2 * bit - 1, bit + lim
-                else:  # undecided: one exact read, walk_step makes the move
-                    n, t = n - 1, t - b  # the node left, until the move is made
-                    c = binom(n, t)
-                    h = c * (n + 1) // (t + 1 if b else n - t + 1)
-                    x = h - c
-                    l = walk_step(h, x if b else c, c if b else x, b, l, out)
-                    n, t = n + 1, t + b
-                    self._fallbacks += 1
-                    c0, win = _window(h, n, l)
-                    g, mask, bit, lim, cap, end, low = win
-                    mask2, top = 2 * bit - 1, bit + lim
-                cb = c0 & mask2
-                if l >= stop:
+            while True:
+                g, mcap, bit, lim, _, end, low = win
+                two, top = 2 * bit, bit + lim  # a move is silent iff cb <= hm < top
+                # a borrowing x0's low g bits are below lim iff d = hm - cb is
+                # below x_lo, or from x_mid up to below x_hi
+                x_lo, x_mid, x_hi = lim - two, -bit, lim - bit
+                cb = c0 & two - 1
+                # n and t step first: each move here has n <= end after it
+                for n, b in enumerate(islice(bits, max(end - n, 0)), n + 1):
+                    if b:
+                        t += 1
+                        h0 = c0 * n // t
+                    else:
+                        h0 = c0 * n // (n - t)
+                    hm = h0 & mcap
+                    if cb <= hm:
+                        if hm < top:  # silent
+                            c0, cb = h0, hm
+                            continue
+                    elif ((d := hm - cb) < x_lo or x_mid <= d < x_hi) and (
+                            hm < lim or bit <= hm < top):
+                        # decided, emits: walk_step's emission and cascade,
+                        # inline, on the quotients C >> l at bit g
+                        out.append(b)
+                        if h0 & two:  # no carry
+                            l += 1
+                            c0, cb = h0 >> 1, hm >> 1 | bit
+                        else:
+                            j = 1
+                            q_x, q_c = h0 - c0 >> g + 1, c0 >> g + 1
+                            while (q_x ^ q_c) & 1:
+                                out.append((q_x if b else q_c) & 1)  # hi's bit
+                                j += 1
+                                q_x, q_c = q_x >> 1, q_c >> 1
+                            l += j
+                            c0 = h0 >> j  # s = l - g rises with l
+                            cb = c0 & two - 1
+                        if c0 < low:  # the quotient fell below its floor
+                            c0, win = _window(c0, n, g, end - 1)
+                            break
+                        if l >= stop:
+                            return out
+                        continue
+                    # undecided: the node left, until the exact move makes it
+                    n, t = n - 1, t - b
+                    n, t, l, c0, win = self._exact_move(n, t, b, l, out)
                     break
-            return out
+                else:  # the slice ran out: the input, or the budget at n = end
+                    b = next(bits, None)
+                    if b is None:
+                        return out
+                    n, t, l, c0, win = self._exact_move(n, t, b, l, out)
+                if l >= stop:
+                    return out
         finally:
             self.n, self.t, self.l, self._c, self._win = n, t, l, c0, win

@@ -501,6 +501,25 @@ def test_the_move_budget_runs_out_within_what_the_margin_covers(guard):
     assert 2 * budget * (cap // low) <= (1 << g) - lim
 
 
+@pytest.mark.parametrize("guard", GUARDS[1:])
+def test_a_feed_of_exactly_the_budget_makes_no_exact_read(guard, monkeypatch):
+    # The loop walks each window's move budget as the length of one slice of
+    # the input.  A feed of exactly that many zeros (every move decidable, as
+    # above) ends on the budget's last move with no exact read; the next bit,
+    # in a later call, takes the one exact move.
+    reads = []
+    monkeypatch.setattr(extractor, "binom", lambda n, t: reads.append((n, t)) or binom(n, t))
+    with window_from_apex(guard):
+        engine = StreamExtractor()
+        del reads[:]  # the apex's own read
+        budget = engine._win[5] - engine.n
+        assert engine.feed([0] * budget) == ()
+        assert (engine.fallbacks, reads) == (0, [])
+        assert engine.push(0) == ()
+        assert (engine.fallbacks, reads) == (1, [(budget, 0)])
+    assert engine.state == run([0] * (budget + 1)).final
+
+
 def test_a_quotient_over_the_cap_falls_back():
     # Ones keep C(n, n) = 1; the zero after 40 of them makes C(41, 40) = 41,
     # a quotient over the cap 2^(1 + 16 // 4) = 32 of a 16-bit guard.  Its
@@ -511,6 +530,17 @@ def test_a_quotient_over_the_cap_falls_back():
         assert engine.feed(bits[:40]) == () and engine.fallbacks == 0
         assert engine.feed(bits[40:]) == run(bits).output
     assert engine.state == run(bits).final
+    assert engine.fallbacks == 1
+
+
+def test_the_cap_field_holds_a_size_at_a_huge_depth():
+    # The mask's field above the cap is as wide as the budget's end, 161 bits
+    # here: a 1 at n = 2^160 + 3 multiplies C(n, 1) by about 2^159, which
+    # the field must see to send the move to an exact read.
+    state = ExtractorState(2**160 + 3, 1, 160)
+    engine = StreamExtractor(state)
+    emitted = engine.push(1)
+    assert StepResult(engine.state, emitted) == step(state, 1)
     assert engine.fallbacks == 1
 
 
@@ -658,6 +688,22 @@ def test_window_matches_exact_engine_on_a_long_stream():
     assert windowed.l > 1_024 and windowed.window_bits < 160
     assert math.comb(windowed.n, windowed.t).bit_length() > windowed.l
     assert exact_walk(bits) == (output, windowed.state)
+
+
+@pytest.mark.parametrize("form", ["list", "tuple", "text", "generator"])
+def test_a_feed_that_emits_more_bits_than_it_reads_walks_them_all(form):
+    # A sized feed stops its walk on the int demand n - l + len(bits) + 1.
+    # After 1,000 zeros l = 0 at n = 1,000, and the next 1,000 random bits
+    # take l past 1,000: a demand without n - l would end that walk early.
+    rng = random.Random(1000)
+    zeros, rest = [0] * 1_000, [rng.getrandbits(1) for _ in range(1_000)]
+    fed = {"list": rest, "tuple": tuple(rest), "text": "".join(map(str, rest)),
+           "generator": (b for b in rest)}[form]
+    engine = StreamExtractor()
+    head = engine.feed(zeros)
+    tail = engine.feed(fed)
+    assert head == () and len(tail) > len(rest)
+    assert (head + tail, engine.state) == run(zeros + rest)
 
 
 # The two cases keep the names of the phases an earlier engine split the
