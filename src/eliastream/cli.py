@@ -24,7 +24,9 @@ command reads or writes it.
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
 simulators inside ``simulate`` and the verification suites inside
-``verify``, so a fresh process pays for nothing else.
+``verify``, so a fresh process pays for nothing else.  ``extract`` builds no
+list of bits: each block reaches the walk as bytes of 0/1, and the walk
+appends its output to a bytearray of 0/1 that ``pack_bits`` reads whole.
 """
 
 from __future__ import annotations
@@ -59,10 +61,17 @@ def unpack_bytes(data: bytes) -> list[int]:
 
 
 def pack_bits(bits) -> tuple[bytes, int]:
-    """Bits to bytes (MSB-first); returns (data, zero-pad length).  A value
-    other than 0/1 raises ValueError: ``int`` would read '_' as a separator.
-    (``iter`` keeps ``bytes`` from copying an int64 array's raw buffer.)"""
-    raw = bytes(iter(bits))
+    """Bits to bytes (MSB-first); returns (data, zero-pad length).  `bits` is
+    bytes or a bytearray holding one bit per byte, read whole, or any other
+    iterable of integer 0/1s, read item by item (``iter`` keeps ``bytes``
+    from copying an int64 array's raw buffer).  Any other value, a float, a
+    str or a numpy bool included, raises ValueError: ``int`` would read '_'
+    as a separator.  A non-iterable raises TypeError."""
+    items = bits if isinstance(bits, (bytes, bytearray)) else iter(bits)
+    try:
+        raw = bytes(items)
+    except (TypeError, ValueError):  # no __index__, or not in range(256)
+        raise ValueError("bits to pack must be 0 or 1") from None
     if raw.translate(None, b"\x00\x01"):
         raise ValueError("bits to pack must be 0 or 1")
     text = raw.translate(_BIT_TEXT)
@@ -140,16 +149,17 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
     output to `demand` bits; the bits that move made past it are not
     delivered.  Without one, each block's walk gets the int demand
     n - l + 8 len(block) + 1, which no move meets, as l <= n after every
-    move, so the walk's stop test compares two ints.  Whole output bytes are
-    written once the next block is in hand, so the last block's bytes go out
-    with the zero-padded tail in one write, and an input of one block is
-    packed once.  Each block reaches the walk as the bytes ``_bit_bytes``
-    makes, bits by construction, so no bit is checked and no list of bits is
-    built."""
+    move, so the walk's stop test compares two ints.  Each block reaches the
+    walk as the bytes ``_bit_bytes`` makes, bits by construction, so no bit
+    is checked, and the walk appends its output to `tail`, a bytearray of
+    0/1.  Once the next block is in hand, the whole bytes of `tail` are
+    written, packed in one ``pack_bits`` pass, and cut from its front, so
+    the last block's bytes go out with the zero-padded tail in one write,
+    and an input of one block is packed once.  No list of bits is built."""
     machine = StreamExtractor()
     walk = machine._walk
     written = 0  # output bits written, whole bytes
-    tail: list[int] = []  # output bits after those
+    tail = bytearray()  # output bits after those, one byte 0 or 1 per bit
     block = src.read(_BLOCK) if demand != 0 else b""
     while block:
         want = machine.n + 8 * len(block) + 1 if demand is None else demand
@@ -161,7 +171,7 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
         if block and len(tail) >= 8:
             whole = len(tail) >> 3
             sink.write(pack_bits(tail)[0][:whole])
-            tail = tail[whole << 3:]
+            del tail[:whole << 3]
             written += whole << 3
     packed, pad = pack_bits(tail)
     sink.write(packed)

@@ -425,10 +425,12 @@ class StreamExtractor:
         return (n + 1, t + b, l, *_window(h, n + 1, l))
 
     def _walk(self, bits: Iterable[int], demand: float = math.inf,
-              out: list[int] | None = None) -> list[int]:
+              out: list[int] | bytearray | None = None) -> list[int] | bytearray:
         """The one loop: fold bits through the window, append what they emit
-        to `out` (a new list by default) and return it, stopping after the
-        move that brings this call's output to `demand` bits (at least 1).
+        to `out`, plain 0/1 ints, and return it, stopping after the move that
+        brings this call's output to `demand` bits (at least 1).  `out` is a
+        new list by default; ``cli extract`` passes a bytearray, which holds
+        each bit as one byte for ``pack_bits`` to read whole.
 
         `bits` are plain 0/1 ints, checked once per call by the caller (see
         ``_checked_bits``), so the loop tests no bit; a lazily checked source
@@ -489,8 +491,9 @@ class StreamExtractor:
         cascade compares the quotients at bit g + 1 of x0 and c0, Q_h - Q_c
         - 1 (the borrow) and Q_c, with Q_h that of h0: their low bits differ
         iff their sum Q_h - 1 is odd, iff bit g + 1 of h0 is 0.  So when that
-        bit is 1 the move emits b alone, c0 becomes h0 >> 1 and cb becomes
-        hm >> 1 with bit g set; only a carry forms x0 and runs the cascade.
+        bit is 1 the move emits b alone, c0 becomes h0 >> 1 and cb its low
+        g + 1 bits (hm >> 1 with bit g set); only a carry forms x0 and runs
+        the cascade.
 
         Why the budget is the slice length.  Each inner loop takes at most
         end - n bits, so every move it makes is within the budget, n < end,
@@ -502,17 +505,19 @@ class StreamExtractor:
         """
         if out is None:
             out = []
+        emit = out.append
         n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
         stop = l + demand
         bits = iter(bits)
         try:
             while True:
                 g, mcap, bit, lim, _, end, low = win
-                two, top = 2 * bit, bit + lim  # a move is silent iff cb <= hm < top
+                g1, two = g + 1, 2 * bit
+                m2, top = two - 1, bit + lim  # a move is silent iff cb <= hm < top
                 # a borrowing x0's low g bits are below lim iff d = hm - cb is
                 # below x_lo, or from x_mid up to below x_hi
                 x_lo, x_mid, x_hi = lim - two, -bit, lim - bit
-                cb = c0 & two - 1
+                cb = c0 & m2
                 # n and t step first: each move here has n <= end after it
                 for n, b in enumerate(islice(bits, max(end - n, 0)), n + 1):
                     if b:
@@ -529,20 +534,21 @@ class StreamExtractor:
                             hm < lim or bit <= hm < top):
                         # decided, emits: walk_step's emission and cascade,
                         # inline, on the quotients C >> l at bit g
-                        out.append(b)
+                        emit(b)
                         if h0 & two:  # no carry
                             l += 1
-                            c0, cb = h0 >> 1, hm >> 1 | bit
+                            c0 = h0 >> 1
+                            cb = c0 & m2
                         else:
                             j = 1
-                            q_x, q_c = h0 - c0 >> g + 1, c0 >> g + 1
+                            q_x, q_c = h0 - c0 >> g1, c0 >> g1
                             while (q_x ^ q_c) & 1:
-                                out.append((q_x if b else q_c) & 1)  # hi's bit
+                                emit((q_x if b else q_c) & 1)  # hi's bit
                                 j += 1
                                 q_x, q_c = q_x >> 1, q_c >> 1
                             l += j
                             c0 = h0 >> j  # s = l - g rises with l
-                            cb = c0 & two - 1
+                            cb = c0 & m2
                         if c0 < low:  # the quotient fell below its floor
                             c0, win = _window(c0, n, g, end - 1)
                             break

@@ -41,7 +41,9 @@ def test_pack_and_unpack_match_bytewise_loops(data):
         expected = bytes(
             int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8)
         )
-        assert pack_bits(bits[:cut]) == (expected, (-cut) % 8)
+        # a list, and the bytes and bytearray forms the walk's output takes
+        for kept in (bits[:cut], bytes(bits[:cut]), bytearray(bits[:cut])):
+            assert pack_bits(kept) == (expected, (-cut) % 8)
 
 
 def test_pack_and_unpack_equal_numpy_at_every_pad_length():
@@ -57,7 +59,13 @@ def test_pack_and_unpack_equal_numpy_at_every_pad_length():
                                        cut % 8)
 
 
-@pytest.mark.parametrize("bad", [[1, 2], [1, ord("_"), 0], [ord(" "), 1], [0, 1, 255]])
+@pytest.mark.parametrize("bad", [
+    [1, 2], [1, ord("_"), 0], [ord(" "), 1], [0, 1, 255], [0, 256], [-1],
+    # items with no __index__: bytes() would raise TypeError on them
+    [0.5], ["1"], np.array([True, False]),
+    # bytes-like forms are bit values, one per byte, not '0'/'1' text
+    b"\x00\x02", bytearray(b"01"),
+])
 def test_pack_refuses_values_other_than_bits(bad):
     # int(text, 2) would take "_" as a digit separator and " " as padding
     with pytest.raises(ValueError, match="bits to pack must be 0 or 1"):
@@ -80,6 +88,7 @@ def test_pack_pads_with_zeros():
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=120))
 def test_pack_unpack_round_trip(bits):
     data, pad = pack_bits(bits)
+    assert pack_bits(bytes(bits)) == pack_bits(bytearray(bits)) == (data, pad)
     assert unpack_bytes(data)[: len(bits)] == bits
     assert len(bits) + pad == 8 * len(data)
     if len(bits) % 8 == 0:

@@ -716,9 +716,18 @@ def test_bits_come_out_as_plain_ints_and_floats_are_rejected(phase):
     late = [rng.random() < 0.4 for _ in range(3_000)] if phase == "window" else []
     bits = early + late
     engine = StreamExtractor()
-    output = engine.feed(early) + engine.feed(late)
+    fed = engine.feed(early), engine.feed(late)
+    output = fed[0] + fed[1]
     assert (output, engine.state) == exact_walk(map(int, bits))
-    assert all(type(b) is int for b in output)
+    pusher = StreamExtractor()
+    pushed = [pusher.push(b) for b in bits]
+    assert tuple(b for got in pushed for b in got) == output
+    paused = pause_mode_run(bits, len(output) - 1)
+    produced = paused.output + paused.pending
+    assert paused.output == output[:-1] and produced == output[:len(produced)]
+    # whatever the walk appends to, each driver returns tuples of plain ints
+    for got in (*fed, *pushed, paused.output, paused.pending):
+        assert type(got) is tuple and all(type(b) is int for b in got)
     assert (engine.l > 1_024) == (phase == "window")
     head = bits if phase == "window" else [0, 1]
     for bad in (0.0, 1.0):
