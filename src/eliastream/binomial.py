@@ -1,18 +1,20 @@
-"""Exact binomial coefficients and their bin layouts.
+"""Exact binomial coefficients, the lattice record and bin layouts.
 
 ``binom`` is the package's one source of exact lattice sizes: ``math.comb``,
-integer-exact, with no size cap and nothing kept between calls.  No module
-of the package reads the Pascal table below: 64 fixed rows that never
-grow, kept only because the benchmark replay reads ``shared_table().max_n``,
-and built on that first call, so no other process pays for it.
-``build_table`` builds rows by addition alone, so the tests use it as an
-oracle for ``math.comb`` independent of it.
+integer-exact, with no size cap and nothing kept between calls; ``PASCAL``
+is the ``Lattice`` record on it, as ``young.YOUNG`` is on dimensions.  No
+module of the package reads the Pascal table below: 64 fixed rows that
+never grow, kept only because the benchmark replay reads
+``shared_table().max_n``, and built on that first call, so no other process
+pays for it.  ``build_table`` builds rows by addition alone, so the tests
+use it as an oracle for ``math.comb`` independent of it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 
 
 class BinomialTable:
@@ -62,13 +64,23 @@ def binom(n: int, t: int) -> int:
     return math.comb(n, t) if 0 <= t <= n else 0
 
 
-def bin_layout(n: int, t: int) -> tuple[int, ...]:
-    """Decompose C(n, t) into bins of size 2^L: the exponents L, largest first.
+class Lattice(namedtuple("Lattice", "name size valid")):
+    """A lattice the walk runs on: its `name`, its node sizes `size(n, t)`,
+    with size(n+1, t) = size(n, t) + size(n, t-1) at its nodes, and
+    `valid(n, t)`, whether (n, t) is one of them."""
 
-    The exponents are exactly the set-bit positions of C(n, t).
-    """
-    if not 0 <= t <= n:
+    __slots__ = ()
+
+
+PASCAL = Lattice("pascal", binom, lambda n, t: 0 <= t <= n)
+
+
+def bin_layout(n: int, t: int, lattice: Lattice = PASCAL) -> tuple[int, ...]:
+    """Decompose the size of node (n, t) on `lattice`, C(n, t) on Pascal's,
+    into bins of size 2^L: the exponents L, largest first, its set-bit
+    positions.  A node off the lattice raises ValueError."""
+    if not lattice.valid(n, t):
         raise ValueError(f"t={t} out of range for n={n}")
-    value = binom(n, t)
+    value = lattice.size(n, t)
     top = value.bit_length() - 1
     return tuple(top - i for i, digit in enumerate(bin(value)[2:]) if digit == "1")

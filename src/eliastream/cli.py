@@ -24,9 +24,8 @@ command reads or writes it.
 Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
 simulators inside ``simulate`` and the verification suites inside
-``verify``, so a fresh process pays for nothing else.  ``extract`` builds no
-list of bits: each block reaches the walk as bytes of 0/1, and the walk
-appends its output to a bytearray of 0/1 that ``pack_bits`` reads whole.
+``verify`` (``young`` for its suite), so a fresh process pays for nothing
+else.
 """
 
 from __future__ import annotations
@@ -218,14 +217,16 @@ def cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     if not suites:
         raise ValueError("--suites names no suite")
-    unknown = set(suites) - {"equivalence", "balanced", "yield", "stats"}
+    unknown = set(suites) - {"equivalence", "balanced", "young", "yield", "stats"}
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
+    if "yield" in suites and args.max_n < 1:  # yield_bound_sweep's floor, before any walk
+        raise ValueError("max_n must be >= 1")
     eq_to = args.max_n if "equivalence" in suites else -1
     bal_to = min(args.max_n, verify.BALANCED_CAP) if "balanced" in suites else -1
-    if eq_to > verify.EXHAUSTIVE_CAP:
+    if args.max_n > verify.EXHAUSTIVE_CAP and {"equivalence", "young"} & set(suites):
         raise ValueError(f"--max-n exceeds the equivalence cap {verify.EXHAUSTIVE_CAP}")
     # One walk, tallied once, serves both suites at every n; equivalence is listed first.
     depth = max(eq_to, bal_to)
@@ -233,6 +234,12 @@ def cmd_verify(args) -> int:
     ok = {f"equivalence[{n}]": verify.exhaustive_equivalence(n, tallies).ok
           for n in range(eq_to + 1)}
     ok |= {f"balanced[{n}]": verify.balanced_paths(n, tallies).ok for n in range(bal_to + 1)}
+    if "young" in suites:  # the equivalence suite on the Young lattice, from its own walk
+        from .young import YOUNG
+
+        tallies = verify.tally(walk_tree(args.max_n, YOUNG))
+        ok |= {f"young[{n}]": verify.exhaustive_equivalence(n, tallies, YOUNG).ok
+               for n in range(args.max_n + 1)}
     if "yield" in suites:
         ok["yield_bound"] = verify.yield_bound_sweep(args.max_n).ok
     fields: dict = {name: "pass" if passed else "FAIL" for name, passed in ok.items()}

@@ -23,30 +23,23 @@ Bit conservation: every input bit lands on exactly one of two tapes.  An
 emitting step sends b to the output tape and rewrites previously-banked
 zero bits (one per carry) as further outputs; a silent step banks b, erased
 to 0, on the purity tape.  So the output tape holds l bits and the purity
-tape the other n - l; ``fold_steps`` and ``walk_tree`` check after every
-move the two conditions that can fail, len(output) == l and l <= n.
+tape the other n - l; ``run`` and ``walk_tree`` check after every move the
+two conditions that can fail, len(output) == l and l <= n.
 
 The reference rule is ``walk_step``, which sees only three node sizes and
-so runs on any lattice with Pascal's additive recursion (binomial
-coefficients here, Young-diagram dimensions in ``young``).  It appends what
-it emits to the caller's list and returns the new l, so a move allocates
-nothing.  On Pascal's triangle two things use it:
+so runs on any lattice with Pascal's additive recursion, named by a
+``binomial.Lattice`` record: ``PASCAL``, or ``young.YOUNG`` for Young
+diagrams.  It appends what it emits to the caller's list and returns the
+new l, so a move allocates nothing.  Two things use it:
 
-* ``step``/``run``: the reference walk, checking the node it leaves and
-  reading exact sizes from ``binom`` (``math.comb``, no size cap).  Tests
-  compare the streaming engine against it; ``walk_tree`` steps each lattice
-  move of it once on the way to every prefix, for ``verify`` and
-  ``schursim``, and carries each output as the integer ``pack_code`` makes
-  of its bits.
-* ``StreamExtractor``: the one streaming engine.  From the first move it
-  carries one floor bound on C(n, t), a bounded number of bits below l, and
-  reads the next size C(n+1, t') from an exact ratio, one small
-  multiply/divide per bit.  Every move is decided from the low bits of
-  that one size and of the bound, by compares; only a carry forms the
-  neighbour, their difference.  One exact read and ``walk_step`` are the
-  fallback.  ``push``, ``feed``, the on-demand ``pause_mode_run`` and the
-  CLI's block-by-block ``extract`` run one loop, whose moves append
-  straight to the output it returns.  The loop carries the rule inline, so
+* ``step``/``run``: the reference walk on a lattice, Pascal's by default,
+  checking the node it leaves and the one it reaches and reading exact
+  sizes (``binom`` is ``math.comb``, no size cap).  ``walk_tree`` steps
+  each move once on the way to every prefix, for ``verify`` and
+  ``schursim``, and carries each output as the integer ``pack_code`` makes.
+* ``StreamExtractor``: the one streaming engine, on Pascal's triangle: a
+  window on C(n, t) decided by compares, with one exact read and
+  ``walk_step`` as its fallback.  Its one loop carries the rule inline, so
   no input bit pays for a function call; the engine-vs-``step`` tests pin
   it to ``walk_step``.
 
@@ -54,9 +47,7 @@ The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
 coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
 from here, so the engine loads no oracle.  The engine's loop tests no bit:
-each call's input is checked once (``_checked_bits``), text up front and
-any other iterable lazily as the walk takes it, so a bad bit raises
-ValueError only if the walk reaches it, with the bits before it fed.
+each call's input is checked once (``_checked_bits``).
 """
 
 from __future__ import annotations
@@ -64,9 +55,9 @@ from __future__ import annotations
 import math
 import operator
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .binomial import binom
+from .binomial import PASCAL, Lattice, binom
 
 
 def as_bit(b) -> int:
@@ -161,15 +152,18 @@ def initial_state() -> ExtractorState:
     return ExtractorState(0, 0, 0)
 
 
+class InvalidNodeError(ValueError):
+    """A move would leave its lattice (see ``binomial.Lattice``)."""
+
+
 def walk_step(here: int, hi: int, lo: int, b: int, l: int, out: list[int]) -> int:
     """The transition rule: emit test and carry cascade of one move.
 
     With t' = t + b after the move, the arguments are the node sizes
-    here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice
-    whose sizes X obey here = hi + lo (binomial coefficients, or Young
-    dimensions at valid nodes).  Appends the emitted bits, plain ints, to
-    the caller's `out` and returns the new l, so a move allocates nothing.
-    Checks b first (see ``as_bit``): a bad bit leaves `out` as it was.
+    here = X(n, t'), hi = X(n-1, t') and lo = X(n-1, t'-1) of a lattice,
+    so here = hi + lo.  Appends the emitted bits, plain ints, to the caller's
+    `out` and returns the new l, so a move allocates nothing.  Checks b
+    first (see ``as_bit``): a bad bit leaves `out` as it was.
     """
     if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
         b = as_bit(b)
@@ -182,21 +176,23 @@ def walk_step(here: int, hi: int, lo: int, b: int, l: int, out: list[int]) -> in
     return l
 
 
-def step(state: ExtractorState, b: int, size: Callable[[int, int], int] = binom) -> StepResult:
+def step(state: ExtractorState, b: int, lattice: Lattice = PASCAL) -> StepResult:
     """Advance one input bit; emit any random bits produced by the move.
 
-    The reference move, three exact reads of the lattice's node sizes
-    `size(n, t)` (``binom``, or ``young.dim``).  Checks the state first:
-    (n, t) by ``as_node``, l by ``as_count``, and bit l of the node's size,
+    The reference move, three exact reads of `lattice`'s node sizes.  Checks
+    first (n, t) by ``as_node``, l by ``as_count``, the node reached by the
+    lattice's `valid` (InvalidNodeError), and bit l of the node's size,
     which is hi after b = 0 and lo after b = 1."""
     (n, t), l = as_node(state.n, state.t), as_count(state.l, "l")
     # t' from the truth of b, so any non-bit reaches walk_step's check
     n1, t1 = n + 1, t + (1 if b else 0)
-    hi, lo = size(n, t1), size(n, t1 - 1)
+    if not lattice.valid(n1, t1):
+        raise InvalidNodeError(f"move to ({n1}, {t1}) leaves the {lattice.name} lattice")
+    hi, lo = lattice.size(n, t1), lattice.size(n, t1 - 1)
     if not ((lo if b else hi) >> l) & 1:
         raise ValueError(f"{(n, t, l)} is not a lattice node")
     emitted: list[int] = []
-    l = walk_step(size(n1, t1), hi, lo, b, l, emitted)
+    l = walk_step(lattice.size(n1, t1), hi, lo, b, l, emitted)
     return StepResult(ExtractorState(n1, t1, l), tuple(emitted))
 
 
@@ -207,24 +203,13 @@ def _check_tapes(state: ExtractorState, out_len: int) -> None:
         raise AssertionError(f"bit conservation violated at {state}")
 
 
-def fold_steps(move: Callable[[ExtractorState, int], StepResult], bits: Iterable[int]) -> RunResult:
-    """Fold a step function over bits from the apex, checking conservation
-    after every move."""
-    state = initial_state()
-    output: list[int] = []
-    for b in bits:
-        state, emitted = move(state, b)
-        output.extend(emitted)
-        _check_tapes(state, len(output))
-    return RunResult(tuple(output), state)
-
-
-def walk_tree(max_n: int) -> Iterator[tuple[ExtractorState, int]]:
-    """(node, output) of every input prefix of length <= max_n, depth first,
-    0 before 1; the output is an integer whose node.l bits, MSB first, are
-    the bits emitted so far.  Each (node, b) is stepped, and its conservation
-    checked, once per call: under 1,000 lattice nodes up to n = 20, not
-    2^21 prefixes.  The memo lives as long as the call."""
+def walk_tree(max_n: int, lattice: Lattice = PASCAL) -> Iterator[tuple[ExtractorState, int]]:
+    """(node, output) of every input prefix of length <= max_n on `lattice`
+    (every string on Pascal's, every ballot path on ``young.YOUNG``), depth
+    first, 0 before 1; the output is an integer whose node.l bits, MSB
+    first, are the bits emitted so far.  Each (node, b) is stepped, and its
+    conservation checked, once per call: under 1,000 Pascal nodes up to
+    n = 20, not 2^21 prefixes.  The memo lives as long as the call."""
     max_n = as_count(max_n)
     moves: dict[ExtractorState, tuple] = {}
     todo = [(initial_state(), 0)]
@@ -233,16 +218,22 @@ def walk_tree(max_n: int) -> Iterator[tuple[ExtractorState, int]]:
         yield state, code
         if state.n < max_n:
             pair = moves.get(state)
-            if pair is None:
-                pair = moves[state] = coded_move(state, 1, step) + coded_move(state, 0, step)
-            node1, k1, v1, node0, k0, v0 = pair
-            todo += (node1, code << k1 | v1), (node0, code << k0 | v0)  # pops 0 first
+            if pair is None:  # the moves that stay on the lattice, 1 first
+                pair = moves[state] = coded_move(state, 1, lattice) + coded_move(state, 0, lattice)
+            try:  # both, as at every node of Pascal's triangle
+                node1, k1, v1, node0, k0, v0 = pair
+                todo += (node1, code << k1 | v1), (node0, code << k0 | v0)  # pops 0 first
+            except ValueError:  # the 0 alone: a 1 would break the Young row condition
+                node0, k0, v0 = pair
+                todo.append((node0, code << k0 | v0))
 
 
-def coded_move(state: ExtractorState, b: int, move: Callable) -> tuple[ExtractorState, int, int]:
-    """``move(state, b)`` (``step``, or ``young.qstep``) as (node, number of
-    bits emitted, those bits as an integer), its conservation checked."""
-    node, emitted = move(state, b)
+def coded_move(state: ExtractorState, b: int, lattice: Lattice) -> tuple:
+    """``step(state, b, lattice)`` as (node, number of bits emitted, those
+    bits as an integer), its conservation checked; () off the lattice."""
+    if not lattice.valid(state.n + 1, state.t + b):
+        return ()
+    node, emitted = step(state, b, lattice)
     _check_tapes(node, state.l + len(emitted))
     return node, len(emitted), pack_code(emitted)
 
@@ -255,10 +246,16 @@ def pack_code(bits: Iterable[int]) -> int:
     return code
 
 
-def run(bits: "Iterable[int] | str") -> RunResult:
-    """Fold step() over an input string from the apex.  Text is parsed up
-    front; other bits go to ``step``, which checks each one itself."""
-    return fold_steps(step, parse_bits(bits) if is_text(bits) else bits)
+def run(bits: "Iterable[int] | str", lattice: Lattice = PASCAL) -> RunResult:
+    """Fold ``step`` on `lattice` over an input string from the apex,
+    checking conservation after every move.  Text is parsed up front; other
+    bits go to ``step``, which checks each one itself."""
+    state, output = initial_state(), []
+    for b in parse_bits(bits) if is_text(bits) else bits:
+        state, emitted = step(state, b, lattice)
+        output.extend(emitted)
+        _check_tapes(state, len(output))
+    return RunResult(tuple(output), state)
 
 
 class PauseResult(NamedTuple):
@@ -327,42 +324,38 @@ def _window(c: int, n: int, l: int, end: int | None = None) -> tuple[int, tuple[
     w = q + G/4, lim = 2^g - 2B 2^(w-k); B = 2^(3G/8) moves by default.
 
     Slot 1, mcap, masks a computed size h0 to its low g + 1 bits and to the
-    F = (end + 1).bit_length() bits from cap's up.  F bits hold all of h0
-    above cap: c0 < cap before every move, and a move multiplies by at most
-    n <= end < 2^F, so h0 < cap 2^F, and h0 & mcap >= cap iff h0 >= cap."""
+    F = end.bit_length() bits from cap's up (w >= 1 keeps the two apart):
+    c0 < cap before every move, and a move to node n <= end multiplies c0 by
+    n/v <= n <= end < 2^F, so h0 < cap 2^F.  So h0 >> (g + w) < 2^F fits the
+    field, and h0 & mcap >= cap iff h0 >= cap."""
     q = (c >> l).bit_length()  # >= 1 at a lattice node
     k = max(q - 1 - _GUARD // 4, 0)
     g, w, b = _GUARD + q - k, q + _GUARD // 4, 3 * _GUARD // 8
     lim = (1 << g) - (2 << b + w - k)
     end = n + (1 << b) if end is None else end
     cap = 1 << g + w
-    mcap = (2 << g) - 1 | ((1 << (end + 1).bit_length()) - 1) * cap
+    mcap = (2 << g) - 1 | ((1 << end.bit_length()) - 1) * cap
     return (c << g) >> l, (g, mcap, 1 << g, lim, cap, end, 1 << g + k)
 
 
 class StreamExtractor:
     """Unbounded-length engine: three counters plus a window on one coefficient.
 
-    Beyond (n, t, l) it carries only C(n, t).  Each move reads the next size
-    from an exact ratio, C(n+1, t+1) = C(n, t)(n+1)/(t+1) after a 1 or
-    C(n+1, t) = C(n, t)(n+1)/(n-t+1) after a 0, and a carry reads its
-    neighbour as their difference, so no table is ever needed.  A
-    machine can start from any lattice node, e.g. to resume a paused walk.
-
-    From the first move the engine carries only a floor bound on C/2^(l-g),
-    g bits below l, so each bit costs the same however long the stream.  A
-    move is decided from the low g + 1 bits of the one size it computes and
-    of the bound, its quotient cap read in the same mask and its move budget
-    as the length of a slice of the input (see ``_walk``).  A move whose
-    quotients C >> l the bound cannot prove exact takes one exact read of
-    C(n, t) and ``walk_step``, and the window restarts from the exact
-    C(n+1, t'); ``fallbacks`` counts these resyncs.  The exact read is the
-    one costly step (see ``_GUARD``), paid by each fallback and by a
-    machine built at a deep node.  ``push``, ``feed``, ``pause_mode_run``
-    and ``cli extract``, block by block, all run one loop, ``_walk``, which
-    carries ``walk_step`` inline; the tests against ``step`` keep the two
-    equal.  ``push`` checks its one bit, ``feed`` and ``pause_mode_run``
-    their input once per call (``_checked_bits``); the loop tests no bit.
+    Beyond (n, t, l) it carries only a floor bound on C(n, t)/2^(l-g), g bits
+    below l, so each bit costs the same however long the stream.  A move
+    reads the next size from an exact ratio, C(n+1, t+1) = C(n, t)(n+1)/(t+1)
+    after a 1 or C(n+1, t) = C(n, t)(n+1)/(n-t+1) after a 0, and is decided
+    from the low g + 1 bits of that size and of the bound, its quotient cap
+    read in the same mask and its move budget as the length of a slice of
+    the input (see ``_walk``); only a carry forms the neighbour, their
+    difference.  A move whose quotients C >> l the bound cannot prove exact
+    takes one exact read of C(n, t) and ``walk_step``, and the window
+    restarts from the exact C(n+1, t'); ``fallbacks`` counts these resyncs.
+    The exact read is the one costly step (see ``_GUARD``), paid by each
+    fallback and by a machine built at a deep node: it can start from any
+    lattice node, e.g. to resume a paused walk.  ``push``, ``feed``,
+    ``pause_mode_run`` and ``cli extract``, block by block, all run one
+    loop, ``_walk``, whose moves append straight to the output it returns.
     """
 
     __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
@@ -471,15 +464,12 @@ class StreamExtractor:
         cb <= hm.  A move is thus silent and decided iff cb <= hm < 2^g + lim,
         h0 < cap and n < end, and after it cb is hm.
 
-        Why the cap is read from the mask.  hm is h0 & mcap (see
-        ``_window``): h0's low g + 1 bits, and its F bits from cap's up.  By
-        induction c0 < cap before every move: ``_window`` leaves c0 <
-        2^(g+q) <= cap, and a decided move carries on h0, or h0 shifted
-        right, with h0 < cap as shown next.  A move within the budget
-        multiplies c0 by (n+1)/v <= n+1 <= end < 2^F, so h0 < cap 2^F: the
-        field holds every bit of h0 from cap's up, and h0 >= cap iff hm >=
-        cap.  As cap >= 2^(g+1) > top = 2^g + lim, the silent test cb <= hm
-        < top holds h0 < cap, and so does hm < cb < 2^(g+1).
+        Why the cap is read from the mask.  hm is h0 & mcap, and if c0 <
+        cap before a move within the budget, hm >= cap iff h0 >= cap (see
+        ``_window``).  By induction c0 < cap before every move: ``_window``
+        leaves c0 < 2^(g+q) <= cap, and a decided move carries on h0, or h0
+        shifted right, with h0 < cap: as cap >= 2^(g+1) > top = 2^g + lim,
+        the silent test cb <= hm < top holds h0 < cap, and so does hm < cb.
 
         Why an emission borrows.  If cb <= hm and the move is not silent,
         then hm >= top: h0 >= cap, or bit g of h0 is set and its low g bits

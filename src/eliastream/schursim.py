@@ -12,21 +12,18 @@ labeled registers per party:
 
 Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
 at construction.  The pair statistics (emission probability and fidelity)
-and the register distributions read one column table per state, built on
-first use: the amplitudes, their weights and, per party, each label field
-as a column.  Pair k's two statistics come from one pass over the rows per
-k, memoised per table, that keeps only a sum per environment.  All of it is
-plain Python: numpy is imported only by ``schur_transform``, the dense
-oracle.  The array statistics that certify a pair's decoupling from the
-lattice registers (reduced pair, marginals, memory gap) are test oracles,
-built on a naive per-label gather in ``tests/oracles.py``.
+and the register distributions read one ``ColumnTable`` per state, in plain
+Python: numpy is imported only by ``schur_transform``, the dense oracle.
+The array statistics that certify a pair's decoupling from the lattice
+registers (reduced pair, marginals, memory gap) are test oracles, built on
+a naive per-label gather in ``tests/oracles.py``.
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
 the walk carries them (support 2^n, not 4^n).  The universal one streams
 the pairs one at a time, interleaving a Clebsch-Gordan step with the lattice
-move of young.qstep, so it needs no knowledge of the input basis; the dense
-2^n x 2^n coupling transform is only its naive oracle.
+move, ``extractor.step`` on ``young.YOUNG``, so it needs no knowledge of the
+input basis; the dense 2^n x 2^n coupling transform is only its naive oracle.
 
 Coupling convention: a diagram with d = n - 2t + 1 states carries spin
 j = (d - 1)/2; u = 0 is the highest-weight state (aligned with |0>).  The
@@ -48,7 +45,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from .extractor import ExtractorState, as_bit, as_count, coded_move, pack_code, von_neumann, walk_tree
-from .young import qstep
+from .young import YOUNG
 
 if TYPE_CHECKING:
     import numpy as np
@@ -357,7 +354,7 @@ def _party_moves(k: int, registers: list) -> tuple[list, list]:
     register and qubit its [(id after, coefficient)].  ``coded_move`` checks
     l <= n; the walk must end where ``cg_step`` does, and distinct (t, l,
     tape, box bit) must land on distinct (t', l', tape'), or no isometry."""
-    walk = cache(partial(coded_move, move=qstep))  # per call, as in walk_tree
+    walk = cache(partial(coded_move, lattice=YOUNG))  # per call, as in walk_tree
     landed: dict = {}  # (t', l', tape') -> its (t, l, tape, box bit)
     ids: dict = {}
     moves = []

@@ -5,6 +5,8 @@ enumeration (they prove the property at the tested size); the statistical
 battery is advisory and only guards the plumbing around seeded sampling.
 Both exhaustive suites read ``tally``: one ``walk_tree`` pass as per-node
 string counts, 2^l-bit output maps and ones per position, in O(2^n) bits.
+The equivalence suite runs on the walk's lattice, Pascal's by default; the
+CLI's ``young`` suite runs it on ``young.YOUNG``, over every ballot path.
 numpy is imported by the battery alone; mpmath only by a yield-bound check
 too close to call in floats, which no n <= 23 needs, so the default suites
 load neither.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .binomial import bin_layout, binom
+from .binomial import PASCAL, Lattice, bin_layout
 from .elias import SourceModel, expected_yield
 from .extractor import ExtractorState, StreamExtractor, as_count, walk_tree
 
@@ -116,23 +118,26 @@ def tally(walk: Iterable[tuple[ExtractorState, int]], ones_to: int = -1) -> dict
     return tallies
 
 
-def _level(n: int, tallies: dict | None, ones_to: int) -> dict[tuple, NodeTally]:
+def _level(n: int, tallies: dict | None, ones_to: int,
+           lattice: Lattice = PASCAL) -> dict[tuple, NodeTally]:
     """The depth-n tallies by (t, l), in order; by default from a walk of their own."""
-    level = (tally(walk_tree(n), ones_to) if tallies is None else tallies).items()
+    level = (tally(walk_tree(n, lattice), ones_to) if tallies is None else tallies).items()
     return dict(sorted(((node.t, node.l), acc) for node, acc in level if node.n == n))
 
 
-def exhaustive_equivalence(n: int, tallies: dict | None = None) -> EquivalenceReport:
+def exhaustive_equivalence(n: int, tallies: dict | None = None,
+                           lattice: Lattice = PASCAL) -> EquivalenceReport:
     """Check that n-step streaming reproduces the whole-block extraction.
 
     Every reachable final node (n, t, l) must collect exactly 2^l strings
     whose outputs enumerate {0,1}^l, the node sizes of a type must add up to
-    C(n, t), and the set of l values must equal the type's bin layout.
-    `tallies` is the ``tally`` of a walk to depth n or beyond, which every
-    such n can share; by default the suite walks and tallies its own.
+    its size on `lattice`, C(n, t) on Pascal's, and the set of l values must
+    equal the type's bin layout.  `tallies` is the ``tally`` of a walk on
+    `lattice` to depth n or beyond, which every such n can share; by
+    default the suite walks and tallies its own.
     """
     n = as_count(n, cap=EXHAUSTIVE_CAP)
-    level = _level(n, tallies, -1)
+    level = _level(n, tallies, -1, lattice)
     report = EquivalenceReport(n)
     for (t, l), acc in level.items():
         distinct = int.from_bytes(acc.seen, "little").bit_count()
@@ -141,14 +146,14 @@ def exhaustive_equivalence(n: int, tallies: dict | None = None) -> EquivalenceRe
         if not complete:
             report.violations.append(f"node ({n},{t},{l}): {acc.count} strings, "
                                      f"{distinct} distinct outputs, want {1 << l}")
-    for t in range(n + 1):
+    for t in (t for t in range(n + 1) if lattice.valid(n, t)):
         sizes = {l: acc.count for (tt, l), acc in level.items() if tt == t}
-        if sum(sizes.values()) != binom(n, t):
+        if sum(sizes.values()) != lattice.size(n, t):
             report.violations.append(f"type {t}: node sizes sum to {sum(sizes.values())}, "
-                                     f"want C({n},{t})={binom(n, t)}")
-        if set(sizes) != set(bin_layout(n, t)):
+                                     f"want {lattice.name}({n},{t})={lattice.size(n, t)}")
+        if set(sizes) != set(layout := bin_layout(n, t, lattice)):
             report.violations.append(f"type {t}: l values {sorted(sizes)} != layout "
-                                     f"{sorted(bin_layout(n, t))}")
+                                     f"{sorted(layout)}")
     return report
 
 

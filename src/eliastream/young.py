@@ -6,21 +6,18 @@ dimension in closed form; the naive hook-length and path-counting references
 it is tested against are test oracles.  The dimensions satisfy the same
 additive recursion as binomial coefficients once invalid nodes count as
 zero.  That recursion is all the transition rule ``extractor.walk_step``
-ever uses, so handing it dimensions in place of binomial coefficients gives
-the same machine on this lattice: qstep(), the extractor's ``step`` on
-``dim``, with the extractor's state and step types.
+ever uses, so the lattice record ``YOUNG`` (``dim``, ``is_valid``) gives the
+same machine here: ``extractor.step(state, b, YOUNG)``, folded by ``q_run``,
+raises ``InvalidNodeError`` on a move that breaks the row condition, and
+``eliastream verify --suites young`` checks it on every ballot path.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .binomial import binom
-from .extractor import ExtractorState, RunResult, StepResult, as_count, as_node, fold_steps, step
-
-
-class InvalidNodeError(ValueError):
-    """A lattice move would put more boxes in row two than row one."""
+from .binomial import Lattice, binom
+from .extractor import RunResult, as_count, as_node, run
 
 
 def is_valid(n: int, t: int) -> bool:
@@ -43,6 +40,9 @@ def dim(n: int, t: int) -> int:
     return div
 
 
+YOUNG = Lattice("young", dim, is_valid)
+
+
 def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
     """All valid box-add sequences of length n (0 = row one, 1 = row two)."""
     n = as_count(n)
@@ -60,20 +60,6 @@ def ballot_paths(n: int) -> Iterator[tuple[int, ...]]:
     return rec(0, 0, [])
 
 
-def qstep(state: ExtractorState, pbit: int) -> StepResult:
-    """One lattice move with dimensions in place of binomial coefficients.
-
-    The caller must only request valid moves; an invalid move signals a bug
-    upstream (the coupling transform never produces one).  A state that is
-    no lattice node raises ValueError, as ``extractor.step`` does.
-    """
-    n, t = as_node(state.n, state.t)
-    n, t = n + 1, t + (1 if pbit else 0)
-    if not is_valid(n, t):
-        raise InvalidNodeError(f"move to ({n}, {t}) violates the row condition")
-    return step(state, pbit, dim)
-
-
 def q_run(pbits: Iterable[int]) -> RunResult:
-    """Fold qstep over a box-add sequence from the apex, checking conservation."""
-    return fold_steps(qstep, pbits)
+    """``extractor.run`` on ``YOUNG``: a box-add sequence from the apex."""
+    return run(pbits, YOUNG)

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eliastream
-from eliastream import cli, extractor, verify
+from eliastream import cli, extractor, verify, young
 from eliastream.cli import build_parser, main, pack_bits, unpack_bytes, write_report
 from eliastream.extractor import StepResult, StreamExtractor, pause_mode_run
 from eliastream.extractor import step as extractor_step
@@ -203,10 +203,11 @@ def test_verify_report_equals_one_built_from_per_n_calls(tmp_path, monkeypatch, 
 
 def test_verify_report_order_does_not_follow_the_suites_option(tmp_path):
     rep = tmp_path / "report.txt"
-    assert main(["verify", "--suites", "balanced,equivalence", "--max-n", "3",
+    assert main(["verify", "--suites", "yield,young,balanced,equivalence", "--max-n", "3",
                  "--report", str(rep)]) == 0
     keys = list(read_report(rep))[1:]
-    assert keys == [f"equivalence[{n}]" for n in range(4)] + [f"balanced[{n}]" for n in range(4)]
+    assert keys == [f"{suite}[{n}]" for suite in ("equivalence", "balanced", "young")
+                    for n in range(4)] + ["yield_bound"]
 
 
 @pytest.mark.parametrize("suite, report_type", [
@@ -242,7 +243,7 @@ def test_verify_rejects_negative_max_n(tmp_path, capsys):
 
 def test_verify_rejects_max_n_over_the_equivalence_cap_before_walking(tmp_path, capsys,
                                                                      monkeypatch):
-    def step(state, b):
+    def step(state, b, lattice):
         raise AssertionError("walked before the cap check")
 
     monkeypatch.setattr(extractor, "step", step)
@@ -250,8 +251,10 @@ def test_verify_rejects_max_n_over_the_equivalence_cap_before_walking(tmp_path, 
     with pytest.raises(AssertionError, match="walked"):  # any walk reaches the planted step
         main(["verify", "--suites", "equivalence", "--max-n", "1", "--report", str(rep)])
     cap = verify.EXHAUSTIVE_CAP
-    assert main(["verify", "--max-n", str(cap + 1), "--report", str(rep)]) == 2
-    assert f"exceeds the equivalence cap {cap}" in capsys.readouterr().err
+    for suites in ("equivalence,balanced,yield", "young"):
+        assert main(["verify", "--suites", suites, "--max-n", str(cap + 1),
+                     "--report", str(rep)]) == 2
+        assert f"exceeds the equivalence cap {cap}" in capsys.readouterr().err
     assert not rep.exists()
 
 
@@ -260,8 +263,8 @@ def flip_one_move(monkeypatch, m):
     takes emits its last bit flipped, every time it is taken."""
     faulty = []
 
-    def step(state, b):
-        node, emitted = extractor_step(state, b)
+    def step(state, b, lattice):
+        node, emitted = extractor_step(state, b, lattice)
         if emitted and node.n == m and faulty in ([], [(state, b)]):
             faulty[:] = [(state, b)]
             emitted = (*emitted[:-1], 1 - emitted[-1])
@@ -298,6 +301,33 @@ def test_verify_yield_rejects_an_empty_sweep(tmp_path):
     rep = tmp_path / "report.txt"
     assert main(["verify", "--suites", "yield", "--max-n", "0", "--report", str(rep)]) == 2
     assert not rep.exists()
+
+
+def test_verify_checks_the_yield_floor_before_any_walk(tmp_path, capsys, monkeypatch):
+    def step(state, b, lattice):
+        raise AssertionError("walked before the yield floor check")
+
+    monkeypatch.setattr(extractor, "step", step)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--max-n", "0", "--report", str(rep)]) == 2  # the default suites
+    assert capsys.readouterr().err == "error: max_n must be >= 1\n"
+    assert not rep.exists()
+
+
+def test_verify_young_suite_reports_each_depth_alone(tmp_path):
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "young", "--max-n", "9", "--report", str(rep)]) == 0
+    fields = read_report(rep)
+    assert fields == {"schema": cli.REPORT_SCHEMA, **{f"young[{n}]": "pass" for n in range(10)}}
+    assert list(fields)[1:] == [f"young[{n}]" for n in range(10)]
+
+
+def test_a_wrong_young_dimension_fails_the_young_suite_at_its_depth(tmp_path, monkeypatch):
+    wrong = young.YOUNG._replace(size=lambda n, t: young.dim(n, t) + ((n, t) == (6, 2)))
+    monkeypatch.setattr(young, "YOUNG", wrong)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "young", "--max-n", "6", "--report", str(rep)]) == 1
+    assert list(read_report(rep).values())[1:] == ["pass"] * 6 + ["FAIL"]
 
 
 def test_simulate_known_rejects_negative_n(capsys):

@@ -35,7 +35,7 @@ from eliastream.extractor import (
     walk_tree,
 )
 from eliastream.schursim import SimulatorCapError, cg_step
-from eliastream.young import ballot_paths, dim, qstep
+from eliastream.young import YOUNG, ballot_paths, dim
 
 
 def strings_of_weight(n, t):
@@ -274,7 +274,8 @@ BIT_ENTRY_POINTS = {
     "feed": lambda bad: StreamExtractor().feed([0, 1, bad]),
     "push": lambda bad: StreamExtractor().push(bad),
     "step": lambda bad: step(initial_state(), bad),
-    "qstep": lambda bad: qstep(ExtractorState(1, 0, 0), bad),  # (2, 1) is valid either way
+    # step on the Young lattice; (2, 1) is valid either way
+    "qstep": lambda bad: step(ExtractorState(1, 0, 0), bad, YOUNG),
     "pause_mode_run": lambda bad: pause_mode_run([0, 1, bad], 5),
     "pause_mode_run_pending": lambda bad: pause_mode_run([], 3, ExtractorState(2, 1, 1), (bad,)),
     "rank_in_type": lambda bad: rank_in_type([0, bad]),
@@ -364,7 +365,7 @@ COORDINATE_CALLS = {
     "dim_t": (lambda: dim(3, 0.5), "t"),
     "hook_dim_oracle": (lambda: hook_dim_oracle(2.5, 0), "n"),
     "path_count": (lambda: path_count(2.5, 0), "n"),
-    "qstep": (lambda: qstep(ExtractorState(2.5, 0, 0), 0), "n"),
+    "qstep": (lambda: step(ExtractorState(2.5, 0, 0), 0, YOUNG), "n"),  # step on Young
     "bin_of_rank_n": (lambda: bin_of_rank(2.5, 1, 0), "n"),
     "bin_of_rank_t": (lambda: bin_of_rank(4, 1.0, 0), "t"),
     "bin_of_rank_rank": (lambda: bin_of_rank(4, 2, 2.5), "rank"),

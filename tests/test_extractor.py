@@ -15,7 +15,6 @@ from eliastream.extractor import (
     ExtractorState,
     StepResult,
     StreamExtractor,
-    fold_steps,
     initial_state,
     pause_mode_run,
     run,
@@ -25,7 +24,7 @@ from eliastream.extractor import (
     walk_step,
     walk_tree,
 )
-from eliastream.young import qstep
+from eliastream.young import YOUNG
 from oracles import exact_walk
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=64)
@@ -252,9 +251,9 @@ def test_walk_tree_passes_every_prefix_before_its_extensions():
 def counting_steps(monkeypatch):
     calls = []
 
-    def counted(state, b):
+    def counted(state, b, lattice):
         calls.append((state, b))
-        return step(state, b)
+        return step(state, b, lattice)
 
     monkeypatch.setattr(extractor, "step", counted)
     return calls
@@ -270,7 +269,7 @@ def test_walk_tree_steps_each_move_once_per_call(monkeypatch):
 
 
 def test_walk_tree_rejects_a_move_that_outruns_the_purity_tape(monkeypatch):
-    def greedy(state, b):
+    def greedy(state, b, lattice):
         return StepResult(state._replace(n=state.n + 1, l=state.l + 2), (b, b))
 
     monkeypatch.setattr(extractor, "step", greedy)
@@ -333,13 +332,14 @@ def test_walk_step_appends_what_step_emits_at_every_node(b):
             assert out == [0, 1, *emitted]
 
 
-def test_fold_rejects_a_move_that_outruns_the_purity_tape():
+def test_fold_rejects_a_move_that_outruns_the_purity_tape(monkeypatch):
     # two bits out of one bit read would pop a purity bit never banked
-    def greedy(state, b):
+    def greedy(state, b, lattice):
         return StepResult(state._replace(n=state.n + 1, l=state.l + 2), (b, b))
 
+    monkeypatch.setattr(extractor, "step", greedy)
     with pytest.raises(AssertionError):
-        fold_steps(greedy, [1])
+        run([1])
 
 
 def test_engine_resumes_only_at_lattice_nodes():
@@ -364,7 +364,8 @@ NOT_NODES = [
 ]
 
 
-@pytest.mark.parametrize("move", [step, qstep])
+# qstep: step on the Young lattice
+@pytest.mark.parametrize("move", [step, functools.partial(step, lattice=YOUNG)], ids=["step", "qstep"])
 @pytest.mark.parametrize("state,b,message", NOT_NODES, ids=[repr(c[0]) for c in NOT_NODES])
 def test_reference_steps_check_their_node(move, state, b, message):
     with pytest.raises(ValueError, match=message):

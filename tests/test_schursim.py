@@ -354,7 +354,7 @@ def test_merged_tapes_fail_the_collision_check(monkeypatch):
     coded_move = schursim.coded_move
     # the memoised lattice move, with the values of the emitted bits lost
     monkeypatch.setattr(schursim, "coded_move",
-                        lambda node, b, move: (*coded_move(node, b, move)[:2], 0))
+                        lambda node, b, lattice: (*coded_move(node, b, lattice)[:2], 0))
     with pytest.raises(AssertionError, match="universal register labels collide"):
         simulate_universal(3, p=0.3, theta=0.7)
 
@@ -362,8 +362,8 @@ def test_merged_tapes_fail_the_collision_check(monkeypatch):
 def test_a_walk_that_leaves_the_coupling_label_fails(monkeypatch):
     coded_move = schursim.coded_move
 
-    def off_by_one(node, b, move):
-        after, width, code = coded_move(node, b, move)
+    def off_by_one(node, b, lattice):
+        after, width, code = coded_move(node, b, lattice)
         return after._replace(t=after.t + 1), width, code
 
     monkeypatch.setattr(schursim, "coded_move", off_by_one)

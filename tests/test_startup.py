@@ -89,6 +89,14 @@ def test_verify_exhaustive_suites_load_no_numeric_library(tmp_path):
     assert got == {"eliastream.verify", "eliastream.elias"}
 
 
+def test_verify_young_suite_loads_no_numeric_library_or_simulator(tmp_path):
+    got = loaded(["verify", "--suites", "young", "--max-n", "12", "--report",
+                  str(tmp_path / "r.txt")], tmp_path, watch=None)
+    assert not got & {"numpy", "mpmath", "eliastream.schursim"}
+    assert {m for m in got if m.startswith("eliastream")} == WALK | {
+        "eliastream.verify", "eliastream.elias", "eliastream.young"}
+
+
 @pytest.mark.parametrize("mode", ["known", "universal", "huffman", "vonneumann"])
 def test_simulate_never_loads_mpmath(tmp_path, mode):
     # nor numpy, nor the block oracle (HEAVY holds both), nor dataclasses and

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from oracles import string_prob
 
-from eliastream import verify
+from eliastream import extractor, verify
 from eliastream.extractor import walk_tree
+from eliastream.young import YOUNG, ballot_paths, dim
 from eliastream.verify import (
     balanced_paths,
     exhaustive_equivalence,
@@ -221,3 +222,45 @@ def test_battery_rejects_tiny_samples():
 def test_battery_rejects_p_outside_unit_interval(p):
     with pytest.raises(ValueError):
         statistical_battery(p, 20_000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def young_walk():
+    return tally(walk_tree(14, YOUNG))  # every ballot path to depth 14, tallied once
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_young_equivalence_holds_on_every_ballot_path(n, young_walk):
+    report = exhaustive_equivalence(n, young_walk, YOUNG)
+    assert report.ok, report.violations
+    assert sum(r.string_count for r in report.nodes) == sum(1 for _ in ballot_paths(n))
+    assert {r.t for r in report.nodes} == set(range(n // 2 + 1))
+    assert report == exhaustive_equivalence(n, lattice=YOUNG)  # from a walk of its own
+
+
+@pytest.mark.parametrize("node", [(2, 1), (6, 2), (9, 4), (12, 6)])
+def test_a_dimension_wrong_at_one_node_fails_the_young_suite(node):
+    n, t = node
+    wrong = YOUNG._replace(size=lambda m, u: dim(m, u) + ((m, u) == node))
+    assert all(exhaustive_equivalence(m, lattice=wrong).ok for m in range(n))
+    report = exhaustive_equivalence(n, lattice=wrong)
+    want = f"type {t}: node sizes sum to {dim(n, t)}, want young({n},{t})={dim(n, t) + 1}"
+    assert want in report.violations
+
+
+def one_carry_walk_step(here, hi, lo, b, l, out):
+    """walk_step with its carry cascade cut to at most one carry."""
+    if (here >> l) & 1 == 0 or ((hi if b else lo) >> l) & 1:
+        out.append(b)
+        l += 1
+        if (hi >> l) & 1 != (lo >> l) & 1:
+            out.append((hi >> l) & 1)
+            l += 1
+    return l
+
+
+def test_a_walk_step_with_at_most_one_carry_fails_the_young_suite(monkeypatch):
+    monkeypatch.setattr(extractor, "walk_step", one_carry_walk_step)
+    tallies = tally(walk_tree(9, YOUNG))
+    assert all(exhaustive_equivalence(n, tallies, YOUNG).ok for n in range(9))
+    assert not exhaustive_equivalence(9, tallies, YOUNG).ok

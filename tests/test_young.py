@@ -1,15 +1,23 @@
 import pytest
 from oracles import hook_dim_oracle, path_count
 
-from eliastream.binomial import binom
-from eliastream.extractor import ExtractorState, initial_state, walk_step
-from eliastream.young import (
+from eliastream.binomial import bin_layout, binom
+from eliastream.extractor import (
+    ExtractorState,
     InvalidNodeError,
+    coded_move,
+    initial_state,
+    pack_code,
+    step,
+    walk_step,
+    walk_tree,
+)
+from eliastream.young import (
+    YOUNG,
     ballot_paths,
     dim,
     is_valid,
     q_run,
-    qstep,
 )
 
 
@@ -82,11 +90,11 @@ def test_oracles_reject_invalid_nodes():
 
 
 def test_qstep_apex_moves():
-    state, emitted = qstep(initial_state(), 0)
+    state, emitted = step(initial_state(), 0, YOUNG)
     assert state == ExtractorState(1, 0, 0)
     assert emitted == ()
     # one box in each row: the single-path node (2, 1) emits nothing
-    state, emitted = qstep(ExtractorState(1, 0, 0), 1)
+    state, emitted = step(ExtractorState(1, 0, 0), 1, YOUNG)
     assert state == ExtractorState(2, 1, 0)
     assert emitted == ()
 
@@ -103,9 +111,10 @@ def test_qstep_first_emission_at_three_boxes():
 
 def test_qstep_rejects_invalid_move():
     with pytest.raises(InvalidNodeError):
-        qstep(initial_state(), 1)
+        step(initial_state(), 1, YOUNG)
     with pytest.raises(InvalidNodeError):
-        qstep(ExtractorState(2, 1, 0), 1)
+        step(ExtractorState(2, 1, 0), 1, YOUNG)
+    assert coded_move(ExtractorState(2, 1, 0), 1, YOUNG) == ()  # walk_tree skips it
 
 
 def test_qstep_node_residency():
@@ -128,6 +137,37 @@ def test_qstep_cardinality_and_completeness():
         for t in range(n // 2 + 1):
             total = sum(1 << l for (tt, l) in by_node if tt == t)
             assert total == dim(n, t)
+
+
+def test_young_steps_check_the_row_before_reading_any_size():
+    reads = []
+    counted = YOUNG._replace(size=lambda n, t: reads.append((n, t)) or dim(n, t))
+    for state in [(0, 0, 0), (2, 1, 0), (4, 2, 1)]:
+        with pytest.raises(InvalidNodeError, match=r"leaves the young lattice"):
+            step(ExtractorState(*state), 1, counted)
+    assert reads == []
+    with pytest.raises(ValueError, match="is not a lattice node") as caught:
+        step(ExtractorState(4, 2, 0), 0, counted)  # dim(4, 2) = 2 has no bit 0
+    assert type(caught.value) is ValueError
+
+
+def test_walk_tree_on_young_walks_every_ballot_prefix_in_order():
+    for n in range(11):
+        walk = [(node, code) for node, code in walk_tree(n, YOUNG) if node.n == n]
+        runs = [q_run(path) for path in ballot_paths(n)]
+        assert [node for node, _ in walk] == [run.final for run in runs]
+        assert [code for _, code in walk] == [pack_code(run.output) for run in runs]
+
+
+def test_bin_layout_on_young_reads_dimensions():
+    for n in range(16):
+        for t in range(n // 2 + 1):
+            size = dim(n, t)
+            assert bin_layout(n, t, YOUNG) == tuple(
+                l for l in reversed(range(size.bit_length())) if size >> l & 1)
+        for t in (-1, n // 2 + 1, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                bin_layout(n, t, YOUNG)
 
 
 def test_validity_predicate():
@@ -154,5 +194,5 @@ def test_qstep_beyond_five_thousand_boxes_matches_hook_lengths():
         for l in nodes[:8]:
             emitted = []
             l_next = walk_step(*hook, b, l, emitted)
-            assert qstep(ExtractorState(n, t, l), b) == (ExtractorState(n + 1, t + b, l_next),
-                                                         tuple(emitted))
+            assert step(ExtractorState(n, t, l), b, YOUNG) == (
+                ExtractorState(n + 1, t + b, l_next), tuple(emitted))
