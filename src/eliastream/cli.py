@@ -25,7 +25,7 @@ Each command imports only what it runs: ``extract`` the walk alone (bytes
 become bits and back through the stdlib's ``int``/``bytes.translate``), the
 simulators inside ``simulate`` and the verification suites inside
 ``verify`` (``young`` for its suite), so a fresh process pays for nothing
-else.
+else.  No command imports a library outside the stdlib.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import stat
 import sys
 import time
 
-from .extractor import _TEXT_BITS, ExtractorState, StreamExtractor, walk_tree
+from .extractor import _TEXT_BITS, ExtractorState, StreamExtractor, as_count, walk_tree
 
 REPORT_SCHEMA = "eliastream/1"
 
@@ -224,6 +224,9 @@ def cmd_verify(args) -> int:
         raise ValueError("--max-n must be >= 0")
     if "yield" in suites and args.max_n < 1:  # yield_bound_sweep's floor, before any walk
         raise ValueError("max_n must be >= 1")
+    if "stats" in suites:  # and statistical_battery's
+        as_count(args.samples, "samples", lo=verify.MIN_SAMPLES)
+        as_count(args.seed, "seed")
     eq_to = args.max_n if "equivalence" in suites else -1
     bal_to = min(args.max_n, verify.BALANCED_CAP) if "balanced" in suites else -1
     if args.max_n > verify.EXHAUSTIVE_CAP and {"equivalence", "young"} & set(suites):

@@ -13,23 +13,23 @@ from ``extractor``; of the package only ``verify`` imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .binomial import bin_layout
 from .extractor import as_count
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """I.i.d. binary source; p0 is the probability of a 0 bit."""
+class SourceModel(namedtuple("SourceModel", "p0")):
+    """I.i.d. binary source; p0 is the probability of a 0 bit, a Fraction."""
 
-    p0: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p0", Fraction(self.p0))
-        if not 0 <= self.p0 <= 1:
+    def __new__(cls, p0) -> "SourceModel":
+        p0 = Fraction(p0)
+        if not 0 <= p0 <= 1:
             raise ValueError("p0 must lie in [0, 1]")
+        return super().__new__(cls, p0)
 
 
 def expected_yield(n: int, model: SourceModel, cap: int = 24) -> Fraction:

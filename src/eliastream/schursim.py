@@ -13,7 +13,7 @@ labeled registers per party:
 Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
 at construction.  The pair statistics (emission probability and fidelity)
 and the register distributions read one ``ColumnTable`` per state, in plain
-Python: numpy is imported only by ``schur_transform``, the dense oracle.
+Python; the module imports no numeric library.
 The array statistics that certify a pair's decoupling from the lattice
 registers (reduced pair, marginals, memory gap) are test oracles, built on
 a naive per-label gather in ``tests/oracles.py``.
@@ -23,7 +23,8 @@ walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
 the walk carries them (support 2^n, not 4^n).  The universal one streams
 the pairs one at a time, interleaving a Clebsch-Gordan step with the lattice
 move, ``extractor.step`` on ``young.YOUNG``, so it needs no knowledge of the
-input basis; the dense 2^n x 2^n coupling transform is only its naive oracle.
+input basis; the dense 2^n x 2^n coupling transform, plain-Python rows, is
+only its naive oracle.
 
 Coupling convention: a diagram with d = n - 2t + 1 states carries spin
 j = (d - 1)/2; u = 0 is the highest-weight state (aligned with |0>).  The
@@ -42,13 +43,10 @@ from contextlib import contextmanager
 from functools import cache, cached_property, partial
 from itertools import product
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .extractor import ExtractorState, as_bit, as_count, coded_move, pack_code, von_neumann, walk_tree
 from .young import YOUNG
-
-if TYPE_CHECKING:
-    import numpy as np
 
 KNOWN_BASIS_CAP = 16
 UNIVERSAL_CAP = 15
@@ -235,19 +233,19 @@ def cg_step(n: int, t: int, u: int, qubit: int) -> list[tuple[int, int, int, flo
 
 
 class PartyIsometry(NamedTuple):
-    """Basis-state map |s> -> sum_j V[s, j] |labels[j]>, V real orthogonal."""
+    """Basis-state map |s> -> sum_j V[s][j] |labels[j]>, V real orthogonal,
+    its rows a tuple of float tuples (``numpy.asarray`` reads it whole)."""
 
     n: int
     labels: tuple
-    matrix: np.ndarray
+    matrix: tuple
 
 
 def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
     """The full n-qubit change of basis into (t, u, path) labels, each basis
     string coupled in qubit by qubit: the universal simulator's dense oracle."""
-    import numpy as np
     n = as_count(n, cap=cap, error=SimulatorCapError)
-    columns: dict[tuple, np.ndarray] = {}  # (t, u, path) -> column
+    columns: dict[tuple, list] = {}  # (t, u, path) -> column
     for s in range(1 << n):
         branches = [(0, 0, (), 1.0)]
         for k in range(n):
@@ -255,8 +253,8 @@ def schur_transform(n: int, cap: int = SCHUR_CAP) -> PartyIsometry:
             branches = [(t2, u2, path + (pbit,), amp * a) for t, u, path, amp in branches
                         for t2, u2, pbit, a in cg_step(k, t, u, bit)]
         for t, u, path, amp in branches:
-            columns.setdefault((t, u, path), np.zeros(1 << n))[s] += amp
-    return PartyIsometry(n, tuple(columns), np.array(list(columns.values())).T)
+            columns.setdefault((t, u, path), [0.0] * (1 << n))[s] += amp
+    return PartyIsometry(n, tuple(columns), tuple(zip(*columns.values())))
 
 
 def simulate_known_basis(p: float, n: int) -> JointState:
@@ -305,7 +303,7 @@ def _source_rows(p: float, theta: float) -> list[list[float]]:
 
 
 def simulate_universal(n: int, p: float | None = None, theta: float = 0.0,
-                       psi: np.ndarray | None = None) -> JointState:
+                       psi=None) -> JointState:
     """Fully universal concentration of n copies of a two-qubit pure state.
 
     psi (2x2 coefficients, read as psi[a][b]) overrides the (p, theta) parametrization.

@@ -7,27 +7,28 @@ Both exhaustive suites read ``tally``: one ``walk_tree`` pass as per-node
 string counts, 2^l-bit output maps and ones per position, in O(2^n) bits.
 The equivalence suite runs on the walk's lattice, Pascal's by default; the
 CLI's ``young`` suite runs it on ``young.YOUNG``, over every ballot path.
-numpy is imported by the battery alone; mpmath only by a yield-bound check
-too close to call in floats, which no n <= 23 needs, so the default suites
-load neither.
+Every suite runs on the stdlib alone: the battery draws from
+``random.Random`` and sums in plain Python, and ``theorem_bound`` is
+computed in ``decimal``.  Each report is a named tuple, built once its
+suite is done.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from collections import namedtuple
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .binomial import PASCAL, Lattice, bin_layout
 from .elias import SourceModel, expected_yield
 from .extractor import ExtractorState, StreamExtractor, as_count, walk_tree
 
-if TYPE_CHECKING:
-    import mpmath
-
 EXHAUSTIVE_CAP = 23
 BALANCED_CAP = 14
+MIN_SAMPLES = 10_000  # the statistical battery's floor
 # The probabilities p0 of a 0 bit that the yield-bound sweep runs at every n.
 YIELD_P_VALUES = tuple(Fraction(k, 10) for k in (1, 3, 5, 7, 9))
 # Yield-to-bound gaps, in bits, that floats decide; float error at these sizes
@@ -38,52 +39,35 @@ YIELD_DPS = 40
 
 
 class _Checked:  # a suite's report passes when it records no violation
+    __slots__ = ()
+
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass
-class NodeRecord:
-    t: int
-    l: int
-    string_count: int
-    output_set_complete: bool
+NodeRecord = namedtuple("NodeRecord", "t l string_count output_set_complete")
 
 
-@dataclass
-class EquivalenceReport(_Checked):
-    n: int
-    nodes: list[NodeRecord] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+class EquivalenceReport(_Checked, namedtuple("EquivalenceReport", "n nodes violations",
+                                             defaults=((), ()))):
+    __slots__ = ()
 
 
-@dataclass
-class BalancedReport(_Checked):
-    n: int
-    nodes_checked: int = 0
-    positions_checked: int = 0
-    violations: list[str] = field(default_factory=list)
+class BalancedReport(_Checked, namedtuple(
+        "BalancedReport", "n nodes_checked positions_checked violations", defaults=(0, 0, ()))):
+    __slots__ = ()
 
 
-@dataclass
-class YieldBoundReport(_Checked):
-    max_n: int
-    p_values: tuple
-    rows: list[tuple] = field(default_factory=list)  # (n, p, yield, bound)
-    violations: list[str] = field(default_factory=list)
+class YieldBoundReport(_Checked, namedtuple("YieldBoundReport", "max_n p_values rows violations")):
+    """rows: (n, p, exact yield, float bound) per pair."""
+
+    __slots__ = ()
 
 
-@dataclass
-class StatReport:
-    p: float
-    seed: int
-    sample_size: int
-    output_len: int
-    rate: float
-    monobit_z: float
-    serial_z: float
-    max_position_bias: float
+class StatReport(namedtuple("StatReport", "p seed sample_size output_len rate monobit_z "
+                                          "serial_z max_position_bias")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -138,23 +122,22 @@ def exhaustive_equivalence(n: int, tallies: dict | None = None,
     """
     n = as_count(n, cap=EXHAUSTIVE_CAP)
     level = _level(n, tallies, -1, lattice)
-    report = EquivalenceReport(n)
+    nodes, violations = [], []
     for (t, l), acc in level.items():
         distinct = int.from_bytes(acc.seen, "little").bit_count()
         complete = acc.count == distinct == 1 << l
-        report.nodes.append(NodeRecord(t, l, acc.count, complete))
+        nodes.append(NodeRecord(t, l, acc.count, complete))
         if not complete:
-            report.violations.append(f"node ({n},{t},{l}): {acc.count} strings, "
+            violations.append(f"node ({n},{t},{l}): {acc.count} strings, "
                                      f"{distinct} distinct outputs, want {1 << l}")
     for t in (t for t in range(n + 1) if lattice.valid(n, t)):
         sizes = {l: acc.count for (tt, l), acc in level.items() if tt == t}
         if sum(sizes.values()) != lattice.size(n, t):
-            report.violations.append(f"type {t}: node sizes sum to {sum(sizes.values())}, "
+            violations.append(f"type {t}: node sizes sum to {sum(sizes.values())}, "
                                      f"want {lattice.name}({n},{t})={lattice.size(n, t)}")
         if set(sizes) != set(layout := bin_layout(n, t, lattice)):
-            report.violations.append(f"type {t}: l values {sorted(sizes)} != layout "
-                                     f"{sorted(layout)}")
-    return report
+            violations.append(f"type {t}: l values {sorted(sizes)} != layout {sorted(layout)}")
+    return EquivalenceReport(n, nodes, violations)
 
 
 def balanced_paths(n: int, tallies: dict | None = None) -> BalancedReport:
@@ -167,34 +150,44 @@ def balanced_paths(n: int, tallies: dict | None = None) -> BalancedReport:
     """
     n = as_count(n, cap=BALANCED_CAP)
     level = _level(n, tallies, n)
-    report = BalancedReport(n)
-    strings = 0
+    strings = nodes = positions = 0
+    violations = []
     for (t, l), acc in level.items():
         if acc.ones is None:
             raise ValueError(f"node ({n},{t},{l}) has no ones tallied")
         strings += acc.count
-        report.nodes_checked += l > 0
-        report.positions_checked += l
+        nodes += l > 0
+        positions += l
         for pos, one in enumerate(reversed(acc.ones)):
             if acc.count - one != one:
-                report.violations.append(f"node ({n},{t},{l}) position {pos}: "
-                                         f"{acc.count - one} zeros != {one} ones")
+                violations.append(f"node ({n},{t},{l}) position {pos}: "
+                                  f"{acc.count - one} zeros != {one} ones")
     if strings != 1 << n:
-        report.violations.append(f"walk holds {strings} strings, want 2^{n}")
-    return report
+        violations.append(f"walk holds {strings} strings, want 2^{n}")
+    return BalancedReport(n, nodes, positions, violations)
 
 
-def theorem_bound(n: int, p: Fraction) -> mpmath.mpf:
-    """n H(p) - log2(n+1) - 2 at ``YIELD_DPS`` decimal digits."""
-    import mpmath
+def theorem_bound(n: int, p: Fraction) -> Decimal:
+    """n H(p) - log2(n+1) - 2 in a ``YIELD_DPS``-digit decimal context,
+    within ``bound_error(n)`` of its exact value.
 
-    with mpmath.workdps(YIELD_DPS):
-        if p in (0, 1):
-            h = mpmath.mpf(0)
-        else:
-            pp = mpmath.mpf(p.numerator) / p.denominator
-            h = -(pp * mpmath.log(pp, 2) + (1 - pp) * mpmath.log(1 - pp, 2))
-        return n * h - mpmath.log(n + 1, 2) - 2
+    Each step is one correctly rounded operation (``ln`` included), a
+    relative error of at most u = 5 10^-YIELD_DPS; p and 1 - p are each one
+    division of integers, so no step cancels.  |p ln p| <= 1/e, so each term
+    of H in nats is off by at most (1 + 3/e) u, H by 5u; n H - ln(n+1) by
+    (6.4 n + 2 ln(n+1)) u, and the result, after the division by ln 2 and
+    the subtraction, by (12.3 n + 5 log2(n+1) + 2) u <= 18 (n + 1) u, below
+    (n + 1) 10^(2 - YIELD_DPS) (to first order in u; the rest is u^2).
+    """
+    a, b = SourceModel(p).p0.as_integer_ratio()  # p checked to lie in [0, 1]
+    with localcontext(Context(prec=YIELD_DPS)):
+        h = -sum(q * q.ln() for q in (Decimal(a) / b, Decimal(b - a) / b)) if 0 < a < b else 0
+        return (n * h - Decimal(n + 1).ln()) / Decimal(2).ln() - 2
+
+
+def bound_error(n: int) -> Fraction:
+    """The error bound of ``theorem_bound(n, p)``: (n + 1) 10^(2 - YIELD_DPS)."""
+    return Fraction(n + 1, 10 ** (YIELD_DPS - 2))
 
 
 def _float_bound(n: int, p: Fraction) -> float:
@@ -207,47 +200,48 @@ def _float_bound(n: int, p: Fraction) -> float:
 def yield_bound_sweep(max_n: int) -> YieldBoundReport:
     """Exact expected yield against the entropy bound for every n >= 1 and
     every p in ``YIELD_P_VALUES``.  A pair further apart than
-    ``YIELD_FLOAT_MARGIN`` is compared in floats, any other against the
-    ``YIELD_DPS``-digit ``theorem_bound``; the report holds the float bound."""
+    ``YIELD_FLOAT_MARGIN`` is compared in floats, any other exactly against
+    ``theorem_bound``; one within its ``bound_error`` raises ValueError, as
+    ``YIELD_DPS`` digits cannot decide it.  The report holds the float bound."""
     max_n = as_count(max_n, "max_n", lo=1)
-    report = YieldBoundReport(max_n, YIELD_P_VALUES)
+    rows, violations = [], []
     for n in range(1, max_n + 1):
         for p in YIELD_P_VALUES:
             exact = expected_yield(n, SourceModel(p), cap=max(24, max_n))
             value, bound = float(exact), _float_bound(n, p)
-            report.rows.append((n, p, exact, bound))
+            rows.append((n, p, exact, bound))
             if abs(value - bound) > YIELD_FLOAT_MARGIN:
                 below = value < bound
             else:
-                import mpmath
-
-                with mpmath.workdps(YIELD_DPS):
-                    below = mpmath.mpf(exact.numerator) / exact.denominator < theorem_bound(n, p)
+                close = theorem_bound(n, p)
+                if abs(exact - Fraction(close)) <= bound_error(n):
+                    raise ValueError(f"n={n} p={p}: yield within {float(bound_error(n)):.1e} "
+                                     f"of the bound; raise YIELD_DPS")
+                below = exact < close
             if below:
-                report.violations.append(f"n={n} p={p}: yield {value:.6f} < bound {bound:.6f}")
-    return report
+                violations.append(f"n={n} p={p}: yield {value:.6f} < bound {bound:.6f}")
+    return YieldBoundReport(max_n, YIELD_P_VALUES, rows, violations)
 
 
 def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
     """Empirical sanity of a seeded Bernoulli(p) run; p is the weight of 1s.
 
-    Deterministic given (p, samples, seed): bits come from a PCG64 generator.
-    Reports monobit and lag-1 serial z-scores of the output stream plus the
-    largest within-byte positional bias.
+    Deterministic given (p, samples, seed): bit i is 1 where the i-th draw
+    of ``random.Random(seed)`` falls below p; a negative seed is refused, as
+    ``Random`` would draw the stream of its absolute value.  Reports monobit
+    and lag-1 serial z-scores of the output stream plus the largest
+    within-byte positional bias, all from integer counts.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    samples = as_count(samples, "samples", lo=10_000)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    bits = (rng.random(samples) < p).astype(np.uint8)
-    arr = np.asarray(StreamExtractor().feed(bits.tolist()), dtype=np.int8)
-    length = len(arr)
+    samples = as_count(samples, "samples", lo=MIN_SAMPLES)
+    seed = as_count(seed, "seed")
+    draw = random.Random(seed).random
+    out = StreamExtractor().feed([1 if draw() < p else 0 for _ in range(samples)])
+    length = len(out)
     if length < 2:
         return StatReport(p, seed, samples, length, length / samples, 0.0, 0.0, 0.0)
-    signs = 2 * arr.astype(np.float64) - 1
-    monobit_z = float(signs.sum() / math.sqrt(length))
-    serial_z = float((signs[:-1] * signs[1:]).sum() / math.sqrt(length - 1))
-    bias = max(abs(float(arr[r::8].mean()) - 0.5) for r in range(8) if len(arr[r::8]))
+    monobit_z = (2 * sum(out) - length) / math.sqrt(length)  # signs +-1 summed
+    serial_z = (length - 1 - 2 * sum(map(int.__ne__, out, out[1:]))) / math.sqrt(length - 1)
+    bias = max(abs(sum(out[r::8]) / len(out[r::8]) - 0.5) for r in range(min(8, length)))
     return StatReport(p, seed, samples, length, length / samples, monobit_z, serial_z, bias)

@@ -8,7 +8,6 @@ by the two million-bit statistical runs in criterion 12.
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from oracles import (
@@ -73,10 +72,8 @@ def test_c02_yield_meets_entropy_bound():
         for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2),
                   Fraction(7, 10), Fraction(9, 10)):
             exact = expected_yield(n, SourceModel(p))
-            bound = theorem_bound(n, p)
-            with mpmath.workdps(40):
-                value = mpmath.mpf(exact.numerator) / exact.denominator
-                assert value >= bound, (n, p, float(value), float(bound))
+            bound = theorem_bound(n, p)  # a Decimal, which compares exactly with a Fraction
+            assert exact >= bound, (n, p, float(exact), float(bound))
     spot = expected_yield(16, SourceModel(Fraction(3, 10)))
     assert float(spot) > 8.01
     report(
@@ -89,10 +86,8 @@ def test_c02_yield_meets_entropy_bound_at_large_n():
     for n in (100, 1000):
         for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             exact = expected_yield(n, SourceModel(p), cap=n)
-            bound = theorem_bound(n, p)
-            with mpmath.workdps(40):
-                value = mpmath.mpf(exact.numerator) / exact.denominator
-                assert value >= bound, (n, p, float(value), float(bound))
+            bound = theorem_bound(n, p)  # a Decimal, which compares exactly with a Fraction
+            assert exact >= bound, (n, p, float(exact), float(bound))
     report("criterion 2 PASS: exact yield >= N H(p) - log2(N+1) - 2 at N = 100 and 1000")
 
 

@@ -314,6 +314,25 @@ def test_verify_checks_the_yield_floor_before_any_walk(tmp_path, capsys, monkeyp
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("option, error", [
+    (["--samples", "5"], "samples must be >= 10000"),
+    (["--seed", "-3"], "seed must be >= 0"),  # random.Random(-3) would draw Random(3)'s stream
+])
+def test_verify_checks_the_battery_arguments_before_any_walk(tmp_path, capsys, monkeypatch,
+                                                             option, error):
+    def step(state, b, lattice):
+        raise AssertionError("walked before the battery's checks")
+
+    monkeypatch.setattr(extractor, "step", step)
+    rep = tmp_path / "report.txt"
+    assert main(["verify", "--suites", "equivalence,stats", "--max-n", "20", *option,
+                 "--report", str(rep)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not rep.exists()
+    # and without the stats suite, neither option is read
+    assert main(["verify", "--suites", "yield", "--max-n", "2", *option, "--report", str(rep)]) == 0
+
+
 def test_verify_young_suite_reports_each_depth_alone(tmp_path):
     rep = tmp_path / "report.txt"
     assert main(["verify", "--suites", "young", "--max-n", "9", "--report", str(rep)]) == 0

@@ -204,6 +204,18 @@ def test_source_model_validation():
     assert sum(type_prob(model, 9, t) for t in range(10)) == 1
 
 
+def test_source_model_holds_a_fraction_and_is_frozen():
+    model = SourceModel("3/10")
+    assert type(model.p0) is Fraction and model == SourceModel(Fraction(3, 10))
+    assert SourceModel(0.5).p0 == Fraction(1, 2) and repr(model) == "SourceModel(p0=Fraction(3, 10))"
+    assert hash(model) == hash(SourceModel(Fraction(3, 10)))
+    with pytest.raises(AttributeError):
+        model.p0 = Fraction(1, 2)
+    for bad in (-0.1, Fraction(11, 10), float("nan")):
+        with pytest.raises(ValueError):
+            SourceModel(bad)
+
+
 def test_theorem_bound_reference_value():
     # independent high-precision check of the n=16, p=0.3 corner
     with mpmath.workdps(30):
@@ -301,7 +313,7 @@ class SizeSite(NamedTuple):
 
 
 # Every public entry point that takes a size (count, depth, demand, sample
-# count or pair index), fed one value; every other argument is valid.
+# count, seed or pair index), fed one value; every other argument is valid.
 SIZE_ENTRY_POINTS = {
     "expected_yield": SizeSite(lambda v: expected_yield(v, SourceModel(Fraction(3, 10))),
                                "n", cap=24),
@@ -332,6 +344,8 @@ SIZE_ENTRY_POINTS = {
     "yield_bound_sweep": SizeSite(verify.yield_bound_sweep, "max_n", lo=1),
     "statistical_battery": SizeSite(lambda v: verify.statistical_battery(0.3, v, 7), "samples",
                                     lo=10_000),
+    "statistical_battery_seed": SizeSite(
+        lambda v: verify.statistical_battery(0.3, 10_000, v), "seed"),
 }
 SIZE_CASES = ["2.5", "'3'", "None", "lo - 1", "cap + 1", "np.int64", "True"]
 

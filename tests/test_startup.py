@@ -15,11 +15,15 @@ import numpy as np
 import pytest
 
 import eliastream
+from eliastream.cli import main
 from eliastream.extractor import StreamExtractor
+from eliastream.schursim import schur_transform
 from test_cli import PINNED_REPORTS
 
 SRC = Path(eliastream.__file__).resolve().parents[1]
 HEAVY = ("numpy", "mpmath", "eliastream.schursim", "eliastream.verify", "eliastream.elias")
+# dataclasses, and the inspect module it imports: no command needs either.
+DATACLASSES = ("dataclasses", "inspect")
 # The package modules `extract` runs on: the walk, its sizes and the CLI.
 WALK = {"eliastream", "eliastream.cli", "eliastream.extractor", "eliastream.binomial"}
 
@@ -79,31 +83,57 @@ def test_importing_the_cli_loads_no_oracle_or_numeric_library(tmp_path):
 
 def test_verify_default_suites_never_load_numpy(tmp_path):
     got = loaded(["verify", "--suites", "equivalence,balanced,yield", "--report",
-                  str(tmp_path / "r.txt")], tmp_path)
+                  str(tmp_path / "r.txt")], tmp_path, watch=(*HEAVY, *DATACLASSES))
     assert got == {"eliastream.verify", "eliastream.elias"}
 
 
 def test_verify_exhaustive_suites_load_no_numeric_library(tmp_path):
     got = loaded(["verify", "--suites", "equivalence,balanced", "--max-n", "6", "--report",
-                  str(tmp_path / "r.txt")], tmp_path)
+                  str(tmp_path / "r.txt")], tmp_path, watch=(*HEAVY, *DATACLASSES))
+    assert got == {"eliastream.verify", "eliastream.elias"}
+
+
+def test_verify_stats_suite_loads_no_numeric_library(tmp_path):
+    got = loaded(["verify", "--suites", "stats", "--samples", "10000", "--report",
+                  str(tmp_path / "r.txt")], tmp_path, watch=(*HEAVY, *DATACLASSES))
     assert got == {"eliastream.verify", "eliastream.elias"}
 
 
 def test_verify_young_suite_loads_no_numeric_library_or_simulator(tmp_path):
     got = loaded(["verify", "--suites", "young", "--max-n", "12", "--report",
                   str(tmp_path / "r.txt")], tmp_path, watch=None)
-    assert not got & {"numpy", "mpmath", "eliastream.schursim"}
+    assert not got & {"numpy", "mpmath", "eliastream.schursim", *DATACLASSES}
     assert {m for m in got if m.startswith("eliastream")} == WALK | {
         "eliastream.verify", "eliastream.elias", "eliastream.young"}
 
 
 @pytest.mark.parametrize("mode", ["known", "universal", "huffman", "vonneumann"])
 def test_simulate_never_loads_mpmath(tmp_path, mode):
-    # nor numpy, nor the block oracle (HEAVY holds both), nor dataclasses and
-    # the inspect module it imports
+    # nor numpy, nor the block oracle (HEAVY holds both), nor dataclasses
     got = loaded(["simulate", "--mode", mode, "--n", "3", "--report", str(tmp_path / "r.txt")],
-                 tmp_path, watch=(*HEAVY, "dataclasses", "inspect"))
+                 tmp_path, watch=(*HEAVY, *DATACLASSES))
     assert got == {"eliastream.schursim"}
+
+
+BLOCKED = "import sys; sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_verify_runs_where_numpy_and_mpmath_cannot_be_imported(tmp_path, blocked):
+    args = ["verify", "--suites", "equivalence,balanced,yield,stats", "--max-n", "8"]
+    proc = python_fresh(["-c", BLOCKED * blocked + PROBE, *args, "--report", "r.txt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # the same report as a run in this process, where both libraries are loaded
+    main(args + ["--report", str(tmp_path / "want.txt")])
+    assert (tmp_path / "r.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert b"stats[p=0.5]=pass" in (tmp_path / "want.txt").read_bytes()
+
+
+def test_schur_transform_runs_where_numpy_and_mpmath_cannot_be_imported(tmp_path):
+    probe = "import eliastream.schursim as s; print(repr(s.schur_transform(4)))"
+    blocked, free = (python_fresh(["-c", head + probe], tmp_path) for head in (BLOCKED, ""))
+    assert blocked.returncode == free.returncode == 0, blocked.stderr
+    assert blocked.stdout == free.stdout == repr(schur_transform(4)) + "\n"
 
 
 @pytest.mark.parametrize("args", sorted(PINNED_REPORTS))

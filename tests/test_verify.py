@@ -1,13 +1,18 @@
+import math
+import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from oracles import string_prob
 
 from eliastream import extractor, verify
-from eliastream.extractor import walk_tree
+from eliastream.extractor import StreamExtractor, walk_tree
 from eliastream.young import YOUNG, ballot_paths, dim
 from eliastream.verify import (
     balanced_paths,
+    bound_error,
     exhaustive_equivalence,
     statistical_battery,
     tally,
@@ -173,6 +178,44 @@ def test_yield_bound_trivial_at_one_bit():
     assert theorem_bound(1, Fraction(1, 2)) < 0
 
 
+@pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(-1, 10)])
+def test_theorem_bound_refuses_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match="must lie in"):
+        theorem_bound(4, p)
+
+
+def mp_bound(n, p):
+    """n H(p) - log2(n+1) - 2 by mpmath at 80 digits, the independent reference."""
+    with mpmath.workdps(80):
+        q = mpmath.mpf(p.numerator) / p.denominator
+        h = -(q * mpmath.log(q, 2) + (1 - q) * mpmath.log(1 - q, 2)) if 0 < p < 1 else 0
+        return n * h - mpmath.log(n + 1, 2) - 2
+
+
+def test_theorem_bound_is_within_its_error_bound_of_80_digits():
+    for n in range(200):
+        for p in (*verify.YIELD_P_VALUES, Fraction(0), Fraction(1), Fraction(1, 3)):
+            with mpmath.workdps(80):
+                err = abs(mpmath.mpf(str(theorem_bound(n, p))) - mp_bound(n, p))
+                assert err <= mpmath.mpf(bound_error(n).numerator) / bound_error(n).denominator
+
+
+@pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1, 2, 3])
+def test_a_yield_within_the_error_bound_of_the_bound_raises(monkeypatch, offset):
+    # every pair's yield planted offset / 2 error bounds from theorem_bound: floats
+    # cannot part them, so each goes to the exact comparison
+    def planted(n, model, cap):
+        return Fraction(theorem_bound(n, model.p0)) + offset * bound_error(n) / 2
+
+    monkeypatch.setattr(verify, "expected_yield", planted)
+    if abs(offset) <= 2:  # the bound itself included
+        with pytest.raises(ValueError, match="^n=1 p=1/10: yield within 2.0e-38 of the bound"):
+            yield_bound_sweep(3)
+    else:  # 1.5 error bounds off: decided, above or below
+        report = yield_bound_sweep(3)
+        assert len(report.violations) == (15 if offset < 0 else 0)
+
+
 def test_yield_bound_sweep_small():
     report = yield_bound_sweep(12)
     assert report.ok, report.violations
@@ -216,6 +259,27 @@ def test_battery_smoke():
 def test_battery_rejects_tiny_samples():
     with pytest.raises(ValueError):
         statistical_battery(0.5, 5_000, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-7, -1])
+def test_battery_refuses_a_negative_seed(seed):
+    # random.Random(-7) draws the stream of Random(7), so -7 would pass as a seed of its own
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        statistical_battery(0.4, 20_000, seed)
+
+
+@pytest.mark.parametrize("p, samples, seed", [(0.3, 100_000, 2024), (0.4, 20_000, 7),
+                                              (0.5, 50_000, 3)])
+def test_battery_sums_equal_numpy_on_its_stream(p, samples, seed):
+    # the arithmetic the battery had in numpy, on the same random.Random stream
+    draw = random.Random(seed).random
+    out = np.asarray(StreamExtractor().feed([int(draw() < p) for _ in range(samples)]), dtype=np.int8)
+    signs = 2 * out.astype(np.float64) - 1
+    report = statistical_battery(p, samples, seed)
+    assert report.output_len == len(out)
+    assert report.monobit_z == float(signs.sum() / math.sqrt(len(out)))
+    assert report.serial_z == float((signs[:-1] * signs[1:]).sum() / math.sqrt(len(out) - 1))
+    assert report.max_position_bias == max(abs(float(out[r::8].mean()) - 0.5) for r in range(8))
 
 
 @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
