@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import namedtuple
 
 
@@ -57,6 +58,14 @@ def shared_table() -> BinomialTable:
     return build_table(64)
 
 
+def as_integer(value, name: str) -> int:
+    """`value` by ``operator.index``, else ValueError "<name> must be an integer"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 def binom(n: int, t: int) -> int:
     """C(n, t) by ``math.comb``; zero when t is out of range."""
     if n < 0:
@@ -78,7 +87,8 @@ PASCAL = Lattice("pascal", binom, lambda n, t: 0 <= t <= n)
 def bin_layout(n: int, t: int, lattice: Lattice = PASCAL) -> tuple[int, ...]:
     """Decompose the size of node (n, t) on `lattice`, C(n, t) on Pascal's,
     into bins of size 2^L: the exponents L, largest first, its set-bit
-    positions.  A node off the lattice raises ValueError."""
+    positions.  A non-integer n or t, or a node off the lattice: ValueError."""
+    n, t = as_integer(n, "n"), as_integer(t, "t")
     if not lattice.valid(n, t):
         raise ValueError(f"t={t} out of range for n={n}")
     value = lattice.size(n, t)

@@ -146,25 +146,22 @@ def _extract_blocks(src, sink, demand: int | None) -> tuple[ExtractorState, int,
 
     A demand stops the walk, and the reading, after the move that brings the
     output to `demand` bits; the bits that move made past it are not
-    delivered.  Without one, each block's walk gets the int demand
-    n - l + 8 len(block) + 1, which no move meets, as l <= n after every
-    move, so the walk's stop test compares two ints.  Each block reaches the
-    walk as the bytes ``_bit_bytes`` makes, bits by construction, so no bit
-    is checked, and the walk appends its output to `tail`, a bytearray of
-    0/1.  Once the next block is in hand, the whole bytes of `tail` are
-    written, packed in one ``pack_bits`` pass, and cut from its front, so
-    the last block's bytes go out with the zero-padded tail in one write,
-    and an input of one block is packed once.  No list of bits is built."""
+    delivered.  Each block reaches the walk as the bytes ``_bit_bytes``
+    makes, bits by construction, so no bit is checked, and the walk appends
+    its output to `tail`, a bytearray of 0/1.  Once the next block is in
+    hand, the whole bytes of `tail` are written, packed in one ``pack_bits``
+    pass, and cut from its front, so the last block's bytes go out with the
+    zero-padded tail in one write, and an input of one block is packed
+    once.  No list of bits is built."""
     machine = StreamExtractor()
     walk = machine._walk
     written = 0  # output bits written, whole bytes
     tail = bytearray()  # output bits after those, one byte 0 or 1 per bit
     block = src.read(_BLOCK) if demand != 0 else b""
     while block:
-        want = machine.n + 8 * len(block) + 1 if demand is None else demand
-        walk(_bit_bytes(block), want - machine.l, tail)
-        if machine.l >= want:
-            del tail[want - written:]
+        walk(_bit_bytes(block), None if demand is None else demand - machine.l, tail)
+        if demand is not None and machine.l >= demand:
+            del tail[demand - written:]
             break
         block = src.read(_BLOCK)
         if block and len(tail) >= 8:

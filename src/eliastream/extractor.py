@@ -52,12 +52,11 @@ each call's input is checked once (``_checked_bits``).
 
 from __future__ import annotations
 
-import math
 import operator
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .binomial import PASCAL, Lattice, binom
+from .binomial import PASCAL, Lattice, as_integer, binom
 
 
 def as_bit(b) -> int:
@@ -77,13 +76,10 @@ def as_bit(b) -> int:
 def as_count(value, name: str = "n", lo: int | None = 0, cap: int | None = None,
              error: type[Exception] = ValueError) -> int:
     """A size (count, depth, index) as a plain int: any integer type goes
-    through ``operator.index``; anything else, floats and strings included,
+    through ``binomial.as_integer``; anything else, floats and strings included,
     raises ValueError, as does a value below `lo` (None: no floor).  A value
     above `cap` raises `error`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
+    value = as_integer(value, name)
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}")
     if cap is not None and value > cap:
@@ -355,7 +351,7 @@ class StreamExtractor:
     fallback and by a machine built at a deep node: it can start from any
     lattice node, e.g. to resume a paused walk.  ``push``, ``feed``,
     ``pause_mode_run`` and ``cli extract``, block by block, all run one
-    loop, ``_walk``, whose moves append straight to the output it returns.
+    loop, ``_walk``, which also decides when a walk stops.
     """
 
     __slots__ = ("n", "t", "l", "_c", "_win", "_fallbacks")
@@ -387,23 +383,12 @@ class StreamExtractor:
     def push(self, b: int) -> tuple[int, ...]:
         """Feed one bit; return the bits emitted by this move.  A value
         other than 0 or 1 raises ValueError and leaves the state unchanged."""
-        if b.__class__ is not int or b >> 1:  # one cheap test passes a plain 0/1
-            b = as_bit(b)
-        return tuple(self._walk((b,), self.n - self.l + 2))
+        return self.feed((b,))
 
     def feed(self, bits: "Iterable[int] | str") -> tuple[int, ...]:
-        """Feed many bits; return the concatenated output.  A bad bit
-        raises ValueError; the bits before it stay fed.
-
-        An input with a length walks to the int demand n - l + len + 1,
-        which no move meets, as l <= n after every move, so the walk's stop
-        test compares two ints; a generator walks to ``math.inf``."""
-        checked = _checked_bits(bits)
-        try:
-            demand = self.n - self.l + len(checked if is_text(bits) else bits) + 1
-        except TypeError:  # no len()
-            demand = math.inf
-        return tuple(self._walk(checked, demand))
+        """Feed many bits; return the concatenated output.  A bad bit raises
+        ValueError; the bits before it stay fed (see ``_checked_bits``)."""
+        return tuple(self._walk(_checked_bits(bits)))
 
     def _exact_move(self, n: int, t: int, b: int, l: int, out: list[int]) -> tuple:
         """The exact move from node (n, t, l) on bit b, counted in
@@ -417,13 +402,13 @@ class StreamExtractor:
         self._fallbacks += 1
         return (n + 1, t + b, l, *_window(h, n + 1, l))
 
-    def _walk(self, bits: Iterable[int], demand: float = math.inf,
+    def _walk(self, bits: Iterable[int], demand: int | None = None,
               out: list[int] | bytearray | None = None) -> list[int] | bytearray:
         """The one loop: fold bits through the window, append what they emit
-        to `out`, plain 0/1 ints, and return it, stopping after the move that
-        brings this call's output to `demand` bits (at least 1).  `out` is a
-        new list by default; ``cli extract`` passes a bytearray, which holds
-        each bit as one byte for ``pack_bits`` to read whole.
+        to `out`, plain 0/1 ints, and return it after the last bit, or after
+        the move that brings this call's output to `demand` bits if given (at
+        least 1).  `out` is a new list by default; ``cli extract`` passes a
+        bytearray, which holds each bit as one byte for ``pack_bits``.
 
         `bits` are plain 0/1 ints, checked once per call by the caller (see
         ``_checked_bits``), so the loop tests no bit; a lazily checked source
@@ -492,16 +477,23 @@ class StreamExtractor:
         slices again from the new window.  A slice that runs out at n = end
         leaves the next bit, if there is one, to the exact move, the move
         the budget test would fail.
+
+        Why no demand walks the whole input.  The walk stops once l >= stop
+        = end + 2 of the window last unpacked; l < n after any move, as 2^l
+        <= C(n, t) <= 2^(n-1), two entries of row n - 1; and a window starts
+        at n <= end + 1 (``_window`` puts end above n; a narrowing at n <= end
+        lowers it by one), so no move under it ends past n = end + 2.
         """
         if out is None:
             out = []
         emit = out.append
         n, t, l, c0, win = self.n, self.t, self.l, self._c, self._win
-        stop = l + demand
+        until = None if demand is None else l + demand  # the l a demand stops at
         bits = iter(bits)
         try:
             while True:
                 g, mcap, bit, lim, _, end, low = win
+                stop = end + 2 if until is None else until
                 g1, two = g + 1, 2 * bit
                 m2, top = two - 1, bit + lim  # a move is silent iff cb <= hm < top
                 # a borrowing x0's low g bits are below lim iff d = hm - cb is

@@ -45,7 +45,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .extractor import ExtractorState, as_bit, as_count, coded_move, pack_code, von_neumann, walk_tree
+from .extractor import ExtractorState, as_bit, as_count, as_node, coded_move, pack_code, von_neumann, walk_tree
 from .young import YOUNG
 
 KNOWN_BASIS_CAP = 16
@@ -216,7 +216,7 @@ def cg_step(n: int, t: int, u: int, qubit: int) -> list[tuple[int, int, int, flo
     branch amplitudes square-sum to 1 and distinct inputs map to orthogonal
     outputs, so the induced register map is an isometry.
     """
-    qubit = as_bit(qubit)
+    (n, t), u, qubit = as_node(n, t), as_count(u, "u"), as_bit(qubit)
     d = n - 2 * t + 1
     if not 0 <= 2 * t <= n or not 0 <= u < d:
         raise ValueError(f"invalid register pair (t={t}, u={u}) at n={n}")

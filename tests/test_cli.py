@@ -586,8 +586,7 @@ def test_extract_in_blocks_equals_one_whole_input_walk(tmp_path, size):
 def test_extract_streams_a_block_that_emits_more_bits_than_it_reads(tmp_path):
     # A KiB of zeros keeps C(n, 0) = 1, so l stays 0 while n reaches 8,192;
     # the random KiB after it takes l past the 8,193 bits that block holds.
-    # The streaming walk's demand, n - l + 8 * 1,024 + 1 at the block's
-    # start, stays out of reach, so every bit of the block is walked.
+    # The streaming walk has no demand, so every bit of the block is walked.
     data = bytes(cli._BLOCK) + random.Random(2).randbytes(cli._BLOCK)
     head = StreamExtractor()
     head.feed(unpack_bytes(data[:cli._BLOCK]))

@@ -384,6 +384,12 @@ COORDINATE_CALLS = {
     "bin_of_rank_t": (lambda: bin_of_rank(4, 1.0, 0), "t"),
     "bin_of_rank_rank": (lambda: bin_of_rank(4, 2, 2.5), "rank"),
     "conditional_bin_entropy": (lambda: conditional_bin_entropy(2.5, 1), "n"),
+    "bin_layout_n": (lambda: bin_layout(2.5, 1), "n"),
+    "bin_layout_n_str": (lambda: bin_layout("3", 1), "n"),
+    "bin_layout_t": (lambda: bin_layout(3, 1.0), "t"),
+    "cg_step_n": (lambda: cg_step(2.5, 0, 0, 0), "n"),
+    "cg_step_t": (lambda: cg_step(2, 0.5, 0, 0), "t"),
+    "cg_step_u": (lambda: cg_step(2, 0, 0.5, 0), "u"),
     "schur_transform": (lambda: schursim.schur_transform([3]), "n"),
 }
 

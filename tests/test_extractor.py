@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 import random
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eliastream import extractor
+from eliastream import cli, extractor
 from eliastream.binomial import binom
 from eliastream.extractor import (
     ExtractorState,
@@ -693,9 +694,10 @@ def test_window_matches_exact_engine_on_a_long_stream():
 
 @pytest.mark.parametrize("form", ["list", "tuple", "text", "generator"])
 def test_a_feed_that_emits_more_bits_than_it_reads_walks_them_all(form):
-    # A sized feed stops its walk on the int demand n - l + len(bits) + 1.
+    # A feed walks with no demand, so only the end of its input stops it.
     # After 1,000 zeros l = 0 at n = 1,000, and the next 1,000 random bits
-    # take l past 1,000: a demand without n - l would end that walk early.
+    # take l past 1,000: a stop counted from the feed's length alone would
+    # end that walk early.
     rng = random.Random(1000)
     zeros, rest = [0] * 1_000, [rng.getrandbits(1) for _ in range(1_000)]
     fed = {"list": rest, "tuple": tuple(rest), "text": "".join(map(str, rest)),
@@ -705,6 +707,34 @@ def test_a_feed_that_emits_more_bits_than_it_reads_walks_them_all(form):
     tail = engine.feed(fed)
     assert head == () and len(tail) > len(rest)
     assert (head + tail, engine.state) == run(zeros + rest)
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_a_walk_with_no_demand_stops_only_at_the_end_of_its_input(guard, monkeypatch):
+    # With no demand the walk stops on end + 2 of each window, which no move
+    # under it reaches.  These guards give budgets of 1 to 64 moves, so
+    # slices end at n = end often and an exact move follows.  A generator
+    # fed whole, the same bits as a list, and the CLI's walk over their
+    # bytes in 4-byte blocks all match the exact walk, window and all.
+    made = []
+    monkeypatch.setattr(cli, "_BLOCK", 4)
+    monkeypatch.setattr(cli, "StreamExtractor", lambda: made.append(StreamExtractor()) or made[-1])
+    rng = random.Random(guard)
+    for p in (0.05, 0.3, 0.5, 0.95):
+        bits = [int(rng.random() < p) for _ in range(1_024)]
+        expected = exact_walk(bits)
+        with window_from_apex(guard):
+            walks = [StreamExtractor(), StreamExtractor()]
+            outputs = [walks[0].feed(b for b in bits), walks[1].feed(bits)]
+            sink = io.BytesIO()
+            state, delivered, pad = cli._extract_blocks(io.BytesIO(cli.pack_bits(bits)[0]), sink, None)
+        walks.append(made.pop())
+        assert outputs == [expected.output] * 2
+        assert (sink.getvalue(), pad) == cli.pack_bits(expected.output)
+        assert (state, delivered) == (expected.final, len(expected.output))
+        assert [walk.state for walk in walks] == [expected.final] * 3
+        assert len({(walk.fallbacks, walk.window_bits) for walk in walks}) == 1
+        assert walks[0].fallbacks > 0
 
 
 # The two cases keep the names of the phases an earlier engine split the
