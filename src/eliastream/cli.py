@@ -39,7 +39,7 @@ import stat
 import sys
 import time
 
-from .extractor import _TEXT_BITS, ExtractorState, StreamExtractor, as_count, walk_tree
+from .extractor import _TEXT_BITS, ExtractorState, StreamExtractor, walk_tree
 
 REPORT_SCHEMA = "eliastream/1"
 
@@ -219,15 +219,15 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
     if args.max_n < 0:
         raise ValueError("--max-n must be >= 0")
-    if "yield" in suites and args.max_n < 1:  # yield_bound_sweep's floor, before any walk
-        raise ValueError("max_n must be >= 1")
-    if "stats" in suites:  # and statistical_battery's
-        as_count(args.samples, "samples", lo=verify.MIN_SAMPLES)
-        as_count(args.seed, "seed")
     eq_to = args.max_n if "equivalence" in suites else -1
     bal_to = min(args.max_n, verify.BALANCED_CAP) if "balanced" in suites else -1
     if args.max_n > verify.EXHAUSTIVE_CAP and {"equivalence", "young"} & set(suites):
         raise ValueError(f"--max-n exceeds the equivalence cap {verify.EXHAUSTIVE_CAP}")
+    # The suites that walk no tree run first, so their own argument checks
+    # fail before any walk; their fields still come last.
+    yields = {"yield_bound": verify.yield_bound_sweep(args.max_n).ok} if "yield" in suites else {}
+    stats = [verify.statistical_battery(p, args.samples, args.seed) for p in (0.3, 0.5)
+             if "stats" in suites]
     # One walk, tallied once, serves both suites at every n; equivalence is listed first.
     depth = max(eq_to, bal_to)
     tallies = verify.tally(walk_tree(depth), bal_to) if depth >= 0 else {}
@@ -240,18 +240,15 @@ def cmd_verify(args) -> int:
         tallies = verify.tally(walk_tree(args.max_n, YOUNG))
         ok |= {f"young[{n}]": verify.exhaustive_equivalence(n, tallies, YOUNG).ok
                for n in range(args.max_n + 1)}
-    if "yield" in suites:
-        ok["yield_bound"] = verify.yield_bound_sweep(args.max_n).ok
+    ok |= yields
     fields: dict = {name: "pass" if passed else "FAIL" for name, passed in ok.items()}
     failed = not all(ok.values())
-    if "stats" in suites:
-        for p in (0.3, 0.5):
-            report = verify.statistical_battery(p, args.samples, args.seed)
-            fields[f"stats[p={p}]"] = (
-                f"{'pass' if report.ok else 'FAIL'} rate={report.rate:.4f} "
-                f"monobit_z={report.monobit_z:.3f} serial_z={report.serial_z:.3f}"
-            )
-            failed |= not report.ok
+    for report in stats:
+        fields[f"stats[p={report.p}]"] = (
+            f"{'pass' if report.ok else 'FAIL'} rate={report.rate:.4f} "
+            f"monobit_z={report.monobit_z:.3f} serial_z={report.serial_z:.3f}"
+        )
+        failed |= not report.ok
     write_report(fields, args.report)
     return 1 if failed else 0
 

@@ -45,9 +45,9 @@ new l, so a move allocates nothing.  Two things use it:
 
 The package's input checks live here, beside the walk that first needs
 them: ``as_bit`` per bit, ``as_count`` per size, ``as_node`` per lattice
-coordinate and ``parse_bits`` for '0'/'1' text.  The oracles import them
-from here, so the engine loads no oracle.  The engine's loop tests no bit:
-each call's input is checked once (``_checked_bits``).
+coordinate, ``as_probability`` per p and ``_checked_bits`` per bit source,
+text or not, once per call, so the engine's loop tests no bit.  The oracles
+import them from here, so the engine loads no oracle.
 """
 
 from __future__ import annotations
@@ -93,36 +93,40 @@ def as_node(n, t) -> tuple[int, int]:
     return as_count(n), as_count(t, "t", lo=None)
 
 
-_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+def as_probability(p):
+    """A probability p, unchanged: a number in [0, 1].  Anything else, a
+    string, None or NaN included, raises ValueError."""
+    try:
+        if 0 <= p <= 1:
+            return p
+    except TypeError:  # not a number
+        pass
+    raise ValueError("p must lie in [0, 1]")
 
 
-def is_text(bits) -> bool:
-    """Whether a bit source is text, '0'/'1' characters: a str or a bytes-like
-    object (bytes, bytearray, memoryview).  Any other iterable holds bits."""
-    return isinstance(bits, (str, bytes, bytearray, memoryview))
-
-
-def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
-    """Normalize a bit source (text such as '0110', see ``is_text``, or an
-    iterable of bits, each checked by ``as_bit``) to a tuple of plain ints."""
-    if not is_text(bits):
-        return tuple(map(as_bit, bits))
-    # UnicodeEncodeError is a ValueError
-    text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
-    if bad := text.translate(None, b"01"):
-        raise ValueError(f"invalid bit characters {bad[:8]!r}")
-    return tuple(text.translate(_TEXT_BITS))
+# '0' and '1' to the bytes 0 and 1, any other byte to 2
+_TEXT_BITS = bytes({48: 0, 49: 1}.get(c, 2) for c in range(256))
 
 
 def _checked_bits(bits: "Iterable[int] | str") -> Iterable[int]:
-    """A bit source as plain 0/1 ints, checked once per call.  Text is
-    parsed by ``parse_bits`` and raises before any bit is taken.  Any other
+    """A bit source as plain 0/1 ints: the package's one converter.  Text,
+    '0'/'1' in a str or a bytes-like object, becomes bytes of 0/1 in one
+    ``translate`` pass and raises before any bit is taken.  Any other
     iterable is checked lazily, one cheap test per bit and ``as_bit`` only
     on a miss, so a walk that takes bits one by one raises only on reaching
     a bad one."""
-    if is_text(bits):
-        return parse_bits(bits)
+    if isinstance(bits, (str, bytes, bytearray, memoryview)):
+        # UnicodeEncodeError is a ValueError
+        text = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
+        if 2 in (checked := text.translate(_TEXT_BITS)):
+            raise ValueError(f"invalid bit characters {text.translate(None, b'01')[:8]!r}")
+        return checked
     return (b if b.__class__ is int and not b >> 1 else as_bit(b) for b in bits)
+
+
+def parse_bits(bits: "Iterable[int] | str") -> tuple[int, ...]:
+    """A bit source, text such as '0110' or bits, as ``_checked_bits``'s tuple."""
+    return tuple(_checked_bits(bits))
 
 
 class ExtractorState(NamedTuple):
@@ -244,10 +248,10 @@ def pack_code(bits: Iterable[int]) -> int:
 
 def run(bits: "Iterable[int] | str", lattice: Lattice = PASCAL) -> RunResult:
     """Fold ``step`` on `lattice` over an input string from the apex,
-    checking conservation after every move.  Text is parsed up front; other
-    bits go to ``step``, which checks each one itself."""
+    checking conservation after every move.  The bits come through
+    ``_checked_bits``: text is checked up front, other bits one by one."""
     state, output = initial_state(), []
-    for b in parse_bits(bits) if is_text(bits) else bits:
+    for b in _checked_bits(bits):
         state, emitted = step(state, b, lattice)
         output.extend(emitted)
         _check_tapes(state, len(output))

@@ -10,13 +10,14 @@ labeled registers per party:
     tape    emitted bit values as one integer code, MSB first (l bits)
     purity  count of banked clean |0> qubits
 
-Joint states are sparse maps {(alice_label, bob_label): amplitude}, frozen
-at construction.  The pair statistics (emission probability and fidelity)
-and the register distributions read one ``ColumnTable`` per state, in plain
-Python; the module imports no numeric library.
-The array statistics that certify a pair's decoupling from the lattice
-registers (reduced pair, marginals, memory gap) are test oracles, built on
-a naive per-label gather in ``tests/oracles.py``.
+Joint states are named tuples (n, amps, meta) whose amps, a sparse map
+{(alice_label, bob_label): amplitude}, is frozen at construction.  The pair
+statistics (emission probability and fidelity) and the register
+distributions read one ``ColumnTable`` per state, in plain Python; the
+module imports no numeric library.  The array statistics that certify a
+pair's decoupling from the lattice registers (reduced pair, marginals,
+memory gap) are test oracles, built on a naive per-label gather in
+``tests/oracles.py``.
 
 Two simulators are provided.  The known-basis one replays the classical
 walk coherently over the depth-n leaves of ``extractor.walk_tree``, tapes as
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import gc
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Mapping
 from contextlib import contextmanager
 from functools import cache, cached_property, partial
@@ -45,7 +46,8 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .extractor import ExtractorState, as_bit, as_count, as_node, coded_move, pack_code, von_neumann, walk_tree
+from .extractor import (ExtractorState, as_bit, as_count, as_node, as_probability, coded_move,
+                        pack_code, von_neumann, walk_tree)
 from .young import YOUNG
 
 KNOWN_BASIS_CAP = 16
@@ -166,33 +168,17 @@ class ColumnTable:
         return [ids.setdefault(env, len(ids)) for env in envs]
 
 
-class JointState:
+class JointState(namedtuple("JointState", "n amps meta")):
     """Sparse amplitude map over (Alice label, Bob label) pairs.
 
-    The map is frozen into a read-only view of the state's own copy at
-    construction, and the fields cannot be reassigned, so the column table
-    built from it on first use can never go stale.  States compare equal by
-    (n, amps, meta).
+    A named tuple whose map is frozen into a read-only view of the state's
+    own copy at construction, so the column table built from it on first
+    use (kept in the instance ``__dict__``) can never go stale.  Equality is
+    tuple equality, so a state also equals the plain tuple of its fields.
     """
 
-    def __init__(self, n: int, amps: Mapping, meta: dict | None = None) -> None:
-        fields = self.__dict__
-        fields["n"], fields["amps"] = n, MappingProxyType(dict(amps))
-        fields["meta"] = {} if meta is None else meta
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.amps, self.meta) == (other.n, other.amps, other.meta)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, amps={self.amps!r}, meta={self.meta!r})"
+    def __new__(cls, n: int, amps: Mapping, meta: dict | None = None) -> "JointState":
+        return super().__new__(cls, n, MappingProxyType(dict(amps)), {} if meta is None else meta)
 
     @cached_property
     def table(self) -> ColumnTable:
@@ -276,8 +262,7 @@ def _diagonal_state(n: int, p: float, branches, mode: str) -> JointState:
     sqrt(p^(n-t) (1-p)^t) per (label, t) branch, computed once per t, zero
     terms dropped.  Two branches with one label would make the map
     irreversible, so they raise."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+    p = as_probability(p)
     by_ones = [math.sqrt(p ** (n - t) * (1 - p) ** t) for t in range(n + 1)]
     amps: dict = {}
     with _collector_paused():
@@ -295,8 +280,7 @@ def _source_rows(p: float, theta: float) -> list[list[float]]:
     e0, e1 is the computational basis rotated by theta, so theta = 0 gives a
     computational-basis diagonal state and theta = pi/4 the |++>/|--> pair.
     """
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+    p = as_probability(p)
     e0, e1 = (math.cos(theta), math.sin(theta)), (-math.sin(theta), math.cos(theta))
     return [[math.sqrt(p) * (e0[a] * e0[b]) + math.sqrt(1 - p) * (e1[a] * e1[b]) for b in (0, 1)]
             for a in (0, 1)]
@@ -317,8 +301,8 @@ def simulate_universal(n: int, p: float | None = None, theta: float = 0.0,
         if p is None:
             raise ValueError("pass either p (with theta) or psi")
         psi = _source_rows(p, theta)
-    try:
-        psi = [[complex(c) for c in row] for row in psi]
+    try:  # complex() would parse text such as "1"; dropped, it fails the shape check
+        psi = [[complex(c) for c in row if not isinstance(c, (str, bytes))] for row in psi]
     except TypeError:  # not a matrix of numbers
         psi = []
     if len(psi) != 2 or any(len(row) != 2 for row in psi):

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .binomial import PASCAL, Lattice, bin_layout
 from .elias import SourceModel, expected_yield
-from .extractor import ExtractorState, StreamExtractor, as_count, walk_tree
+from .extractor import ExtractorState, StreamExtractor, as_count, as_probability, walk_tree
 
 EXHAUSTIVE_CAP = 23
 BALANCED_CAP = 14
@@ -232,8 +232,7 @@ def statistical_battery(p: float, samples: int, seed: int) -> StatReport:
     and lag-1 serial z-scores of the output stream plus the largest
     within-byte positional bias, all from integer counts.
     """
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
+    p = as_probability(p)
     samples = as_count(samples, "samples", lo=MIN_SAMPLES)
     seed = as_count(seed, "seed")
     draw = random.Random(seed).random

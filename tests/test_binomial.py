@@ -53,6 +53,11 @@ def test_out_of_range_convention():
     assert binom(5, 6) == 0
 
 
+def test_binom_refuses_a_negative_n():
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        binom(-1, 0)
+
+
 @pytest.mark.parametrize(
     "n,t,l,expected",
     [(2, 1, 0, 0), (2, 1, 1, 1), (4, 2, 1, 1), (0, -1, 0, 0)],

@@ -354,6 +354,12 @@ def test_simulate_known_rejects_negative_n(capsys):
     assert "n must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["known", "universal", "vonneumann"])
+def test_simulate_rejects_p_outside_the_unit_interval(mode, capsys):
+    assert main(["simulate", "--mode", mode, "--n", "3", "--p", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: p must lie in [0, 1]\n"
+
+
 def test_verify_rejects_unknown_suite(tmp_path, capsys):
     rep = tmp_path / "report.txt"
     for suites in ("nonsense", "equivalence,nonsense"):

@@ -304,6 +304,24 @@ def test_every_bit_entry_point_rejects_non_bits(entry, bad):
         BIT_ENTRY_POINTS[entry](bad)
 
 
+# Every public entry point that takes a probability p, fed one value; every
+# other argument is valid.
+P_ENTRY_POINTS = {
+    "simulate_known_basis": lambda p: schursim.simulate_known_basis(p, 4),
+    "simulate_universal": lambda p: schursim.simulate_universal(3, p=p),
+    "simulate_von_neumann": lambda p: schursim.simulate_von_neumann(p, 2),
+    "statistical_battery": lambda p: verify.statistical_battery(p, 10_000, 7),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in P_ENTRY_POINTS for bad in (1.5, -0.1, float("nan"), "0.3", None)
+    if (entry, bad) != ("simulate_universal", None)])  # there None is no p: psi is asked for
+def test_every_probability_entry_point_rejects_what_is_no_probability(entry, bad):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+        P_ENTRY_POINTS[entry](bad)
+
+
 class SizeSite(NamedTuple):
     call: Callable
     name: str

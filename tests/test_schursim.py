@@ -321,6 +321,19 @@ def test_universal_input_validation():
         simulate_universal(3, p=0.3, theta=math.nan)
 
 
+@pytest.mark.parametrize("psi", [
+    [[1, 0, 0], [0, 0, 0]],  # 2x3
+    1.0,  # a scalar
+    [[1, None], [0, 0]],
+    [["1", "0"], ["0", "0"]],  # text complex() would parse
+    [["a", "b"], ["c", "d"]],  # and text it would not
+    [[b"1", 0], [0, 0]],
+])
+def test_universal_refuses_a_psi_that_is_no_coefficient_matrix(psi):
+    with pytest.raises(ValueError, match="^psi must be a 2x2 coefficient matrix$"):
+        simulate_universal(2, psi=psi)
+
+
 def dense_universal_amps(n, psi):
     """V^T (psi tensor-power) V over the walk's labels, V the dense coupling
     transform: the naive oracle of the streaming simulator."""
@@ -741,6 +754,10 @@ def test_joint_states_compare_by_their_fields_and_stay_frozen():
     assert state == JointState(1, dict(state.amps), {})
     assert state != JointState(2, state.amps) and state != JointState(1, state.amps, {"p": 0.5})
     assert repr(state) == f"JointState(n=1, amps={state.amps!r}, meta={{}})"
+    # a named tuple: it equals the plain tuple of its fields and unpacks like one
+    assert state == (1, dict(state.amps), {}) and state != "state" and state != (1, state.amps)
+    n, amps, meta = state
+    assert (n, amps, meta) == (1, state.amps, {}) and amps is state.amps
     assert state.table is state.table
     with pytest.raises(AttributeError):
         state.meta = {}

@@ -288,6 +288,14 @@ def test_battery_rejects_p_outside_unit_interval(p):
         statistical_battery(p, 20_000, seed=1)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_battery_of_a_constant_stream_reports_no_output(p):
+    # a constant input emits nothing, so there is no stream to score
+    report = statistical_battery(p, verify.MIN_SAMPLES, seed=1)
+    assert report.output_len == 0 and report.rate == report.monobit_z == report.serial_z == 0
+    assert report.ok
+
+
 @pytest.fixture(scope="module")
 def young_walk():
     return tally(walk_tree(14, YOUNG))  # every ballot path to depth 14, tallied once
